@@ -112,7 +112,7 @@ let make spec =
    [of_gates 1_000_000] is a 16 x 16 grid = 1,048,576 block gates (plus
    ~250 merge gates) - the million-gate design of the EXPERIMENTS.md
    extraction run - and [of_gates 100_000] is the 5 x 5 = 102,400-gate
-   grid the CI-scale [extract_large] smoke bench uses.  Pair with a
+   grid of the ledger benchmark's grid100k workload.  Pair with a
    cells_per_tile around 65536 when characterizing, so the correlation
    grid stays small and the PCA dimension stays propagation-friendly. *)
 let preset_block_gates = 4096

@@ -24,11 +24,11 @@ val of_gates : ?seed:int -> int -> Netlist.t
     blocks on the squarest grid covering it, 32 PIs / 32 POs at every
     size.  [of_gates 1_000_000] is the million-gate extraction design
     (16 x 16 blocks, "grid1m"); [of_gates 100_000] is the 102,400-gate
-    5 x 5 grid ("grid100k") the [extract_large] CI smoke bench scales the
-    same pipeline down to.  Characterize with a large [cells_per_tile]
+    5 x 5 grid ("grid100k") of the ledger benchmark's [grid100k]
+    workload.  Characterize with a large [cells_per_tile]
     (e.g. 65536) so the correlation grid — and with it the PCA
     dimension — stays bounded as the design grows. *)
 
 val million : ?seed:int -> unit -> Netlist.t
-(** [of_gates 1_000_000] — the ~1M-gate preset of the [batch_large]
-    bench. *)
+(** [of_gates 1_000_000] — the ~1M-gate preset of the [million]
+    experiment in bench/main.ml. *)

@@ -201,11 +201,9 @@ type scratch = {
   slab : Form_buf.slab;
 }
 
-let compute ?(exact = false) ?domains ?tile ?(engine = `Blocked) ~delta g
-    ~forms =
+let compute ?(exact = false) ?domains ?tile ~delta g ~forms =
   if not (delta > 0.0 && delta < 1.0) then
     invalid_arg "Criticality.compute: delta must lie in (0, 1)";
-  let reference = engine = `Reference in
   let m = Tgraph.n_edges g in
   let nv = Tgraph.n_vertices g in
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
@@ -296,9 +294,8 @@ let compute ?(exact = false) ?domains ?tile ?(engine = `Blocked) ~delta g
        whose source the input reaches, minus the edges this chunk already
        settled.  Rebuilt per tile from the (bit-identical) sweep, so the
        non-skipped visit sequence below is the same for every tile size.
-       The blocked engine additionally fills the Cov(arrival, edge) table
-       over the active cone, hoisting the eval's A.E dot product out of
-       the visit loop. *)
+       The Cov(arrival, edge) table is filled over the active cone too,
+       hoisting the eval's A.E dot product out of the visit loop. *)
     for slot = 0 to n_in - 1 do
       scratch.source1.(0) <- inputs.(lo + slot);
       let ws = scratch.fwd.(slot) in
@@ -316,18 +313,16 @@ let compute ?(exact = false) ?domains ?tile ?(engine = `Blocked) ~delta g
       done;
       scratch.cone_len.(slot) <- !k;
       st.s_cone <- st.s_cone + !k;
-      if not reference then
-        Form_buf.cov_src_cone_into ~verts:(Propagate.ws_buf ws) ~forms:fbuf
-          ~src ~cone ~len:!k ~into:scratch.cov_ae.(slot)
+      Form_buf.cov_src_cone_into ~verts:(Propagate.ws_buf ws) ~forms:fbuf ~src
+        ~cone ~len:!k ~into:scratch.cov_ae.(slot)
     done;
     let pending = ref 0 in
-    (* Decision tail shared by both engines: [scratch.quad] holds the
-       twelve gathered moments (bit-identical however they were gathered),
+    (* Decision tail: [scratch.quad] holds the twelve gathered moments,
        and this commits z, keep, cm_z, bar and settled for edge [e].
        [bar.(e)] is reloaded here rather than threaded from the bound
        test: an edge appears at most once per (output, input) walk, so
-       nothing can have changed it in between even when the blocked
-       engine defers judgement to a batch flush. *)
+       nothing can have changed it in between even though judgement is
+       deferred to a batch flush. *)
     let judge ~e ~j =
       let quad = scratch.quad in
       (* Floats come in through scratch ([b_mu.(j)], [wk]) rather than as
@@ -424,7 +419,7 @@ let compute ?(exact = false) ?domains ?tile ?(engine = `Blocked) ~delta g
           let cone = scratch.cone.(slot) in
           let clen = scratch.cone_len.(slot) in
           let m_rand = A1.unsafe_get ast ((dst4 * out) + st_rd) in
-          (* Survivor batching (blocked engine): a walk's evals all touch
+          (* Survivor batching: a walk's evals all touch
              distinct edges (a cone lists each edge once), and the screen
              state an eval writes - keep, cm_z, bar, settled, all
              per-edge - is never read by another visit of the same walk,
@@ -522,36 +517,24 @@ let compute ?(exact = false) ?domains ?tile ?(engine = `Blocked) ~delta g
                   (* Survivor: exact tightness z-score, allocation-free.
                      With de = a + d + r (independent private randoms),
                      Var de and Cov(de, M) decompose into pairwise
-                     covariances of the stored forms.  The reference
-                     engine gathers all of them with one fused strided
-                     pass and judges on the spot; the blocked engine
-                     reads the visit-invariant ones from the retained
-                     rows and tables and defers the four per-visit
-                     covariances to the lane batch.  Both fill the same
-                     scratch layout with bit-identical values, so the
-                     shared [judge] commits identical result bits. *)
+                     covariances of the stored forms.  The visit-invariant
+                     ones come from the retained rows and tables; the four
+                     per-visit covariances are deferred to the lane
+                     batch. *)
                   st.s_exact <- st.s_exact + 1;
-                  if reference then begin
-                    Form_buf.quad_stats_into ~a:abuf ~ia:s ~e:fbuf ~ie:e
-                      ~r:rbuf ~ir:d ~m:abuf ~im:out ~into:scratch.quad;
-                    Array.unsafe_set scratch.b_mu 0 mu_de;
-                    judge ~e ~j:0
-                  end
-                  else begin
-                    let j = !bn in
-                    Array.unsafe_set scratch.b_e j e;
-                    Array.unsafe_set scratch.b_s j s;
-                    Array.unsafe_set scratch.b_d j d;
-                    Array.unsafe_set scratch.b_mu j mu_de;
-                    bn := j + 1;
-                    if j + 1 = Form_buf.cov4_lanes then flush ()
-                  end
+                  let j = !bn in
+                  Array.unsafe_set scratch.b_e j e;
+                  Array.unsafe_set scratch.b_s j s;
+                  Array.unsafe_set scratch.b_d j d;
+                  Array.unsafe_set scratch.b_mu j mu_de;
+                  bn := j + 1;
+                  if j + 1 = Form_buf.cov4_lanes then flush ()
                 end
                 else st.s_screened <- st.s_screened + 1
               end
             end
           done;
-          if (not reference) && !bn > 0 then flush ()
+          if !bn > 0 then flush ()
         end
       done;
       if !pending >= compact_min then begin
@@ -635,39 +618,29 @@ let compute ?(exact = false) ?domains ?tile ?(engine = `Blocked) ~delta g
     let t_lo, t_hi = Par.chunk_bounds ~chunk:tile_sz ~n:no t in
     let tn = t_hi - t_lo in
     let touts = Array.sub outputs t_lo tn in
-    (* Backward passes for this tile's outputs: the blocked engine cuts
-       the tile into fixed sub-blocks (a function of the tile size only,
-       so the block layout - and the backward_blocks count - is
-       domain-invariant) and advances each sub-block through one reversed
-       edge pass; the reference engine runs the per-output sweeps.  Each
-       block task owns its tile slots outright: workspaces, scalar rows,
-       destination bitmasks and covariance tables. *)
+    (* Backward passes for this tile's outputs: the tile is cut into fixed
+       sub-blocks (a function of the tile size only, so the block layout -
+       and the backward_blocks count - is domain-invariant) and each
+       sub-block advances through one reversed edge pass.  Each block task
+       owns its tile slots outright: workspaces, scalar rows, destination
+       bitmasks and covariance tables. *)
     let bblock = max 1 ((tn + 7) / 8) in
     let finish_slot k =
       let ws = tile_ws.(k) in
       Propagate.scalar_stats_into ws ~n:nv ~into:req_st.(k);
       Propagate.ws_reach_into ws ~n:nv ~into:omasks.(k);
-      if not reference then
-        Form_buf.cov_dst_into ~forms:fbuf ~verts:(Propagate.ws_buf ws) ~dst
-          ~mask:omasks.(k) ~into:cov_er.(k)
+      Form_buf.cov_dst_into ~forms:fbuf ~verts:(Propagate.ws_buf ws) ~dst
+        ~mask:omasks.(k) ~into:cov_er.(k)
     in
     Obs.with_span "criticality.backward" (fun () ->
-        if reference then
-          Par.run_tasks ?domains ~n_tasks:tn
-            ~init:(fun () -> ())
-            ~task:(fun () k ->
-              Propagate.backward_to_into tile_ws.(k) g ~forms:fbuf touts.(k);
-              finish_slot k)
-            ()
-        else
-          Par.run_blocks ?domains ~block:bblock ~n:tn
-            ~task:(fun lo hi ->
-              Propagate.backward_block_into tile_ws g ~forms:fbuf ~outs:touts
-                ~lo ~hi;
-              for k = lo to hi - 1 do
-                finish_slot k
-              done)
-            ());
+        Par.run_blocks ?domains ~block:bblock ~n:tn
+          ~task:(fun lo hi ->
+            Propagate.backward_block_into tile_ws g ~forms:fbuf ~outs:touts
+              ~lo ~hi;
+            for k = lo to hi - 1 do
+              finish_slot k
+            done)
+          ());
     Obs.with_span "criticality.screen" (fun () ->
         Par.run_tasks_pool ?domains ~n_tasks:n_chunks ~pool
           ~task:(fun scratch c ->

@@ -91,7 +91,6 @@ val compute :
   ?exact:bool ->
   ?domains:int ->
   ?tile:int ->
-  ?engine:[ `Blocked | `Reference ] ->
   delta:float ->
   Tgraph.t ->
   forms:Form.t array ->
@@ -101,9 +100,8 @@ val compute :
     more exact evaluations; criticalities whose screen bound is below
     [1e-3] are reported as 0.
 
-    [domains] (default {!Ssta_par.Par.domains}) fans the per-output
-    backward sweeps and the chunked per-input screening over a fixed-size
-    domain pool.  The chunk layout is a function of the port counts only,
+    [domains] (default {!Ssta_par.Par.domains}) fans the backward blocks
+    and the chunked per-input screening over a fixed-size domain pool.  The chunk layout is a function of the port counts only,
     so [keep], [cm], and both counters are bit-identical for every domain
     count (including the never-spawning sequential path at 1).
 
@@ -118,11 +116,9 @@ val compute :
     every tile size: a chunk's flattened visit order over (output, input,
     cone edge) does not depend on where the tile boundaries fall.
 
-    [engine] (default [`Blocked]) selects the evaluation machinery, never
-    the results: [`Blocked] runs the tiled multi-output backward blocks
-    and the precomputed-covariance eval fast path; [`Reference] runs the
-    per-output backward sweeps and the fused single-pass
-    {!Ssta_canonical.Form_buf.quad_stats_into} eval.  Both fill the same
-    scratch layout with bit-identical values and share the decision tail,
-    so every result field and counter matches exactly - the equivalence
-    tests and the bench speedup floor compare the two. *)
+    The backward phase runs multi-output blocks
+    ({!Propagate.backward_block_into}) and survivors are evaluated from
+    precomputed covariance tables in two-lane batches.  The test suite
+    checks every result field and counter bit for bit against a naive
+    full-scan oracle built on {!Propagate.backward_to_into} and
+    {!Ssta_canonical.Form_buf.quad_stats_into}. *)

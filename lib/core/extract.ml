@@ -49,7 +49,8 @@ let output_load_increments ?forms (b : Build.t) =
 (* Each extraction phase gets its own observability span (the journal
    extension's Table-breakdown granularity): the delta criticality
    screen, the merge fixpoint, and the freeze back into a sorted graph.
-   bench/main.ml turns these into the per-phase BENCH_JSON breakdown. *)
+   The ledger benchmark (bench/ledger) reports its extract.* layer shares
+   from these spans. *)
 let reduce_and_stats ?(exact = false) ?domains ~delta ~t0 g forms =
   let crit =
     Obs.with_span "extract.criticality" (fun () ->

@@ -7,10 +7,9 @@
       default), every entry point is one global-flag load and a branch —
       no closure is invoked, no event is allocated — so instrumentation
       can live permanently in the hot layers ([Propagate], [Criticality],
-      the MC engines) without costing the kernels anything measurable
-      (the bench regression gate pins the disabled-mode overhead below
-      2 %).  Hot loops must not call {!add} per element; they count into
-      a local [int] and publish once per region.
+      the MC engines) without costing the kernels anything measurable.
+      Hot loops must not call {!add} per element; they count into a
+      local [int] and publish once per region.
     + {e Per-domain safe.}  Counters and gauges are atomics; span
       aggregates and the trace sink are mutex-protected.  Events may be
       recorded from any {!Ssta_par.Par} worker domain.  Counter totals

@@ -11,8 +11,7 @@
 
    Unarmed cost is a single atomic load and a float compare (the
    [gettimeofday] syscall only happens while a deadline is armed), so
-   the checkpoints are safe to leave in the hot sweep loops: the <= 2%
-   clean-path bound in BENCH_serve.json gates exactly this.
+   the checkpoints are safe to leave in the hot sweep loops.
 
    The cell is a process-wide atomic rather than per-domain state on
    purpose: Batch.run fans a single request out over worker domains, and

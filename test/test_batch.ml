@@ -241,8 +241,7 @@ let test_span_granularity () =
 
 let test_obs_identity () =
   (* Instrumentation on or off must not change a single bit of the
-     results (the <2% disabled-overhead budget is pinned by the bench
-     gate; identity is what the unit layer can assert robustly). *)
+     results. *)
   let base = Batch.prepare (small 9) in
   let scenarios = Batch.default_scenarios 3 in
   let off =

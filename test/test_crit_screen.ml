@@ -3,8 +3,7 @@
    compaction, output tiling, pooled scratch) must return bit-identical
    keep / cm / exact_evals / screened_pairs versus a naive full-scan
    reference that shares only the chunk layout and the per-pair
-   arithmetic - at 1/2/4 domains, several tile sizes, both evaluation
-   engines (blocked fast path and per-output reference), and in both
+   arithmetic - at 1/2/4 domains, several tile sizes, and in both
    threshold and exact modes.  Also pins the tile-knob parsers and their
    precedence, and the Form_buf rewrite of
    Extract.output_load_increments against the boxed Form.scale /
@@ -200,47 +199,36 @@ let prop_screen_equivalence seed =
             (fun domains ->
               List.iter
                 (fun tile ->
-                  List.iter
-                    (fun engine ->
-                      let got =
-                        H.Criticality.compute ~exact ~domains ?tile ~engine
-                          ~delta:0.05 g ~forms
-                      in
-                      let label =
-                        Printf.sprintf
-                          "seed=%d dims=(%d,%d) exact=%b domains=%d tile=%s \
-                           engine=%s"
-                          seed dims.Form.n_globals dims.Form.n_pcs exact
-                          domains
-                          (match tile with
-                          | None -> "all"
-                          | Some t -> string_of_int t)
-                          (match engine with
-                          | `Blocked -> "blocked"
-                          | `Reference -> "reference")
-                      in
-                      if got.H.Criticality.keep <> want.H.Criticality.keep
-                      then Alcotest.failf "%s: keep mask differs" label;
-                      if
-                        not
-                          (bits_equal got.H.Criticality.cm
-                             want.H.Criticality.cm)
-                      then Alcotest.failf "%s: cm differs" label;
-                      if
-                        got.H.Criticality.exact_evals
-                        <> want.H.Criticality.exact_evals
-                      then
-                        Alcotest.failf "%s: exact_evals %d <> %d" label
-                          got.H.Criticality.exact_evals
-                          want.H.Criticality.exact_evals;
-                      if
-                        got.H.Criticality.screened_pairs
-                        <> want.H.Criticality.screened_pairs
-                      then
-                        Alcotest.failf "%s: screened_pairs %d <> %d" label
-                          got.H.Criticality.screened_pairs
-                          want.H.Criticality.screened_pairs)
-                    [ `Blocked; `Reference ])
+                  let got =
+                    H.Criticality.compute ~exact ~domains ?tile ~delta:0.05 g
+                      ~forms
+                  in
+                  let label =
+                    Printf.sprintf
+                      "seed=%d dims=(%d,%d) exact=%b domains=%d tile=%s" seed
+                      dims.Form.n_globals dims.Form.n_pcs exact domains
+                      (match tile with
+                      | None -> "all"
+                      | Some t -> string_of_int t)
+                  in
+                  if got.H.Criticality.keep <> want.H.Criticality.keep then
+                    Alcotest.failf "%s: keep mask differs" label;
+                  if not (bits_equal got.H.Criticality.cm want.H.Criticality.cm)
+                  then Alcotest.failf "%s: cm differs" label;
+                  if
+                    got.H.Criticality.exact_evals
+                    <> want.H.Criticality.exact_evals
+                  then
+                    Alcotest.failf "%s: exact_evals %d <> %d" label
+                      got.H.Criticality.exact_evals
+                      want.H.Criticality.exact_evals;
+                  if
+                    got.H.Criticality.screened_pairs
+                    <> want.H.Criticality.screened_pairs
+                  then
+                    Alcotest.failf "%s: screened_pairs %d <> %d" label
+                      got.H.Criticality.screened_pairs
+                      want.H.Criticality.screened_pairs)
                 [ None; Some 1; Some 3 ])
             [ 1; 2; 4 ])
         [ false; true ])

@@ -456,6 +456,47 @@ let prop_forward_cone seed =
     g.Tgraph.inputs;
   !ok
 
+(* The kernels' allocation-free claim on a real characterized circuit:
+   with observability disabled and the workspaces warmed up by one sweep,
+   repeated forward and blocked backward sweeps on c432 allocate (almost)
+   nothing on the minor heap - at most one word per sweep, which leaves
+   room for the boxed float the measurement itself may cost. *)
+let test_sweeps_allocation_free () =
+  let module Obs = Ssta_obs.Obs in
+  let b =
+    Ssta_timing.Build.characterize (Ssta_circuit.Iscas.build "c432")
+  in
+  let g = b.Ssta_timing.Build.graph and forms = b.Ssta_timing.Build.forms in
+  let fbuf = Form_buf.of_forms (Form.dims forms.(0)) forms in
+  let inputs = g.Tgraph.inputs and outs = g.Tgraph.outputs in
+  let no = Array.length outs in
+  let ws = H.Propagate.create_workspace () in
+  let wss = Array.init no (fun _ -> H.Propagate.create_workspace ()) in
+  let forward () = H.Propagate.forward_into ws g ~forms:fbuf ~sources:inputs in
+  let backward () =
+    H.Propagate.backward_block_into wss g ~forms:fbuf ~outs ~lo:0 ~hi:no
+  in
+  let saved = Obs.enabled () in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled saved) @@ fun () ->
+  Obs.disable ();
+  let sweeps = 100 in
+  let words_per_sweep f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to sweeps do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int sweeps
+  in
+  let fw = words_per_sweep forward in
+  let bw = words_per_sweep backward in
+  Alcotest.(check bool)
+    (Printf.sprintf "forward_into: %.2f minor words/sweep <= 1" fw)
+    true (fw <= 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "backward_block_into: %.2f minor words/sweep <= 1" bw)
+    true (bw <= 1.0)
+
 let test prop name =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40 ~name QCheck.(int_range 0 100_000) prop)
@@ -486,5 +527,7 @@ let suites =
           "blocked backward = per-output sweeps at every block size";
         test prop_forward_cone
           "cone-restricted sweep matches full sweep (bit-exact)";
+        Alcotest.test_case "c432 sweeps allocation-free after warm-up" `Quick
+          test_sweeps_allocation_free;
       ] );
   ]

@@ -176,6 +176,59 @@ let test_criticality_counters_domain_invariant () =
     ((no + 2) / 3)
     (List.assoc "criticality.backward_tiles" countst)
 
+(* The screen's exact visit counters on c1908 at the default delta and
+   the auto tile, pinned at 1 and 4 domains.  They only change when the
+   screen's arithmetic or visit order changes: [screened_pairs] counts
+   scalar-screen disposals, [cone_edges] the active cone entries built,
+   [compacted_edges] the settled entries dropped by compaction, and the
+   backward sweeps (one per output) are amortized into fixed blocks of at
+   most ceil(25 / 8) = 4 outputs.  A fixed tile of 8 must reproduce the
+   untiled results bit for bit. *)
+let test_c1908_screen_counters () =
+  with_obs @@ fun () ->
+  Obs.enable ();
+  let b = Build.characterize (Ssta_circuit.Iscas.build "c1908") in
+  let g = b.Build.graph and forms = b.Build.forms in
+  let pins =
+    [
+      ("criticality.screened_pairs", 24_684);
+      ("criticality.exact_evals", 750_766);
+      ("criticality.cone_edges", 50_412);
+      ("criticality.compacted_edges", 10_418);
+      ("criticality.backward_tiles", 1);
+      ("propagate.backward_sweeps", 25);
+      ("propagate.backward_blocks", 7);
+    ]
+  in
+  let run ?tile domains =
+    Obs.reset ();
+    H.Criticality.compute ~domains ?tile ~delta:0.05 g ~forms
+  in
+  let untiled =
+    List.map
+      (fun domains ->
+        let cr = run domains in
+        List.iter
+          (fun (name, want) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s at %d domains" name domains)
+              want (Obs.find_counter name))
+          pins;
+        cr)
+      [ 1; 4 ]
+  in
+  let cr = List.hd untiled in
+  let tiled = run ~tile:8 1 in
+  Alcotest.(check bool) "tile=8 keep mask bit-equal" true
+    (tiled.H.Criticality.keep = cr.H.Criticality.keep);
+  Alcotest.(check bool) "tile=8 criticalities bit-equal" true
+    (Array.for_all2
+       (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+       tiled.H.Criticality.cm cr.H.Criticality.cm);
+  Alcotest.(check (pair int int)) "tile=8 pair counters equal"
+    (cr.H.Criticality.exact_evals, cr.H.Criticality.screened_pairs)
+    (tiled.H.Criticality.exact_evals, tiled.H.Criticality.screened_pairs)
+
 (* ------------------------------------------------------------------ *)
 (* JSONL trace sink                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -374,6 +427,8 @@ let suites =
           test_counter_totals_domain_invariant;
         Alcotest.test_case "criticality counters domain-invariant" `Quick
           test_criticality_counters_domain_invariant;
+        Alcotest.test_case "c1908 screen counters pinned" `Quick
+          test_c1908_screen_counters;
       ] );
     ( "obs.trace",
       [
