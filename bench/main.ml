@@ -52,26 +52,10 @@ let table1_row name =
     Ssta_mc.Allpairs_mc.run ~iterations:mc_iters ~seed:42
       (Ssta_mc.Sampler.ctx_of_build b)
   in
-  let merr = ref 0.0 and verr = ref 0.0 in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j f ->
-          match f with
-          | Some f when mc.Ssta_mc.Allpairs_mc.reachable.(i).(j) ->
-              let mm = mc.Ssta_mc.Allpairs_mc.means.(i).(j) in
-              let ms = mc.Ssta_mc.Allpairs_mc.stds.(i).(j) in
-              (* A zero MC moment (e.g. a zero-delay feedthrough pair)
-                 would turn the relative error into inf/nan; such pairs
-                 carry no timing information, so they are skipped rather
-                 than allowed to poison the max. *)
-              if mm <> 0.0 then
-                merr := Float.max !merr (abs_float (f.Form.mean -. mm) /. mm);
-              if ms <> 0.0 then
-                verr := Float.max !verr (abs_float (Form.std f -. ms) /. ms)
-          | _ -> ())
-        row)
-    io;
+  let { H.Timing_model.mean_err = merr; sigma_err = verr; _ } =
+    H.Timing_model.io_accuracy
+      ~reference:(Ssta_mc.Allpairs_mc.pair_moments mc) io
+  in
   let pe, pv = H.Timing_model.compression model in
   let paper = Iscas.paper_row name in
   Printf.printf
@@ -79,9 +63,9 @@ let table1_row name =
     name stats.H.Timing_model.original_edges
     stats.H.Timing_model.original_vertices stats.H.Timing_model.model_edges
     stats.H.Timing_model.model_vertices (100.0 *. pe) (100.0 *. pv)
-    (100.0 *. !merr) (100.0 *. !verr)
+    (100.0 *. merr) (100.0 *. verr)
     stats.H.Timing_model.extraction_seconds paper.Iscas.eo paper.Iscas.vo;
-  (pe, pv, !merr, !verr)
+  (pe, pv, merr, verr)
 
 let run_table1 () =
   header
@@ -234,30 +218,17 @@ let run_ablation_delta () =
     (fun d ->
       let model = H.Extract.extract ~delta:d b in
       let io = H.Timing_model.io_delays model in
-      let merr = ref 0.0 and verr = ref 0.0 in
-      Array.iteri
-        (fun i row ->
-          Array.iteri
-            (fun j f ->
-              match (f, reference.(i).(j)) with
-              | Some f, Some r ->
-                  let rs = Form.std r in
-                  if r.Form.mean <> 0.0 then
-                    merr :=
-                      Float.max !merr
-                        (abs_float (f.Form.mean -. r.Form.mean)
-                        /. r.Form.mean);
-                  if rs <> 0.0 then
-                    verr :=
-                      Float.max !verr (abs_float (Form.std f -. rs) /. rs)
-              | _ -> ())
-            row)
-        io;
+      let { H.Timing_model.mean_err = merr; sigma_err = verr; _ } =
+        H.Timing_model.io_accuracy io ~reference:(fun i j ->
+            Option.map
+              (fun r -> (r.Form.mean, Form.std r))
+              reference.(i).(j))
+      in
       let pe, pv = H.Timing_model.compression model in
       let s = model.H.Timing_model.stats in
       Printf.printf "%-8g %5d %5d %5.0f %5.0f  %8.3f %8.3f  %6.2f\n" d
         s.H.Timing_model.model_edges s.H.Timing_model.model_vertices
-        (100. *. pe) (100. *. pv) (100. *. !merr) (100. *. !verr)
+        (100. *. pe) (100. *. pv) (100. *. merr) (100. *. verr)
         s.H.Timing_model.extraction_seconds)
     [ 0.3; 0.1; 0.05; 0.01; 0.001 ]
 
@@ -307,26 +278,12 @@ let run_convergence () =
         Ssta_mc.Allpairs_mc.run ~iterations:iters ~seed:42
           (Ssta_mc.Sampler.ctx_of_build b)
       in
-      let merr = ref 0.0 and verr = ref 0.0 in
-      Array.iteri
-        (fun i row ->
-          Array.iteri
-            (fun j f ->
-              match f with
-              | Some f when mc.Ssta_mc.Allpairs_mc.reachable.(i).(j) ->
-                  let mm = mc.Ssta_mc.Allpairs_mc.means.(i).(j) in
-                  let ms = mc.Ssta_mc.Allpairs_mc.stds.(i).(j) in
-                  if mm <> 0.0 then
-                    merr :=
-                      Float.max !merr (abs_float (f.Form.mean -. mm) /. mm);
-                  if ms <> 0.0 then
-                    verr :=
-                      Float.max !verr (abs_float (Form.std f -. ms) /. ms)
-              | _ -> ())
-            row)
-        io;
-      Printf.printf "%-10d %8.2f %8.2f   %.2f%%\n" iters (100.0 *. !merr)
-        (100.0 *. !verr)
+      let { H.Timing_model.mean_err = merr; sigma_err = verr; _ } =
+        H.Timing_model.io_accuracy
+          ~reference:(Ssta_mc.Allpairs_mc.pair_moments mc) io
+      in
+      Printf.printf "%-10d %8.2f %8.2f   %.2f%%\n" iters (100.0 *. merr)
+        (100.0 *. verr)
         (100.0 /. sqrt (2.0 *. float_of_int iters)))
     [ 250; 1000; 4000; 10000 ]
 
@@ -397,17 +354,14 @@ let run_million () =
      tiles, each re-running all 32 forward sweeps, which is exactly the
      forward-sweep wall the committed 916 s run sat behind.  The 1M run
      provisions 2 GB of the 4 GB RSS ceiling for the screen slab
-     (tile 3, 11 tiles, one third the forward sweeps); an explicit
-     CRIT_TILE_BUDGET_MB still wins, since the auto default reads it. *)
-  let budget_mb =
-    match Sys.getenv_opt "CRIT_TILE_BUDGET_MB" with
-    | Some _ -> None
-    | None -> Some 2048
-  in
+     (tile 3, 11 tiles, one third the forward sweeps).  An explicit
+     CRIT_TILE_BUDGET_MB still wins: the variable is only set when
+     unset, and Criticality.compute reads it on every call. *)
+  if Sys.getenv_opt "CRIT_TILE_BUDGET_MB" = None then
+    Unix.putenv "CRIT_TILE_BUDGET_MB" "2048";
   let tile =
-    H.Criticality.auto_tile ?budget_mb ~n_vertices:nv ~n_edges:edges ~stride ()
+    H.Criticality.auto_tile ~n_vertices:nv ~n_edges:edges ~stride ()
   in
-  H.Criticality.set_tile tile;
   Printf.printf
     "characterized: %d edges, %d vertices, %d PCs (%.1f s); backward tile \
      auto=%d\n\
@@ -416,7 +370,6 @@ let run_million () =
   let t0 = Unix.gettimeofday () in
   let model = H.Extract.extract ~delta b in
   let extract_s = Unix.gettimeofday () -. t0 in
-  H.Criticality.set_tile_auto ();
   let model_edges = model.H.Timing_model.stats.H.Timing_model.model_edges in
   let rss = rss_peak_mb () in
   Printf.printf "extract: %d -> %d edges (%.1f s); peak RSS %.0f MB\n" edges

@@ -40,43 +40,6 @@ let setup_domains =
   let apply = function None -> () | Some n -> Ssta_par.Par.set_domains n in
   Term.(const apply $ arg)
 
-(* Backward tile size of the criticality screen.  The flag overrides the
-   CRIT_TILE environment variable; the default keeps every output's
-   backward workspace resident at once (the untiled behaviour).  Smaller
-   tiles cap the screen's peak RSS at the cost of one extra forward sweep
-   per input per additional tile; keep/cm and the screen's pair counters
-   are bit-identical for every value.  "auto" sizes the tile from the
-   CRIT_TILE_BUDGET_MB peak-RSS budget (default 256 MB) and the per-output
-   workspace footprint; see Criticality.auto_tile for the formula. *)
-let setup_crit_tile =
-  let doc =
-    "Backward tile size for the criticality screen: at most $(docv) \
-     retained backward workspaces are resident at once (default: \
-     $(b,CRIT_TILE) or all outputs).  Smaller tiles trade extra forward \
-     sweeps for a lower peak RSS; results are bit-identical for every \
-     value.  $(b,auto) picks the largest tile whose retained workspaces \
-     fit the $(b,CRIT_TILE_BUDGET_MB) budget (default 256)."
-  in
-  let arg =
-    Arg.(value & opt (some string) None & info [ "crit-tile" ] ~docv:"N" ~doc)
-  in
-  let apply = function
-    | None -> ()
-    | Some s when String.lowercase_ascii (String.trim s) = "auto" ->
-        Hier_ssta.Criticality.set_tile_auto ()
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> Hier_ssta.Criticality.set_tile n
-        | _ ->
-            Printf.eprintf
-              "hssta: --crit-tile must be a positive integer or 'auto' (got \
-               %s)\n\
-               %!"
-              s;
-            exit 124)
-  in
-  Term.(const apply $ arg)
-
 (* Numerical robustness policy for the graceful-degradation layer.  The
    flag overrides the ROBUST_POLICY environment variable (default:
    repair).  Under strict, any detected numerical degeneracy raises a
@@ -213,7 +176,7 @@ let sta_cmd =
       $ circuit_arg)
 
 let extract_cmd =
-  let run () () () () () name delta iters seed =
+  let run () () () () name delta iters seed =
     match build_circuit name with
     | Error (`Msg m) -> prerr_endline m; exit 1
     | Ok nl ->
@@ -226,37 +189,26 @@ let extract_cmd =
             Ssta_mc.Allpairs_mc.run ~iterations:iters ~seed
               (Ssta_mc.Sampler.ctx_of_build b)
           in
-          let merr = ref 0.0 and verr = ref 0.0 and pairs = ref 0 in
-          Array.iteri
-            (fun i row ->
-              Array.iteri
-                (fun j f ->
-                  match f with
-                  | Some f when mc.Ssta_mc.Allpairs_mc.reachable.(i).(j) ->
-                      incr pairs;
-                      let mm = mc.Ssta_mc.Allpairs_mc.means.(i).(j) in
-                      let ms = mc.Ssta_mc.Allpairs_mc.stds.(i).(j) in
-                      merr :=
-                        Float.max !merr (abs_float (f.Form.mean -. mm) /. mm);
-                      verr :=
-                        Float.max !verr (abs_float (Form.std f -. ms) /. ms)
-                  | _ -> ())
-                row)
-            io;
+          let a =
+            H.Timing_model.io_accuracy
+              ~reference:(Ssta_mc.Allpairs_mc.pair_moments mc) io
+          in
           Printf.printf
             "accuracy vs MC (%d iterations, %d IO pairs): merr=%.2f%% verr=%.2f%%\n"
-            iters !pairs (100.0 *. !merr) (100.0 *. !verr)
+            iters a.H.Timing_model.pairs
+            (100.0 *. a.H.Timing_model.mean_err)
+            (100.0 *. a.H.Timing_model.sigma_err)
         end
   in
   Cmd.v
     (Cmd.info "extract"
        ~doc:"Extract a statistical timing model and validate it against MC")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_crit_tile
-      $ setup_robust $ circuit_arg $ delta_arg $ iters_arg $ seed_arg)
+      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
+      $ circuit_arg $ delta_arg $ iters_arg $ seed_arg)
 
 let criticality_cmd =
-  let run () () () () () name delta =
+  let run () () () () name delta =
     match build_circuit name with
     | Error (`Msg m) -> prerr_endline m; exit 1
     | Ok nl ->
@@ -281,8 +233,8 @@ let criticality_cmd =
     (Cmd.info "criticality"
        ~doc:"Edge-criticality histogram of a circuit (paper Fig. 6)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_crit_tile
-      $ setup_robust $ circuit_arg $ delta_arg)
+      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
+      $ circuit_arg $ delta_arg)
 
 let hier_cmd =
   let circuit =
@@ -290,7 +242,7 @@ let hier_cmd =
                inputs and outputs, e.g. c6288)." in
     Arg.(value & pos 0 string "c6288" & info [] ~docv:"CIRCUIT" ~doc)
   in
-  let run () () () () () name delta iters seed =
+  let run () () () () name delta iters seed =
     match build_circuit name with
     | Error (`Msg m) -> prerr_endline m; exit 1
     | Ok nl ->
@@ -322,8 +274,8 @@ let hier_cmd =
     (Cmd.info "hier"
        ~doc:"Hierarchical SSTA of the paper's 2x2 experiment (Fig. 7)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_crit_tile
-      $ setup_robust $ circuit $ delta_arg $ iters_arg $ seed_arg)
+      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
+      $ circuit $ delta_arg $ iters_arg $ seed_arg)
 
 let paths_cmd =
   let k_arg =
@@ -361,7 +313,7 @@ let model_cmd =
     let doc = "Output path for the serialized timing model." in
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run () () () () () name delta out =
+  let run () () () () name delta out =
     match build_circuit name with
     | Error (`Msg m) -> prerr_endline m; exit 1
     | Ok nl ->
@@ -376,8 +328,8 @@ let model_cmd =
        ~doc:"Extract a timing model and write it to a file (gray-box IP \
              hand-off)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_crit_tile
-      $ setup_robust $ circuit_arg $ delta_arg $ out_arg)
+      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
+      $ circuit_arg $ delta_arg $ out_arg)
 
 let model_info_cmd =
   let path_arg =
@@ -432,8 +384,8 @@ let batch_cmd =
     let doc =
       "Evaluation mode: $(b,delay) (design delay and per-output summaries, \
        one shared forward sweep per scenario) or $(b,io) (the full \
-       input-output delay matrix per scenario, swept over the shared \
-       per-input cone index)."
+       input-output delay matrix per scenario, one forward sweep per \
+       input)."
     in
     Arg.(value & opt string "delay" & info [ "mode" ] ~docv:"MODE" ~doc)
   in
@@ -450,7 +402,7 @@ let batch_cmd =
     | H.Corners.Fast k -> Printf.sprintf "fast@%g" k
     | H.Corners.Global_slow k -> Printf.sprintf "gslow@%g" k
   in
-  let run () () () () () name spec s_n mode screen =
+  let run () () () () name spec s_n mode screen =
     let mode =
       match String.lowercase_ascii (String.trim mode) with
       | "delay" -> Batch.Delay
@@ -527,12 +479,12 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Evaluate a batch of corner/scale/gradient scenarios over one \
-             design, sharing the characterization, the packed base forms \
-             and the cone index across the whole batch (bit-identical to \
-             independent runs)")
+             design, sharing the characterization and the packed base \
+             forms across the whole batch (bit-identical to independent \
+             runs)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_crit_tile
-      $ setup_robust $ circuit_arg $ scenarios_arg $ count_arg $ mode_arg
+      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
+      $ circuit_arg $ scenarios_arg $ count_arg $ mode_arg
       $ screen_arg)
 
 let inject_cmd =
@@ -838,7 +790,7 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "wal-checkpoint" ] ~docv:"N" ~doc)
   in
-  let run () () () () () socket preload cache_dir max_queue checkpoint_every
+  let run () () () () socket preload cache_dir max_queue checkpoint_every
       =
     let t = Serve.create ?cache_dir ~max_queue ~checkpoint_every () in
     try Serve.run_daemon ~socket ~preload t
@@ -856,8 +808,8 @@ let serve_cmd =
           shutdown request, SIGTERM, or SIGINT (all drain in-flight work, \
           flush a checkpoint when --cache-dir is set, and exit 0)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_crit_tile
-      $ setup_robust $ socket_arg $ preload_arg $ cache_dir_arg
+      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
+      $ socket_arg $ preload_arg $ cache_dir_arg
       $ max_queue_arg $ checkpoint_arg)
 
 let client_cmd =

@@ -14,7 +14,7 @@ module Criticality = Hier_ssta.Criticality
 (* Scenario-batch engine: evaluate S structured deltas over one base
    design in a single invocation, sharing every scenario-invariant piece -
    the topological edge order (Tgraph), the PCA basis, the packed base
-   edge forms, the per-input reachability cones - across the whole batch.
+   edge forms - across the whole batch.
    Per-scenario state lives on slab-backed Form_buf storage carved once
    per pool worker, so scenario S+1 reuses scenario S's allocation.
 
@@ -101,7 +101,6 @@ type base = {
   edge_tile : int array;
   tile_fx : float array;
   tile_fy : float array;
-  mutable cones : (int array * int array) option;
 }
 
 let prepare (b : Build.t) =
@@ -125,51 +124,7 @@ let prepare (b : Build.t) =
       tile_fy.(i) <- (cy -. grid.Grid.y0) /. h)
     grid.Grid.tiles;
   let edge_tile = Array.map (fun s -> s.Build.tile) b.Build.sparse in
-  { build = b; dims; m; nv; fbuf; edge_tile; tile_fx; tile_fy; cones = None }
-
-(* Per-input reachable cones in CSR form, built once and shared by every
-   Io-mode sweep of every scenario: cone of input i = the ascending edge
-   indices whose source i reaches, which is exactly the set a full
-   [forward_into] scan from i would process. *)
-let cone_index base =
-  match base.cones with
-  | Some c -> c
-  | None ->
-      let c =
-        Obs.with_span "batch.cone_index" @@ fun () ->
-        let g = base.build.Build.graph in
-        let inputs = g.Tgraph.inputs in
-        let ni = Array.length inputs in
-        let src = g.Tgraph.src in
-        let m = base.m in
-        let per =
-          Array.init ni (fun i ->
-              let seen = Tgraph.reachable_from g inputs.(i) in
-              let cnt = ref 0 in
-              for e = 0 to m - 1 do
-                if Array.unsafe_get seen (Array.unsafe_get src e) then
-                  incr cnt
-              done;
-              let arr = Array.make (max !cnt 1) 0 in
-              let k = ref 0 in
-              for e = 0 to m - 1 do
-                if Array.unsafe_get seen (Array.unsafe_get src e) then begin
-                  Array.unsafe_set arr !k e;
-                  incr k
-                end
-              done;
-              (arr, !cnt))
-        in
-        let off = Array.make (ni + 1) 0 in
-        Array.iteri (fun i (_, n) -> off.(i + 1) <- off.(i) + n) per;
-        let edges = Array.make (max off.(ni) 1) 0 in
-        Array.iteri
-          (fun i (arr, n) -> Array.blit arr 0 edges off.(i) n)
-          per;
-        (off, edges)
-      in
-      base.cones <- Some c;
-      c
+  { build = b; dims; m; nv; fbuf; edge_tile; tile_fx; tile_fy }
 
 (* Pool-worker scratch: one slab backs both the scenario form buffer and
    the sweep workspace, so each worker performs exactly one bigarray
@@ -305,7 +260,6 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
       (* Scenarios x input-chunks task grid: the chunk layout is a pure
          function of |I|, consecutive tasks share a scenario so a worker
          claiming a run of them re-derives the scenario forms once. *)
-      let off, cone_edges = cone_index base in
       let chunk = input_chunk ni in
       let n_ichunks = Par.n_chunks ~chunk ni in
       let io =
@@ -321,9 +275,8 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
           let row = io.(k) in
           for i = lo to hi - 1 do
             scr.source1.(0) <- inputs.(i);
-            Propagate.forward_cone_into scr.ws g ~forms:scr.sforms
-              ~sources:scr.source1 ~edges:cone_edges ~lo:off.(i)
-              ~hi:off.(i + 1);
+            Propagate.forward_into scr.ws g ~forms:scr.sforms
+              ~sources:scr.source1;
             row.(i) <-
               Array.map (fun out -> Propagate.ws_form scr.ws out) outputs
           done)

@@ -7,9 +7,8 @@
     {!Hier_ssta.Corners.corner}), a global deterministic delay scale, a
     sensitivity (sigma) scale, and a floorplan gradient over the
     correlation grid's tiles.  All scenario-invariant state — the
-    topological edge order, the PCA basis, the packed base edge forms,
-    and (in {!Io} mode) the per-input reachability cone index — is built
-    once by {!prepare} and shared across the whole batch.
+    topological edge order, the PCA basis and the packed base edge forms
+    — is built once by {!prepare} and shared across the whole batch.
 
     Per-scenario state lives on slab-backed {!Ssta_canonical.Form_buf}
     storage: each pool worker carves its scenario form buffer and sweep
@@ -56,8 +55,10 @@ val default_scenarios : int -> scenario array
 type mode =
   | Delay  (** one all-inputs forward sweep per scenario: design delay
                form and per-output summaries *)
-  | Io  (** per-input exclusive sweeps over the shared cone index: the
-            |I| x |O| delay form matrix per scenario *)
+  | Io  (** one exclusive {!Hier_ssta.Propagate.forward_into} sweep per
+            input (paper eq. (15)), the same engine as
+            {!Hier_ssta.Timing_model.io_delays}: the |I| x |O| delay form
+            matrix per scenario *)
 
 type result = {
   scenario : scenario;
@@ -76,8 +77,7 @@ type base
 (** Scenario-invariant state shared by every scenario of a batch. *)
 
 val prepare : Build.t -> base
-(** Pack the base design's edge forms and grid geometry once.  The cone
-    index for {!Io} mode is built lazily on first use and cached. *)
+(** Pack the base design's edge forms and grid geometry once. *)
 
 val run :
   ?domains:int ->

@@ -56,7 +56,6 @@ let slab_create floats =
   }
 
 let slab_reset s = s.off <- 0
-let slab_capacity_floats s = A1.dim s.chunk
 let slab_used_floats s = s.off
 let slab_peak_bytes s = 8 * s.peak_floats
 let slab_grows s = s.grows
@@ -461,14 +460,6 @@ let cov4_batch2_into ~a ~e ~r ~m ~im ~srcs ~dsts ~edges ~into =
   into.(cov4_size + cov4_em) <- g_em1 +. !em1;
   into.(cov4_size + cov4_am) <- g_am1 +. !am1;
   into.(cov4_size + cov4_rm) <- g_rm1 +. !rm1
-
-let cov_into ~a ~ia ~b ~ib ~into ~at =
-  check_dims a b "cov_into";
-  let ng = a.dims.Form.n_globals and np = a.dims.Form.n_pcs in
-  let oa = ia * a.stride and ob = ib * b.stride in
-  let g = dot_range a.data (oa + 1) b.data (ob + 1) ng in
-  let p = dot_range a.data (oa + 1 + ng) b.data (ob + 1 + ng) np in
-  into.(at) <- g +. p
 
 (* Edge-covariance tables: Cov(delay of edge e, vertex form at an endpoint
    of e), filled in bulk so the screen's inner loop reads one float where

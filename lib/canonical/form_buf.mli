@@ -52,7 +52,6 @@ val slab_reset : slab -> unit
 (** Rewind the cursor to 0.  Buffers carved before the reset alias storage
     that subsequent carves will reuse; callers must not touch them again. *)
 
-val slab_capacity_floats : slab -> int
 val slab_used_floats : slab -> int
 
 val slab_peak_bytes : slab -> int
@@ -241,11 +240,6 @@ val cov4_batch2_into :
     file (wider batches spill accumulators and lose), which is where the
     criticality screen's eval throughput comes from.  [into] must be at
     least [cov4_lanes * cov4_size] long. *)
-
-val cov_into : a:t -> ia:int -> b:t -> ib:int -> into:float array -> at:int -> unit
-(** [covariance a ia b ib] written to [into.(at)] instead of returned —
-    the memoized Cov(A,M)/Cov(R,M) slots of the eval fast path, kept
-    allocation-free (a cross-module float return would box). *)
 
 val cov_src_cone_into :
   verts:t ->

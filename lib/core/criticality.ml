@@ -40,49 +40,37 @@ type result = {
   screened_pairs : int;
 }
 
-(* Backward tile size: [?tile] argument, else the CLI override
-   (hssta --crit-tile, possibly "auto"), else the CRIT_TILE environment
-   variable, else the auto heuristic - tiled slab storage is the default
-   extraction architecture; CRIT_TILE=<n> or --crit-tile <n> pins a fixed
-   tile (and <n> >= |O| reproduces the old untiled behaviour). *)
-type tile_choice = Fixed of int | Auto
+(* Backward tile size: the [?tile] argument when a test passes one,
+   otherwise the auto heuristic below over the CRIT_TILE_BUDGET_MB byte
+   budget.  Tiled slab storage is the default extraction architecture,
+   and every result is bit-identical at every tile size.
 
-(* Pure parsers for the environment knobs, exposed for tests: the lazy
-   env reads below force once per process, so precedence is tested
-   against these instead of mutating the environment mid-run. *)
-let tile_choice_of_string s =
-  let s = String.trim s in
-  if String.lowercase_ascii s = "auto" then Some Auto
-  else
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Some (Fixed n)
-    | _ -> None
-
+   The pure parser behind the budget variable, exposed for tests. *)
 let budget_mb_of_string s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Some n
   | _ -> None
 
-let tile_env =
-  lazy
-    (match Sys.getenv_opt "CRIT_TILE" with
-    | Some s -> tile_choice_of_string s
-    | None -> None)
-
-let tile_override = ref None
-let set_tile n = tile_override := Some (Fixed (max 1 n))
-let set_tile_auto () = tile_override := Some Auto
-
 let default_budget_mb = 256
+let budget_warned = Atomic.make false
 
-let budget_mb_env =
-  lazy
-    (match Sys.getenv_opt "CRIT_TILE_BUDGET_MB" with
-    | Some s -> (
-        match budget_mb_of_string s with
-        | Some n -> n
-        | None -> default_budget_mb)
-    | None -> default_budget_mb)
+(* Read on every call, not once per process, so a driver can provision a
+   budget before it extracts (bench/main.ml's million run does).  An
+   invalid value warns once and falls back to the default. *)
+let budget_mb_env () =
+  match Sys.getenv_opt "CRIT_TILE_BUDGET_MB" with
+  | None -> default_budget_mb
+  | Some s -> (
+      match budget_mb_of_string s with
+      | Some n -> n
+      | None ->
+          if not (Atomic.exchange budget_warned true) then
+            Printf.eprintf
+              "CRIT_TILE_BUDGET_MB: %S is not a positive integer; defaulting \
+               to %d MB\n\
+               %!"
+              s default_budget_mb;
+          default_budget_mb)
 
 (* Auto-tile heuristic: one retained output slot costs
    nv * (8 * stride + 34) + 8 * m bytes - the backward Form_buf workspace
@@ -94,9 +82,7 @@ let budget_mb_env =
    at 1 so a single output always proceeds regardless of budget. *)
 let auto_tile ?budget_mb ~n_vertices ~n_edges ~stride () =
   let mb =
-    match budget_mb with
-    | Some b -> max 1 b
-    | None -> Lazy.force budget_mb_env
+    match budget_mb with Some b -> max 1 b | None -> budget_mb_env ()
   in
   let per_output =
     max 1 ((n_vertices * ((8 * stride) + 34)) + (8 * n_edges))
@@ -104,23 +90,13 @@ let auto_tile ?budget_mb ~n_vertices ~n_edges ~stride () =
   max 1 (mb * 1024 * 1024 / per_output)
 
 let resolve_tile tile ~nv ~m ~stride no =
-  let of_choice = function
-    | Fixed n -> n
-    | Auto -> auto_tile ~n_vertices:nv ~n_edges:m ~stride ()
-  in
   let t =
     match tile with
     | Some n ->
         if n < 1 then
           invalid_arg "Criticality.compute: tile must be at least 1";
         n
-    | None -> (
-        match !tile_override with
-        | Some c -> of_choice c
-        | None -> (
-            match Lazy.force tile_env with
-            | Some c -> of_choice c
-            | None -> of_choice Auto))
+    | None -> auto_tile ~n_vertices:nv ~n_edges:m ~stride ()
   in
   max 1 (min t (max no 1))
 

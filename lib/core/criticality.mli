@@ -46,34 +46,16 @@ type result = {
 
 (** {1 Tile selection}
 
-    The backward tile size resolves with the precedence: an explicit
-    [?tile] argument, else the {!set_tile}/{!set_tile_auto} override (the
-    [hssta --crit-tile] hook), else the [CRIT_TILE] environment variable
-    (an integer, or ["auto"]), else the {!auto_tile} heuristic.  Auto is
-    the default: tiled slab storage is the standard extraction
-    architecture, and the budget knob is [CRIT_TILE_BUDGET_MB].  Passing a
-    fixed tile >= the output count reproduces the old untiled behaviour. *)
-
-type tile_choice = Fixed of int | Auto
-
-val tile_choice_of_string : string -> tile_choice option
-(** The pure parser behind both [CRIT_TILE] and [--crit-tile]: ["auto"]
-    (any case, surrounding whitespace ignored) is [Auto], a positive
-    integer is [Fixed], anything else is [None] (rejected by the CLI,
-    ignored by the env path). *)
+    The backward tile size is the [?tile] argument of {!compute} when one
+    is passed (tests do, to pin tile invariance), otherwise the
+    {!auto_tile} heuristic over the [CRIT_TILE_BUDGET_MB] byte budget
+    (default 256 MB), read on every call.  An invalid budget value prints
+    one stderr warning and falls back to the default.  A tile >= the
+    output count reproduces the untiled screen. *)
 
 val budget_mb_of_string : string -> int option
 (** The pure parser behind [CRIT_TILE_BUDGET_MB]: a positive integer in
-    megabytes, [None] (fall back to the 256 MB default) otherwise. *)
-
-val set_tile : int -> unit
-(** Override the backward tile size for subsequent {!compute} calls
-    (clamped to at least 1).  An explicit [?tile] argument still wins. *)
-
-val set_tile_auto : unit -> unit
-(** Reset the override to the {!auto_tile} heuristic (the default when no
-    override or [CRIT_TILE] setting is present).  An explicit [?tile]
-    argument still wins. *)
+    megabytes (surrounding whitespace ignored), [None] otherwise. *)
 
 val auto_tile :
   ?budget_mb:int -> n_vertices:int -> n_edges:int -> stride:int -> unit -> int
@@ -111,7 +93,7 @@ val compute :
     size at the cost of one extra forward sweep per input per additional
     tile (every chunk re-derives its inputs' arrival data per tile;
     backward sweeps still run once per output).  Raises [Invalid_argument]
-    if < 1.  When omitted, the precedence above applies (auto by default).
+    if < 1.  When omitted, {!auto_tile} sizes it from the budget.
     [keep], [cm], [exact_evals] and [screened_pairs] are bit-identical at
     every tile size: a chunk's flattened visit order over (output, input,
     cone edge) does not depend on where the tile boundaries fall.

@@ -131,40 +131,6 @@ let forward_into ws g ~forms ~sources =
     account ws g ~n_seeds:(Array.length sources) ~upstream:src
       ~sweeps:c_forward_sweeps
 
-(* Forward sweep restricted to a precomputed edge cone: [edges.(lo..hi)]
-   must be ascending and contain every edge whose source the sweep reaches
-   (e.g. the reachable cone of a single-source sweep, built once per input
-   and shared across a whole scenario batch).  The visited subsequence then
-   equals the full scan's reached-source subsequence, so the result is
-   bit-identical to [forward_into] - the skipped edges are exactly the ones
-   whose guard would have failed.  The [lo, hi) range addresses directly
-   into a shared CSR cone array, so callers never slice a fresh array per
-   sweep. *)
-let forward_cone_into ws g ~forms ~sources ~edges ~lo ~hi =
-  check_buf g forms;
-  if lo < 0 || hi > Array.length edges || lo > hi then
-    invalid_arg "Propagate.forward_cone_into: bad cone range";
-  prepare ws ~dims:(Form_buf.dims forms) ~n:(Tgraph.n_vertices g);
-  seed ws sources;
-  let buf = ws.buf in
-  let src = g.Tgraph.src and dst = g.Tgraph.dst in
-  for x = lo to hi - 1 do
-    let i = Array.unsafe_get edges x in
-    let s = Array.unsafe_get src i in
-    if ws_reached ws s then begin
-      let d = Array.unsafe_get dst i in
-      if ws_reached ws d then
-        Form_buf.add_then_max_into ~acc:buf ~iacc:d ~a:buf ~ia:s ~b:forms ~ib:i
-      else begin
-        Form_buf.add_into ~a:buf ~ia:s ~b:forms ~ib:i ~dst:buf ~idst:d;
-        mark ws d
-      end
-    end
-  done;
-  if Obs.enabled () then
-    account ws g ~n_seeds:(Array.length sources) ~upstream:src
-      ~sweeps:c_forward_sweeps
-
 (* Incremental re-timing: recompute only the vertices marked dirty, in
    topological order, reading the surviving slots of the previous sweep
    for every clean fanin.  Soundness needs the dirty mask to be closed

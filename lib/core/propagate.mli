@@ -62,24 +62,6 @@ val forward_into :
     exclusive arrival times of paper eq. (15)).  Bit-identical to
     {!forward}. *)
 
-val forward_cone_into :
-  workspace ->
-  Tgraph.t ->
-  forms:Form_buf.t ->
-  sources:int array ->
-  edges:int array ->
-  lo:int ->
-  hi:int ->
-  unit
-(** {!forward_into} restricted to a precomputed cone: only
-    [edges.(lo..hi-1)] are visited, in order (a CSR range into a shared
-    cone array, so callers never slice per sweep).  The range must be
-    ascending and contain every edge whose source the sweep reaches (the
-    full reachable cone of [sources]); the result is then bit-identical to
-    {!forward_into}, which skips exactly the missing edges via its
-    reached-source guard.  The batch engine builds each input's cone once
-    ({!Tgraph.reachable_from}) and shares it across all scenarios. *)
-
 val forward_update_into :
   workspace ->
   Tgraph.t ->

@@ -52,6 +52,32 @@ let compression t =
     float_of_int t.stats.model_vertices /. float_of_int t.stats.original_vertices
   )
 
+type accuracy = { mean_err : float; sigma_err : float; pairs : int }
+
+let io_accuracy ~reference io =
+  let mean_err = ref 0.0 and sigma_err = ref 0.0 and pairs = ref 0 in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j f ->
+          match (f, reference i j) with
+          | Some f, Some (mm, ms) ->
+              incr pairs;
+              (* A zero reference moment (e.g. a zero-delay feedthrough
+                 pair) would turn the relative error into inf/nan; such
+                 pairs carry no timing information, so they are skipped
+                 rather than allowed to poison the max. *)
+              if mm <> 0.0 then
+                mean_err :=
+                  Float.max !mean_err (abs_float (f.Form.mean -. mm) /. mm);
+              if ms <> 0.0 then
+                sigma_err :=
+                  Float.max !sigma_err (abs_float (Form.std f -. ms) /. ms)
+          | _ -> ())
+        row)
+    io;
+  { mean_err = !mean_err; sigma_err = !sigma_err; pairs = !pairs }
+
 let pp_stats ppf t =
   let pe, pv = compression t in
   Format.fprintf ppf

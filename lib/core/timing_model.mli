@@ -52,4 +52,21 @@ val compression : t -> float * float
 (** [(pe, pv)] = model edges / original edges, model vertices / original
     vertices - the pe/pv columns of Table I. *)
 
+type accuracy = {
+  mean_err : float;  (** max relative error of the mean *)
+  sigma_err : float;  (** max relative error of the standard deviation *)
+  pairs : int;  (** IO pairs compared *)
+}
+
+val io_accuracy :
+  reference:(int -> int -> (float * float) option) ->
+  Form.t option array array ->
+  accuracy
+(** Table I's merr/verr: the largest relative errors of an IO delay matrix
+    ([io.(i).(j)], e.g. from {!io_delays}) against reference
+    [(mean, std)] moments, over the pairs where both sides have a value
+    ([reference i j = None] marks an unreachable pair; see
+    {!Ssta_mc.Allpairs_mc.pair_moments}).  A zero reference moment carries
+    no timing information and is skipped for that moment. *)
+
 val pp_stats : Format.formatter -> t -> unit

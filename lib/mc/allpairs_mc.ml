@@ -61,6 +61,9 @@ let merge ~ni ~no a b =
   done;
   { count; mean; m2; reach }
 
+let pair_moments r i j =
+  if r.reachable.(i).(j) then Some (r.means.(i).(j), r.stds.(i).(j)) else None
+
 let run ?domains ~iterations ~seed ctx =
   if iterations <= 0 then invalid_arg "Allpairs_mc.run: iterations must be > 0";
   let g = ctx.Sampler.graph in

@@ -16,6 +16,11 @@ type result = {
   wall_seconds : float;
 }
 
+val pair_moments : result -> int -> int -> (float * float) option
+(** [(mean, std)] of input [i] to output [j], [None] if the pair is
+    unreachable - the Monte Carlo reference of
+    [Hier_ssta.Timing_model.io_accuracy]. *)
+
 val run : ?domains:int -> iterations:int -> seed:int -> Sampler.ctx -> result
 (** Iterations are processed in fixed {!Sampler.chunk_iterations}-sized
     chunks (independent RNG substream and Welford accumulators per chunk)

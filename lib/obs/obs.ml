@@ -110,30 +110,24 @@ let flush_trace () =
             (List.sort compare (names gauges_tbl));
           flush oc)
 
-let detach_locked close =
+let detach_locked () =
   match !trace_chan with
   | None -> ()
   | Some oc ->
       trace_chan := None;
       flush oc;
-      if close then close_out_noerr oc
-
-let set_trace_channel ch =
-  Mutex.protect lock (fun () ->
-      detach_locked false;
-      trace_epoch := now ();
-      trace_chan := ch)
+      close_out_noerr oc
 
 let close_trace () =
   flush_trace ();
-  Mutex.protect lock (fun () -> detach_locked true)
+  Mutex.protect lock (fun () -> detach_locked ())
 
 let at_exit_registered = ref false
 
 let trace_to_file path =
   let oc = open_out path in
   Mutex.protect lock (fun () ->
-      detach_locked true;
+      detach_locked ();
       trace_epoch := now ();
       trace_chan := Some oc;
       if not !at_exit_registered then begin

@@ -87,8 +87,6 @@ type span_stats = {
 val counters : unit -> (string * int) list
 (** All registered counters, sorted by name (including zeros). *)
 
-val gauges : unit -> (string * int) list
-
 val spans : unit -> (string * span_stats) list
 (** Aggregate per span name, sorted by name; only completed spans. *)
 
@@ -113,7 +111,7 @@ val pp : Format.formatter -> unit -> unit
     - [{"ev":"E","name":N,"dom":D,"t":T,"dur_s":S,"minor_w":W,"major_w":W}]
       — span end;
     - [{"ev":"C","name":N,"v":V}] / [{"ev":"G","name":N,"v":V}] — counter
-      and gauge totals, emitted by {!flush_trace} and {!close_trace}.
+      and gauge totals, emitted by {!close_trace}.
 
     [T] is seconds since the trace was opened; [D] the integer id of the
     recording domain.  Lines are written atomically under a lock, so a
@@ -125,14 +123,9 @@ val trace_to_file : string -> unit
     one is flushed and closed).  Does not by itself {!enable} recording.
     An [at_exit] hook flushes counter totals and closes the sink. *)
 
-val set_trace_channel : out_channel option -> unit
-(** Lower-level sink control; [None] detaches without closing. *)
-
-val flush_trace : unit -> unit
-(** Append current counter/gauge totals as [C]/[G] lines and flush. *)
-
 val close_trace : unit -> unit
-(** {!flush_trace}, then close and detach the sink.  No-op without one. *)
+(** Append current counter/gauge totals as [C]/[G] lines, then flush,
+    close and detach the sink.  No-op without one. *)
 
 (** At library initialization, a non-empty [OBS_TRACE] environment
     variable opens that path as the trace sink and enables recording, so

@@ -23,11 +23,29 @@
    the region gives the publication barrier that makes the workers' writes
    visible to the caller without any further synchronization. *)
 
+(* The pure parser behind PAR_DOMAINS: a positive integer, [None]
+   otherwise.  An invalid value warns once and falls back to the CPU
+   count, the same default as an unset variable. *)
+let domains_of_string s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 -> Some n
+  | _ -> None
+
 let env_default =
   lazy
-    (match Sys.getenv_opt "PAR_DOMAINS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> max 1 (Domain.recommended_domain_count ()))
+    (let cpus = max 1 (Domain.recommended_domain_count ()) in
+     match Sys.getenv_opt "PAR_DOMAINS" with
+     | None -> cpus
+     | Some s -> (
+         match domains_of_string s with
+         | Some n -> n
+         | None ->
+             Printf.eprintf
+               "PAR_DOMAINS: %S is not a positive integer; defaulting to the \
+                CPU count (%d)\n\
+                %!"
+               s cpus;
+             cpus))
 
 let override = ref None
 let set_domains n = override := Some (max 1 n)

@@ -4,7 +4,7 @@
     The paper's flow characterizes a module once and analyzes it many
     times; this module makes that literal across {e process} boundaries:
     a daemon loads the characterized models once — PCA basis, topological
-    edge order, packed edge-form slabs, cone index — and then answers a
+    edge order, packed edge-form slabs — and then answers a
     stream of analysis requests over a unix-domain socket, one JSON
     object per line in, one per line out (JSONL).
 

@@ -161,45 +161,26 @@ let of_netlist nl =
     ~inputs:(Array.init n_pi (fun i -> i))
     ~outputs:(Array.copy nl.N.outputs)
 
-let edge_index_matrix t =
-  let tbl = Hashtbl.create 97 in
-  Array.iteri
-    (fun i s ->
-      let key = (s, t.dst.(i)) in
-      let prev = try Hashtbl.find tbl key with Not_found -> [] in
-      Hashtbl.replace tbl key (i :: prev))
-    t.src;
-  tbl
-
-(* CSR cone builders for the criticality screen: collect, in ascending edge
-   order, the edges whose named endpoint is marked in a per-vertex byte mask
-   (the reachability masks the propagation workspaces maintain).  Ascending
+(* CSR cone builder for the criticality screen: collect, in ascending edge
+   order, the edges whose source is marked in a per-vertex byte mask (the
+   reachability masks the propagation workspaces maintain).  Ascending
    order matters - the screen's pruning state evolves edge by edge, so cone
    iteration must visit edges exactly as a full [0, m) scan would. *)
 
-let cone_check t ~reach ~into name =
+let src_cone_into t ~reach ~into =
   if Bytes.length reach < t.n_vertices then
-    invalid_arg (Printf.sprintf "Tgraph.%s: mask shorter than vertex count" name);
+    invalid_arg "Tgraph.src_cone_into: mask shorter than vertex count";
   if Array.length into < Array.length t.src then
-    invalid_arg (Printf.sprintf "Tgraph.%s: cone array shorter than edge count" name)
-
-let endpoint_cone_into ~reach ~into endpoint =
+    invalid_arg "Tgraph.src_cone_into: cone array shorter than edge count";
+  let src = t.src in
   let k = ref 0 in
-  for e = 0 to Array.length endpoint - 1 do
-    if Bytes.unsafe_get reach (Array.unsafe_get endpoint e) <> '\000' then begin
+  for e = 0 to Array.length src - 1 do
+    if Bytes.unsafe_get reach (Array.unsafe_get src e) <> '\000' then begin
       Array.unsafe_set into !k e;
       incr k
     end
   done;
   !k
-
-let src_cone_into t ~reach ~into =
-  cone_check t ~reach ~into "src_cone_into";
-  endpoint_cone_into ~reach ~into t.src
-
-let dst_cone_into t ~reach ~into =
-  cone_check t ~reach ~into "dst_cone_into";
-  endpoint_cone_into ~reach ~into t.dst
 
 let fanout_closure_into t ~seeds ~into =
   if Bytes.length into < t.n_vertices then

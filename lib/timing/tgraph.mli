@@ -50,10 +50,6 @@ val of_netlist : Ssta_circuit.Netlist.t -> t
 (** Gate-level timing graph: one vertex per PI and per gate, one edge per
     gate fanin.  Edge order follows gate order, hence is topological. *)
 
-val edge_index_matrix : t -> (int * int, int list) Hashtbl.t
-(** Map from (src, dst) to edge indices (several for parallel edges);
-    built on demand for tests. *)
-
 val src_cone_into : t -> reach:Bytes.t -> into:int array -> int
 (** [src_cone_into t ~reach ~into] writes, in ascending edge order, the
     indices of every edge whose source vertex is marked non-zero in [reach]
@@ -61,9 +57,6 @@ val src_cone_into : t -> reach:Bytes.t -> into:int array -> int
     [into] (length >= [n_edges]) and returns how many were written — the
     "edge cone" of a reachability mask, built once per forward sweep and
     reused across every output by the criticality screen. *)
-
-val dst_cone_into : t -> reach:Bytes.t -> into:int array -> int
-(** As {!src_cone_into} for the destination endpoint (backward cones). *)
 
 val fanout_closure_into : t -> seeds:int array -> into:Bytes.t -> int
 (** [fanout_closure_into t ~seeds ~into] fills the per-vertex byte mask

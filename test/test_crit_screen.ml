@@ -252,27 +252,16 @@ let test_tile_validation () =
     && a.H.Criticality.exact_evals = b.H.Criticality.exact_evals
     && a.H.Criticality.screened_pairs = b.H.Criticality.screened_pairs)
 
-(* The pure parsers behind CRIT_TILE / --crit-tile / CRIT_TILE_BUDGET_MB:
-   "auto" in any case, positive integers, and nothing else. *)
+(* The pure parser behind CRIT_TILE_BUDGET_MB (positive integers only)
+   and the auto-tile formula it feeds. *)
 let test_tile_parsers () =
   let open H.Criticality in
-  let tc = Alcotest.(check (option (of_pp (fun fmt -> function
-    | Fixed n -> Format.fprintf fmt "Fixed %d" n
-    | Auto -> Format.fprintf fmt "Auto")))) in
-  tc "auto" (Some Auto) (tile_choice_of_string "auto");
-  tc "case/space-insensitive auto" (Some Auto)
-    (tile_choice_of_string "  AuTo ");
-  tc "positive int" (Some (Fixed 7)) (tile_choice_of_string "7");
-  tc "trimmed int" (Some (Fixed 128)) (tile_choice_of_string " 128 ");
-  tc "zero rejected" None (tile_choice_of_string "0");
-  tc "negative rejected" None (tile_choice_of_string "-3");
-  tc "garbage rejected" None (tile_choice_of_string "many");
-  tc "empty rejected" None (tile_choice_of_string "");
   let bc = Alcotest.(check (option int)) in
   bc "budget int" (Some 512) (budget_mb_of_string "512");
   bc "budget trimmed" (Some 64) (budget_mb_of_string " 64 ");
   bc "budget zero rejected" None (budget_mb_of_string "0");
   bc "budget garbage rejected" None (budget_mb_of_string "big");
+  bc "budget unit suffix rejected" None (budget_mb_of_string "2G");
   (* The auto heuristic: largest slot count fitting the budget, floored
      at 1.  One slot costs nv*(8*stride+34) + 8*m bytes. *)
   let tile =
@@ -286,10 +275,8 @@ let test_tile_parsers () =
        ~n_edges:20_000_000 ~stride:100 ())
 
 (* Tile precedence, observed through the criticality.backward_tiles
-   counter: an explicit ?tile beats the set_tile override, which beats
-   the auto default (whose budget covers any test-sized graph in one
-   tile).  The env-variable leg of the chain is the lazy read of
-   CRIT_TILE through tile_choice_of_string, pinned above. *)
+   counter: an explicit ?tile beats the budget-sized auto tile, whose
+   default budget covers any test-sized graph in one tile. *)
 let test_tile_precedence () =
   let dims = { Form.n_globals = 2; n_pcs = 4 } in
   let g, forms = Test_kernels.random_dag 7 dims in
@@ -299,7 +286,6 @@ let test_tile_precedence () =
   Ssta_obs.Obs.reset ();
   Fun.protect
     ~finally:(fun () ->
-      H.Criticality.set_tile_auto ();
       Ssta_obs.Obs.set_enabled saved;
       Ssta_obs.Obs.reset ())
     (fun () ->
@@ -309,14 +295,11 @@ let test_tile_precedence () =
         ignore (H.Criticality.compute ?tile ~delta:0.05 g ~forms);
         Ssta_obs.Obs.find_counter "criticality.backward_tiles"
       in
-      Alcotest.(check int) "auto default: one tile at test scale" 1
+      Alcotest.(check int) "budget default: one tile at test scale" 1
         (tiles_of ());
-      H.Criticality.set_tile 1;
-      Alcotest.(check int) "set_tile overrides the default" no (tiles_of ());
-      Alcotest.(check int) "?tile beats set_tile" 1 (tiles_of ~tile:no ());
-      H.Criticality.set_tile_auto ();
-      Alcotest.(check int) "set_tile_auto restores the heuristic" 1
-        (tiles_of ()))
+      Alcotest.(check int) "?tile:1 beats the budget" no (tiles_of ~tile:1 ());
+      Alcotest.(check int) "?tile:2 beats the budget" ((no + 1) / 2)
+        (tiles_of ~tile:2 ()))
 
 (* Extract.output_load_increments was rewritten on Form_buf in-place
    kernels; it must reproduce the boxed Form.scale list + Form.max_list
@@ -374,9 +357,9 @@ let suites =
           "cone screen = naive reference (keep/cm/counters, all modes)";
         Alcotest.test_case "tile validation and oversize" `Quick
           test_tile_validation;
-        Alcotest.test_case "tile knob parsers (CRIT_TILE / budget)" `Quick
+        Alcotest.test_case "tile knob parsers (CRIT_TILE_BUDGET_MB)" `Quick
           test_tile_parsers;
-        Alcotest.test_case "tile precedence: ?tile > set_tile > auto" `Quick
+        Alcotest.test_case "tile precedence: ?tile > budget" `Quick
           test_tile_precedence;
       ] );
     ( "crit_screen.output_load",

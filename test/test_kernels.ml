@@ -414,48 +414,6 @@ let prop_recompose seed =
       check_exact "recompose_into aliased" want (Form_buf.get buf 0));
   true
 
-(* The cone-restricted sweep must be bit-identical to the full sweep
-   whenever the range covers the reachable cone of the sources - the
-   contract the batch engine's shared CSR cone index depends on. *)
-let prop_forward_cone seed =
-  let dims = { Form.n_globals = 2; n_pcs = 4 } in
-  let g, forms = random_dag seed dims in
-  let fbuf = Form_buf.of_forms dims forms in
-  let m = Tgraph.n_edges g in
-  let n = Tgraph.n_vertices g in
-  let ws = H.Propagate.create_workspace () in
-  let ws_cone = H.Propagate.create_workspace () in
-  let all_edges = Array.init m (fun e -> e) in
-  let ok = ref true in
-  Array.iter
-    (fun i ->
-      let sources = [| i |] in
-      H.Propagate.forward_into ws g ~forms:fbuf ~sources;
-      let reference =
-        Array.init n (fun v -> H.Propagate.ws_form ws v)
-      in
-      (* Exact cone of the source, embedded at an offset inside a larger
-         shared array - the CSR layout the batch engine uses. *)
-      let seen = Tgraph.reachable_from g i in
-      let cone = ref [] in
-      for e = m - 1 downto 0 do
-        if seen.(g.Tgraph.src.(e)) then cone := e :: !cone
-      done;
-      let cone = Array.of_list !cone in
-      let lo = 3 in
-      let shared = Array.make (lo + Array.length cone + 2) 0 in
-      Array.blit cone 0 shared lo (Array.length cone);
-      H.Propagate.forward_cone_into ws_cone g ~forms:fbuf ~sources
-        ~edges:shared ~lo ~hi:(lo + Array.length cone);
-      if not (sweep_equal n ws_cone reference) then ok := false;
-      (* The full edge range keeps the same reached-source guard as
-         forward_into, so it too must reproduce the reference exactly. *)
-      H.Propagate.forward_cone_into ws_cone g ~forms:fbuf ~sources
-        ~edges:all_edges ~lo:0 ~hi:m;
-      if not (sweep_equal n ws_cone reference) then ok := false)
-    g.Tgraph.inputs;
-  !ok
-
 (* The kernels' allocation-free claim on a real characterized circuit:
    with observability disabled and the workspaces warmed up by one sweep,
    repeated forward and blocked backward sweeps on c432 allocate (almost)
@@ -525,8 +483,6 @@ let suites =
         test prop_forward_all_matches "forward_into from all inputs";
         test prop_backward_block
           "blocked backward = per-output sweeps at every block size";
-        test prop_forward_cone
-          "cone-restricted sweep matches full sweep (bit-exact)";
         Alcotest.test_case "c432 sweeps allocation-free after warm-up" `Quick
           test_sweeps_allocation_free;
       ] );

@@ -215,6 +215,17 @@ let test_extract_domains () =
         true (io1 = iod))
     domain_counts
 
+(* The pure parser behind PAR_DOMAINS: positive integers only; anything
+   else makes the pool warn and fall back to the CPU count. *)
+let test_domains_parser () =
+  let dc = Alcotest.(check (option int)) in
+  dc "int" (Some 4) (Par.domains_of_string "4");
+  dc "trimmed" (Some 2) (Par.domains_of_string " 2 ");
+  dc "zero rejected" None (Par.domains_of_string "0");
+  dc "negative rejected" None (Par.domains_of_string "-1");
+  dc "word rejected" None (Par.domains_of_string "four");
+  dc "empty rejected" None (Par.domains_of_string "")
+
 let suites =
   [
     ( "par.pool",
@@ -226,6 +237,7 @@ let suites =
         Alcotest.test_case "run_tasks scratch + exceptions" `Quick
           test_run_tasks_scratch_and_exn;
         Alcotest.test_case "rng substream family" `Quick test_rng_stream;
+        Alcotest.test_case "PAR_DOMAINS parser" `Quick test_domains_parser;
       ] );
     ( "par.engines",
       [
