@@ -121,15 +121,27 @@ let seed_arg =
   let doc = "Random seed for Monte Carlo runs." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* A circuit argument is either a bundled benchmark name or a path to an
-   ISCAS85 .bench netlist file. *)
-let build_circuit name =
-  if Filename.check_suffix name ".bench" && Sys.file_exists name then
-    try Ok (Ssta_circuit.Bench_format.load ~path:name)
-    with Failure m -> Error (`Msg m)
-  else
-    try Ok (Ssta_circuit.Iscas.build name)
-    with Invalid_argument m -> Error (`Msg m)
+(* The setup shared by the analysis commands, applied in this order. *)
+let setup =
+  Term.(
+    const (fun () () () () -> ())
+    $ setup_logs $ setup_domains $ setup_obs $ setup_robust)
+
+type design = { name : string; nl : N.t; build : Build.t }
+
+(* A circuit argument (a bundled name or a .bench path), resolved and
+   characterized when the command forces it - after every flag has been
+   checked.  A bad circuit prints the resolver's message and exits 1. *)
+let characterized circuit =
+  let resolve name =
+    lazy
+      (match Ssta_circuit.Iscas.resolve name with
+      | Ok nl -> { name; nl; build = Build.characterize nl }
+      | Error (Ssta_circuit.Iscas.Bad_bench m | Ssta_circuit.Iscas.Unknown m) ->
+          prerr_endline m;
+          exit 1)
+  in
+  Term.(const resolve $ circuit)
 
 (* ------------------------------------------------------------------ *)
 
@@ -145,96 +157,83 @@ let list_cmd =
     Term.(const run $ const ())
 
 let sta_cmd =
-  let run () () () () name =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        let g = b.Build.graph in
-        let nominal =
-          Ssta_timing.Sta.design_delay g ~weights:(Build.nominal_weights b)
-        in
-        let arr = H.Propagate.forward_all g ~forms:b.Build.forms in
-        (match H.Propagate.max_over arr g.Ssta_timing.Tgraph.outputs with
-        | None -> prerr_endline "no output reachable"; exit 1
-        | Some f ->
-            Printf.printf "circuit:          %s\n" name;
-            Printf.printf "nominal delay:    %10.1f ps (corner STA)\n" nominal;
-            Printf.printf "SSTA delay:       %10.1f ps mean, %.1f ps sigma\n"
-              f.Form.mean (Form.std f);
-            List.iter
-              (fun p ->
-                Printf.printf "  yield %4.1f%% at %10.1f ps\n" (100.0 *. p)
-                  (H.Yield.clock_for_yield f ~yield:p))
-              [ 0.5; 0.9; 0.99; 0.999 ])
+  let run () design =
+    let { name; build = b; _ } = Lazy.force design in
+    let g = b.Build.graph in
+    let nominal =
+      Ssta_timing.Sta.design_delay g ~weights:(Build.nominal_weights b)
+    in
+    let arr = H.Propagate.forward_all g ~forms:b.Build.forms in
+    match H.Propagate.max_over arr g.Ssta_timing.Tgraph.outputs with
+    | None -> prerr_endline "no output reachable"; exit 1
+    | Some f ->
+        Printf.printf "circuit:          %s\n" name;
+        Printf.printf "nominal delay:    %10.1f ps (corner STA)\n" nominal;
+        Printf.printf "SSTA delay:       %10.1f ps mean, %.1f ps sigma\n"
+          f.Form.mean (Form.std f);
+        List.iter
+          (fun p ->
+            Printf.printf "  yield %4.1f%% at %10.1f ps\n" (100.0 *. p)
+              (H.Yield.clock_for_yield f ~yield:p))
+          [ 0.5; 0.9; 0.99; 0.999 ]
   in
   Cmd.v
     (Cmd.info "sta"
        ~doc:"Deterministic and statistical timing of one circuit")
-    Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ circuit_arg)
+    Term.(const run $ setup $ characterized circuit_arg)
 
 let extract_cmd =
-  let run () () () () name delta iters seed =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        let model = H.Extract.extract ~delta b in
-        Format.printf "%a@." H.Timing_model.pp_stats model;
-        if iters > 0 then begin
-          let io = H.Timing_model.io_delays model in
-          let mc =
-            Ssta_mc.Allpairs_mc.run ~iterations:iters ~seed
-              (Ssta_mc.Sampler.ctx_of_build b)
-          in
-          let a =
-            H.Timing_model.io_accuracy
-              ~reference:(Ssta_mc.Allpairs_mc.pair_moments mc) io
-          in
-          Printf.printf
-            "accuracy vs MC (%d iterations, %d IO pairs): merr=%.2f%% verr=%.2f%%\n"
-            iters a.H.Timing_model.pairs
-            (100.0 *. a.H.Timing_model.mean_err)
-            (100.0 *. a.H.Timing_model.sigma_err)
-        end
+  let run () design delta iters seed =
+    let { build = b; _ } = Lazy.force design in
+    let model = H.Extract.extract ~delta b in
+    Format.printf "%a@." H.Timing_model.pp_stats model;
+    if iters > 0 then begin
+      let io = H.Timing_model.io_delays model in
+      let mc =
+        Ssta_mc.Allpairs_mc.run ~iterations:iters ~seed
+          (Ssta_mc.Sampler.ctx_of_build b)
+      in
+      let a =
+        H.Timing_model.io_accuracy
+          ~reference:(Ssta_mc.Allpairs_mc.pair_moments mc) io
+      in
+      Printf.printf
+        "accuracy vs MC (%d iterations, %d IO pairs): merr=%.2f%% verr=%.2f%%\n"
+        iters a.H.Timing_model.pairs
+        (100.0 *. a.H.Timing_model.mean_err)
+        (100.0 *. a.H.Timing_model.sigma_err)
+    end
   in
   Cmd.v
     (Cmd.info "extract"
        ~doc:"Extract a statistical timing model and validate it against MC")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ circuit_arg $ delta_arg $ iters_arg $ seed_arg)
+      const run $ setup $ characterized circuit_arg $ delta_arg $ iters_arg
+      $ seed_arg)
 
 let criticality_cmd =
-  let run () () () () name delta =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        let _, crit =
-          H.Extract.extract_with_criticality ~exact:true ~delta b
-        in
-        let cm = crit.H.Criticality.cm in
-        let hist = Stats.histogram ~lo:0.0 ~hi:1.0 ~bins:20 cm in
-        let total = Array.fold_left ( + ) 0 hist in
-        Array.iteri
-          (fun i c ->
-            Printf.printf "[%4.2f,%4.2f%c %6d %s\n"
-              (float_of_int i /. 20.0)
-              (float_of_int (i + 1) /. 20.0)
-              (if i = 19 then ']' else ')')
-              c
-              (String.make (max 0 (c * 60 / max 1 total)) '#'))
-          hist
+  let run () design delta =
+    let { build = b; _ } = Lazy.force design in
+    let _, crit =
+      H.Extract.extract_with_criticality ~exact:true ~delta b
+    in
+    let cm = crit.H.Criticality.cm in
+    let hist = Stats.histogram ~lo:0.0 ~hi:1.0 ~bins:20 cm in
+    let total = Array.fold_left ( + ) 0 hist in
+    Array.iteri
+      (fun i c ->
+        Printf.printf "[%4.2f,%4.2f%c %6d %s\n"
+          (float_of_int i /. 20.0)
+          (float_of_int (i + 1) /. 20.0)
+          (if i = 19 then ']' else ')')
+          c
+          (String.make (max 0 (c * 60 / max 1 total)) '#'))
+      hist
   in
   Cmd.v
     (Cmd.info "criticality"
        ~doc:"Edge-criticality histogram of a circuit (paper Fig. 6)")
-    Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ circuit_arg $ delta_arg)
+    Term.(const run $ setup $ characterized circuit_arg $ delta_arg)
 
 let hier_cmd =
   let circuit =
@@ -242,94 +241,81 @@ let hier_cmd =
                inputs and outputs, e.g. c6288)." in
     Arg.(value & pos 0 string "c6288" & info [] ~docv:"CIRCUIT" ~doc)
   in
-  let run () () () () name delta iters seed =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        let model = H.Extract.extract ~delta b in
-        let fp =
-          try H.Floorplan.mult_grid ~label:name ~build:b ~model ()
-          with Failure m -> prerr_endline m; exit 1
-        in
-        let dg = H.Design_grid.build fp in
-        let rep = H.Hier_analysis.analyze fp dg ~mode:H.Replace.Replaced in
-        let glo = H.Hier_analysis.analyze fp dg ~mode:H.Replace.Global_only in
-        let d = rep.H.Hier_analysis.delay in
-        Printf.printf "proposed:     mean=%.1f ps  sigma=%.1f ps  (%.4fs)\n"
-          d.Form.mean (Form.std d) rep.H.Hier_analysis.wall_seconds;
-        Printf.printf "global-only:  mean=%.1f ps  sigma=%.1f ps\n"
-          glo.H.Hier_analysis.delay.Form.mean
-          (Form.std glo.H.Hier_analysis.delay);
-        if iters > 0 then begin
-          let ctx = H.Hier_analysis.flatten fp dg in
-          let mc = Ssta_mc.Flat_mc.run ~iterations:iters ~seed ctx in
-          Printf.printf "Monte Carlo:  mean=%.1f ps  sigma=%.1f ps  (%.2fs, %d iters)\n"
-            (Stats.mean mc.Ssta_mc.Flat_mc.delays)
-            (Stats.std mc.Ssta_mc.Flat_mc.delays)
-            mc.Ssta_mc.Flat_mc.wall_seconds iters
-        end
+  let run () design delta iters seed =
+    let { name; build = b; _ } = Lazy.force design in
+    let model = H.Extract.extract ~delta b in
+    let fp =
+      try H.Floorplan.mult_grid ~label:name ~build:b ~model ()
+      with Failure m -> prerr_endline m; exit 1
+    in
+    let dg = H.Design_grid.build fp in
+    let rep = H.Hier_analysis.analyze fp dg ~mode:H.Replace.Replaced in
+    let glo = H.Hier_analysis.analyze fp dg ~mode:H.Replace.Global_only in
+    let d = rep.H.Hier_analysis.delay in
+    Printf.printf "proposed:     mean=%.1f ps  sigma=%.1f ps  (%.4fs)\n"
+      d.Form.mean (Form.std d) rep.H.Hier_analysis.wall_seconds;
+    Printf.printf "global-only:  mean=%.1f ps  sigma=%.1f ps\n"
+      glo.H.Hier_analysis.delay.Form.mean
+      (Form.std glo.H.Hier_analysis.delay);
+    if iters > 0 then begin
+      let ctx = H.Hier_analysis.flatten fp dg in
+      let mc = Ssta_mc.Flat_mc.run ~iterations:iters ~seed ctx in
+      Printf.printf "Monte Carlo:  mean=%.1f ps  sigma=%.1f ps  (%.2fs, %d iters)\n"
+        (Stats.mean mc.Ssta_mc.Flat_mc.delays)
+        (Stats.std mc.Ssta_mc.Flat_mc.delays)
+        mc.Ssta_mc.Flat_mc.wall_seconds iters
+    end
   in
   Cmd.v
     (Cmd.info "hier"
        ~doc:"Hierarchical SSTA of the paper's 2x2 experiment (Fig. 7)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ circuit $ delta_arg $ iters_arg $ seed_arg)
+      const run $ setup $ characterized circuit $ delta_arg $ iters_arg
+      $ seed_arg)
 
 let paths_cmd =
   let k_arg =
     let doc = "Number of paths to report." in
     Arg.(value & opt int 5 & info [ "k"; "paths" ] ~docv:"K" ~doc)
   in
-  let run () name k =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        H.Path_report.report b.Build.graph ~forms:b.Build.forms ~k
-          Format.std_formatter
+  let run () design k =
+    let { build = b; _ } = Lazy.force design in
+    H.Path_report.report b.Build.graph ~forms:b.Build.forms ~k
+      Format.std_formatter
   in
   Cmd.v
     (Cmd.info "paths"
        ~doc:"Report the statistically most critical paths of a circuit")
-    Term.(const run $ setup_logs $ circuit_arg $ k_arg)
+    Term.(const run $ setup_logs $ characterized circuit_arg $ k_arg)
 
 let corners_cmd =
-  let run () name =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        Format.printf "%a@." H.Corners.pp_pessimism (H.Corners.pessimism b)
+  let run () design =
+    let { build = b; _ } = Lazy.force design in
+    Format.printf "%a@." H.Corners.pp_pessimism (H.Corners.pessimism b)
   in
   Cmd.v
     (Cmd.info "corners"
        ~doc:"Compare corner-based STA margins against the SSTA distribution")
-    Term.(const run $ setup_logs $ circuit_arg)
+    Term.(const run $ setup_logs $ characterized circuit_arg)
 
 let model_cmd =
   let out_arg =
     let doc = "Output path for the serialized timing model." in
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run () () () () name delta out =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        let model = H.Extract.extract ~delta b in
-        H.Model_io.save model ~path:out;
-        Format.printf "%a@." H.Timing_model.pp_stats model;
-        Printf.printf "written to %s\n" out
+  let run () design delta out =
+    let { build = b; _ } = Lazy.force design in
+    let model = H.Extract.extract ~delta b in
+    H.Model_io.save model ~path:out;
+    Format.printf "%a@." H.Timing_model.pp_stats model;
+    Printf.printf "written to %s\n" out
   in
   Cmd.v
     (Cmd.info "model"
        ~doc:"Extract a timing model and write it to a file (gray-box IP \
              hand-off)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ circuit_arg $ delta_arg $ out_arg)
+      const run $ setup $ characterized circuit_arg $ delta_arg $ out_arg)
 
 let model_info_cmd =
   let path_arg =
@@ -402,7 +388,7 @@ let batch_cmd =
     | H.Corners.Fast k -> Printf.sprintf "fast@%g" k
     | H.Corners.Global_slow k -> Printf.sprintf "gslow@%g" k
   in
-  let run () () () () name spec s_n mode screen =
+  let run () design spec s_n mode screen =
     let mode =
       match String.lowercase_ascii (String.trim mode) with
       | "delay" -> Batch.Delay
@@ -412,69 +398,66 @@ let batch_cmd =
             other;
           exit 124
     in
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let scenarios =
-          match spec with
-          | None -> Batch.default_scenarios (max 1 s_n)
-          | Some path -> (
-              let text =
-                try In_channel.with_open_bin path In_channel.input_all
-                with Sys_error m -> prerr_endline m; exit 1
-              in
-              match Batch.parse_scenarios text with
-              | Error m ->
-                  Printf.eprintf "hssta batch: %s: %s\n%!" path m;
-                  exit 1
-              | Ok [||] ->
-                  Printf.eprintf "hssta batch: %s: empty scenario list\n%!"
-                    path;
-                  exit 1
-              | Ok s -> s)
+    let { build = b; _ } = Lazy.force design in
+    let scenarios =
+      match spec with
+      | None -> Batch.default_scenarios (max 1 s_n)
+      | Some path -> (
+          let text =
+            try In_channel.with_open_bin path In_channel.input_all
+            with Sys_error m -> prerr_endline m; exit 1
+          in
+          match Batch.parse_scenarios text with
+          | Error m ->
+              Printf.eprintf "hssta batch: %s: %s\n%!" path m;
+              exit 1
+          | Ok [||] ->
+              Printf.eprintf "hssta batch: %s: empty scenario list\n%!"
+                path;
+              exit 1
+          | Ok s -> s)
+    in
+    let base = Batch.prepare b in
+    let t0 = Unix.gettimeofday () in
+    let results = Batch.run ~mode ~screen base scenarios in
+    let dt = Unix.gettimeofday () -. t0 in
+    Printf.printf "%-10s %-11s %6s %6s  %10s %9s%s\n" "scenario" "corner"
+      "scale" "sigma"
+      (match mode with Batch.Delay -> "mean ps" | Batch.Io -> "io pairs")
+      (match mode with Batch.Delay -> "sigma ps" | Batch.Io -> "worst ps")
+      (if screen then "  kept" else "");
+    Array.iter
+      (fun (r : Batch.result) ->
+        let s = r.Batch.scenario in
+        let a, b_ =
+          match mode with
+          | Batch.Delay -> (
+              match r.Batch.delay with
+              | Some f ->
+                  (Printf.sprintf "%10.1f" f.Form.mean,
+                   Printf.sprintf "%9.1f" (Form.std f))
+              | None -> ("         -", "        -"))
+          | Batch.Io ->
+              let pairs = ref 0 and worst = ref neg_infinity in
+              Array.iter
+                (Array.iter (function
+                  | None -> ()
+                  | Some (f : Form.t) ->
+                      incr pairs;
+                      if f.Form.mean > !worst then worst := f.Form.mean))
+                r.Batch.io;
+              (Printf.sprintf "%10d" !pairs,
+               if !pairs = 0 then "        -"
+               else Printf.sprintf "%9.1f" !worst)
         in
-        let b = Build.characterize nl in
-        let base = Batch.prepare b in
-        let t0 = Unix.gettimeofday () in
-        let results = Batch.run ~mode ~screen base scenarios in
-        let dt = Unix.gettimeofday () -. t0 in
-        Printf.printf "%-10s %-11s %6s %6s  %10s %9s%s\n" "scenario" "corner"
-          "scale" "sigma"
-          (match mode with Batch.Delay -> "mean ps" | Batch.Io -> "io pairs")
-          (match mode with Batch.Delay -> "sigma ps" | Batch.Io -> "worst ps")
-          (if screen then "  kept" else "");
-        Array.iter
-          (fun (r : Batch.result) ->
-            let s = r.Batch.scenario in
-            let a, b_ =
-              match mode with
-              | Batch.Delay -> (
-                  match r.Batch.delay with
-                  | Some f ->
-                      (Printf.sprintf "%10.1f" f.Form.mean,
-                       Printf.sprintf "%9.1f" (Form.std f))
-                  | None -> ("         -", "        -"))
-              | Batch.Io ->
-                  let pairs = ref 0 and worst = ref neg_infinity in
-                  Array.iter
-                    (Array.iter (function
-                      | None -> ()
-                      | Some (f : Form.t) ->
-                          incr pairs;
-                          if f.Form.mean > !worst then worst := f.Form.mean))
-                    r.Batch.io;
-                  (Printf.sprintf "%10d" !pairs,
-                   if !pairs = 0 then "        -"
-                   else Printf.sprintf "%9.1f" !worst)
-            in
-            Printf.printf "%-10s %-11s %6.3f %6.3f  %s %s%s\n" s.Batch.label
-              (corner_name s.Batch.corner)
-              s.Batch.delay_scale s.Batch.sigma_scale a b_
-              (if screen then Printf.sprintf "  %d" r.Batch.kept_edges else ""))
-          results;
-        Printf.printf "%d scenario(s) in %.3f s (one shared characterize + \
-                       prepare)\n"
-          (Array.length results) dt
+        Printf.printf "%-10s %-11s %6.3f %6.3f  %s %s%s\n" s.Batch.label
+          (corner_name s.Batch.corner)
+          s.Batch.delay_scale s.Batch.sigma_scale a b_
+          (if screen then Printf.sprintf "  %d" r.Batch.kept_edges else ""))
+      results;
+    Printf.printf "%d scenario(s) in %.3f s (one shared characterize + \
+                   prepare)\n"
+      (Array.length results) dt
   in
   Cmd.v
     (Cmd.info "batch"
@@ -483,9 +466,8 @@ let batch_cmd =
              forms across the whole batch (bit-identical to independent \
              runs)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ circuit_arg $ scenarios_arg $ count_arg $ mode_arg
-      $ screen_arg)
+      const run $ setup $ characterized circuit_arg $ scenarios_arg
+      $ count_arg $ mode_arg $ screen_arg)
 
 let inject_cmd =
   let module Inject = Ssta_robust_inject.Inject in
@@ -582,7 +564,7 @@ let read_cmd =
     Arg.(
       value & opt (some string) None & info [ "model" ] ~docv:"FILE" ~doc)
   in
-  let run () () () () v l s model_out =
+  let run () v l s model_out =
     let d = FDesign.load_files ~verilog:v ~liberty:l ?sdc:s () in
     let low = FDesign.lower d in
     Format.printf "%a@." N.pp_stats low.FDesign.netlist;
@@ -609,8 +591,7 @@ let read_cmd =
           library + optional SDC), lower it onto the native netlist \
           representation and print its statistics")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ verilog_arg $ liberty_arg $ sdc_opt_arg $ model_arg)
+      const run $ setup $ verilog_arg $ liberty_arg $ sdc_opt_arg $ model_arg)
 
 let report_checks_cmd =
   let k_arg =
@@ -622,7 +603,7 @@ let report_checks_cmd =
     Arg.(
       value & opt (some float) None & info [ "period" ] ~docv:"PS" ~doc)
   in
-  let run () () () () v l s k period =
+  let run () v l s k period =
     let d = FDesign.load_files ~verilog:v ~liberty:l ?sdc:s () in
     let low = FDesign.lower d in
     let b = Build.characterize low.FDesign.netlist in
@@ -637,8 +618,8 @@ let report_checks_cmd =
           paths excluded, required time from the SDC clock, slack and the \
           top-k critical paths")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ verilog_arg $ liberty_arg $ sdc_opt_arg $ k_arg $ period_arg)
+      const run $ setup $ verilog_arg $ liberty_arg $ sdc_opt_arg $ k_arg
+      $ period_arg)
 
 let emit_cmd =
   let dir_arg =
@@ -646,47 +627,44 @@ let emit_cmd =
     Arg.(
       required & opt (some string) None & info [ "o"; "out" ] ~docv:"DIR" ~doc)
   in
-  let run () () name dir =
-    match build_circuit name with
-    | Error (`Msg m) -> prerr_endline m; exit 1
-    | Ok nl ->
-        let b = Build.characterize nl in
-        let nominal =
-          Ssta_timing.Sta.design_delay b.Build.graph
-            ~weights:(Build.nominal_weights b)
-        in
-        let period = Float.round (1.25 *. nominal) in
-        let io_delay = Float.round (0.05 *. nominal) in
-        let net i = Printf.sprintf "n%d" i in
-        let inputs = List.init (N.n_pis nl) net in
-        let outputs = Array.to_list (Array.map net nl.N.outputs) in
-        let sdc =
-          {
-            FSdc.clocks = [ { FSdc.clk_name = "clk"; period } ];
-            input_delays =
-              [ { FSdc.ports = inputs; delay = io_delay; dclock = Some "clk" } ];
-            output_delays =
-              [ { FSdc.ports = outputs; delay = io_delay; dclock = Some "clk" } ];
-            false_paths =
-              [
-                {
-                  FSdc.from_ports = [ List.hd inputs ];
-                  to_ports = [ List.hd outputs ];
-                };
-              ];
-          }
-        in
-        let d = FDesign.of_netlist ~sdc nl in
-        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-        let write ext text =
-          let path = Filename.concat dir (nl.N.name ^ ext) in
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc text);
-          Printf.printf "wrote %s\n" path
-        in
-        write ".v" (FVerilog.to_string d.FDesign.modul);
-        write ".lib" (FLiberty.to_string d.FDesign.lib);
-        write ".sdc" (FSdc.to_string d.FDesign.sdc)
+  let run () () design dir =
+    let { nl; build = b; _ } = Lazy.force design in
+    let nominal =
+      Ssta_timing.Sta.design_delay b.Build.graph
+        ~weights:(Build.nominal_weights b)
+    in
+    let period = Float.round (1.25 *. nominal) in
+    let io_delay = Float.round (0.05 *. nominal) in
+    let net i = Printf.sprintf "n%d" i in
+    let inputs = List.init (N.n_pis nl) net in
+    let outputs = Array.to_list (Array.map net nl.N.outputs) in
+    let sdc =
+      {
+        FSdc.clocks = [ { FSdc.clk_name = "clk"; period } ];
+        input_delays =
+          [ { FSdc.ports = inputs; delay = io_delay; dclock = Some "clk" } ];
+        output_delays =
+          [ { FSdc.ports = outputs; delay = io_delay; dclock = Some "clk" } ];
+        false_paths =
+          [
+            {
+              FSdc.from_ports = [ List.hd inputs ];
+              to_ports = [ List.hd outputs ];
+            };
+          ];
+      }
+    in
+    let d = FDesign.of_netlist ~sdc nl in
+    (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+    let write ext text =
+      let path = Filename.concat dir (nl.N.name ^ ext) in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc text);
+      Printf.printf "wrote %s\n" path
+    in
+    write ".v" (FVerilog.to_string d.FDesign.modul);
+    write ".lib" (FLiberty.to_string d.FDesign.lib);
+    write ".sdc" (FSdc.to_string d.FDesign.sdc)
   in
   Cmd.v
     (Cmd.info "emit"
@@ -694,7 +672,9 @@ let emit_cmd =
          "Export a bundled circuit as an external design trio (structural \
           Verilog, Liberty-like library, SDC) that `hssta read` lowers \
           back bit-identically")
-    Term.(const run $ setup_logs $ setup_domains $ circuit_arg $ dir_arg)
+    Term.(
+      const run $ setup_logs $ setup_domains $ characterized circuit_arg
+      $ dir_arg)
 
 let fuzz_frontend_cmd =
   let module Fuzz = Ssta_robust_inject.Fuzz in
@@ -790,8 +770,7 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "wal-checkpoint" ] ~docv:"N" ~doc)
   in
-  let run () () () () socket preload cache_dir max_queue checkpoint_every
-      =
+  let run () socket preload cache_dir max_queue checkpoint_every =
     let t = Serve.create ?cache_dir ~max_queue ~checkpoint_every () in
     try Serve.run_daemon ~socket ~preload t
     with Unix.Unix_error (e, fn, arg) ->
@@ -808,8 +787,7 @@ let serve_cmd =
           shutdown request, SIGTERM, or SIGINT (all drain in-flight work, \
           flush a checkpoint when --cache-dir is set, and exit 0)")
     Term.(
-      const run $ setup_logs $ setup_domains $ setup_obs $ setup_robust
-      $ socket_arg $ preload_arg $ cache_dir_arg
+      const run $ setup $ socket_arg $ preload_arg $ cache_dir_arg
       $ max_queue_arg $ checkpoint_arg)
 
 let client_cmd =

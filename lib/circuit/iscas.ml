@@ -52,3 +52,10 @@ let paper_row = function
   | name -> invalid_arg ("Iscas.paper_row: unknown circuit " ^ name)
 
 let all () = Array.to_list names |> List.map (fun n -> (n, build n))
+
+type resolve_error = Bad_bench of string | Unknown of string
+
+let resolve name =
+  if Filename.check_suffix name ".bench" && Sys.file_exists name then
+    try Ok (Bench_format.load ~path:name) with Failure m -> Error (Bad_bench m)
+  else try Ok (build name) with Invalid_argument m -> Error (Unknown m)

@@ -20,3 +20,12 @@ val paper_row : string -> paper_counts
 (** Original Eo/Vo from Table I; raises [Invalid_argument] if unknown. *)
 
 val all : unit -> (string * Netlist.t) list
+
+type resolve_error =
+  | Bad_bench of string  (** the [.bench] file did not parse *)
+  | Unknown of string  (** neither a [.bench] file nor a bundled name *)
+
+val resolve : string -> (Netlist.t, resolve_error) result
+(** A circuit argument of the CLI and of [hssta serve]: the path of an
+    existing [.bench] file ({!Bench_format.load}) or a bundled name
+    ({!build}).  Each error carries the underlying message. *)

@@ -28,13 +28,16 @@ let arm_ms ms = Atomic.set cell (Unix.gettimeofday () +. (ms /. 1000.0))
 let disarm () = Atomic.set cell infinity
 let armed () = Atomic.get cell < infinity
 
+(* A deadline is reached at its own instant, so [deadline_ms = 0] fails
+   at the first check whatever the clock's resolution: the response does
+   not depend on whether the clock ticked in between. *)
 let expired () =
   let d = Atomic.get cell in
-  d < infinity && Unix.gettimeofday () > d
+  d < infinity && Unix.gettimeofday () >= d
 
 let check ~operation =
   let d = Atomic.get cell in
-  if d < infinity && Unix.gettimeofday () > d then
+  if d < infinity && Unix.gettimeofday () >= d then
     Robust.fail ~subsystem:"deadline" ~operation "request deadline exceeded"
 
 (* [with_deadline_ms ms f] runs [f ()] under an armed deadline, always

@@ -88,6 +88,9 @@ type t = {
       (** set by recovery: a re-sent logged-but-unanswered request gets
           its logged response back instead of being applied twice *)
   mutable ewma_ms : float;  (** smoothed per-request service time *)
+  shared : (string, Batch.result) Hashtbl.t;
+      (** sweeps shared by the current run of scenario quantiles in a
+          request group, keyed on the scenario's JSON (share_sweeps) *)
 }
 
 let make ?cache_dir ?(max_queue = 256) ?(checkpoint_every = 64) () =
@@ -102,6 +105,7 @@ let make ?cache_dir ?(max_queue = 256) ?(checkpoint_every = 64) () =
     last_commit = None;
     dedup = None;
     ewma_ms = 1.0;
+    shared = Hashtbl.create 7;
   }
 
 let stopped t = t.stop
@@ -151,15 +155,12 @@ let digest_of_netlist nl =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let netlist_of_name name =
-  if Filename.check_suffix name ".bench" && Sys.file_exists name then
-    try Ssta_circuit.Bench_format.load ~path:name
-    with Failure m ->
-      Robust.fail ~subsystem:"serve" ~operation:"load" ("bad .bench file: " ^ m)
-  else
-    try Ssta_circuit.Iscas.build name
-    with Invalid_argument m ->
-      Robust.fail ~subsystem:"serve" ~operation:"load"
-        ("unknown design (not bundled, not a .bench path): " ^ m)
+  let fail detail = Robust.fail ~subsystem:"serve" ~operation:"load" detail in
+  match Ssta_circuit.Iscas.resolve name with
+  | Ok nl -> nl
+  | Error (Ssta_circuit.Iscas.Bad_bench m) -> fail ("bad .bench file: " ^ m)
+  | Error (Ssta_circuit.Iscas.Unknown m) ->
+      fail ("unknown design (not bundled, not a .bench path): " ^ m)
 
 (* Disk entries hold a marshaled Build.t (plain records and float/int
    arrays all the way down).  Store.load_model has already verified the
@@ -219,35 +220,79 @@ let flush_spill t =
       ignore (Store.spill_model st ~digest (Marshal.to_string b []))
   | _ -> t.pending_spill <- None
 
-let fresh_session ?sdc ~origin ~design (build : Build.t) =
+(* The one session-load path: the load/swap and load_files requests,
+   WAL replay and checkpoint restore all come here.  Recovery has no
+   response to wait for, so [~replay:true] spills a freshly
+   characterized model at once; a request's spill waits until its WAL
+   record is durable (handle_parsed). *)
+let load_origin ~replay t origin =
+  let nl, sdc =
+    match origin with
+    | Bundled name -> (netlist_of_name name, None)
+    | Files { verilog; liberty; sdc } ->
+        let d = FDesign.load_files ~verilog ~liberty ?sdc () in
+        ((FDesign.lower d).FDesign.netlist, Some d.FDesign.sdc)
+  in
+  let build, cached = characterize_cached t nl in
   let g = build.Build.graph in
   let forms = Array.copy build.Build.forms in
-  let dims =
-    if Array.length forms > 0 then Form.dims forms.(0)
-    else { Form.n_globals = 0; n_pcs = 0 }
-  in
-  let fbuf = Form_buf.of_forms dims forms in
+  let fbuf = Form_buf.of_forms build.Build.basis.Ssta_variation.Basis.dims forms in
   let ws = Propagate.create_workspace () in
   Propagate.forward_into ws g ~forms:fbuf ~sources:g.Tgraph.inputs;
-  {
-    design;
-    origin;
-    build;
-    forms;
-    fbuf;
-    ws;
-    dirty = Bytes.create (Tgraph.n_vertices g);
-    base = None;
-    edited = false;
-    committed = Hashtbl.create 7;
-    sdc;
-  }
+  let s =
+    {
+      design = (match origin with Bundled name -> name | Files _ -> nl.N.name);
+      origin;
+      build;
+      forms;
+      fbuf;
+      ws;
+      dirty = Bytes.create (Tgraph.n_vertices g);
+      base = None;
+      edited = false;
+      committed = Hashtbl.create 7;
+      sdc;
+    }
+  in
+  t.session <- Some s;
+  if replay then flush_spill t;
+  (s, cached)
 
-let load_design t name =
-  let nl = netlist_of_name name in
-  let build, cached = characterize_cached t nl in
-  t.session <- Some (fresh_session ~origin:(Bundled name) ~design:name build);
-  cached
+(* One codec for the origin in both durable files.  A WAL record is
+   tagged "load" / "load_files", the checkpoint's session "bundled" /
+   "files"; the other fields are the same. *)
+let origin_tags ~wal = if wal then ("load", "load_files") else ("bundled", "files")
+
+let origin_fields ~wal origin =
+  let bundled, files = origin_tags ~wal in
+  match origin with
+  | Bundled name -> [ ("kind", Json.Str bundled); ("design", Json.Str name) ]
+  | Files { verilog; liberty; sdc } ->
+      [
+        ("kind", Json.Str files);
+        ("verilog", Json.Str verilog);
+        ("liberty", Json.Str liberty);
+      ]
+      @ (match sdc with None -> [] | Some p -> [ ("sdc", Json.Str p) ])
+
+let origin_of_json ~wal ~operation j =
+  let bundled, files = origin_tags ~wal in
+  let str key = match Json.find key j with Some (Json.Str s) -> Some s | _ -> None in
+  let fail detail = Robust.fail ~subsystem:"serve.wal" ~operation detail in
+  match str "kind" with
+  | Some k when k = bundled -> (
+      match str "design" with
+      | Some name -> Bundled name
+      | None -> fail (k ^ " record has no design field"))
+  | Some k when k = files -> (
+      match (str "verilog", str "liberty") with
+      | Some verilog, Some liberty -> Files { verilog; liberty; sdc = str "sdc" }
+      | _ -> fail (k ^ " record is missing verilog/liberty paths"))
+  | k ->
+      fail
+        (Printf.sprintf "unknown %s kind %S"
+           (if wal then "WAL record" else "checkpoint session")
+           (Option.value ~default:"" k))
 
 let session_exn t ~operation =
   match t.session with
@@ -323,48 +368,48 @@ let req_yield ~operation j =
 (* ------------------------------------------------------------------ *)
 (* Operations                                                         *)
 
-let op_load t ~op j =
-  let name =
-    match Json.str_field "design" j with
-    | Ok v -> v
-    | Error msg -> Robust.fail ~subsystem:"serve" ~operation:op msg
-  in
-  let cached = load_design t name in
-  let s = session_exn t ~operation:op in
+(* Load a session for a request: arm its WAL record and answer the
+   design's size, plus the constraint summary of a load_files design. *)
+let load_response t origin =
+  let s, cached = load_origin ~replay:false t origin in
+  t.pending_wal <- Some (origin_fields ~wal:true origin);
   let g = s.build.Build.graph in
-  t.pending_wal <-
-    Some [ ("kind", Json.Str "load"); ("design", Json.Str name) ];
+  let count n = Json.Num (float_of_int n) in
   [
-    ("design", Json.Str name);
+    ("design", Json.Str s.design);
     ("cached", Json.Bool cached);
-    ("n_vertices", Json.Num (float_of_int (Tgraph.n_vertices g)));
-    ("n_edges", Json.Num (float_of_int (Tgraph.n_edges g)));
-    ("n_outputs", Json.Num (float_of_int (Array.length g.Tgraph.outputs)));
+    ("n_vertices", count (Tgraph.n_vertices g));
+    ("n_edges", count (Tgraph.n_edges g));
+    ("n_outputs", count (Array.length g.Tgraph.outputs));
   ]
+  @
+  match s.sdc with
+  | None -> []
+  | Some sdc ->
+      [
+        ("clocks", count (List.length sdc.FSdc.clocks));
+        ("false_paths", count (List.length sdc.FSdc.false_paths));
+      ]
+      @ (match FSdc.clock_period sdc with
+        | Some p -> [ ("period", Json.Num p) ]
+        | None -> [])
+
+let required_str ~operation key j =
+  match Json.str_field key j with
+  | Ok v -> v
+  | Error msg -> Robust.fail ~subsystem:"serve" ~operation msg
+
+let op_load t ~op j = load_response t (Bundled (required_str ~operation:op "design" j))
 
 (* External-design load: parse + lower the Verilog/.lib/SDC trio, then
    enter the same cached-characterization path as bundled designs (the
    digest covers structure and cell numbers, so a re-read of the same
    files is a cache hit). *)
-let do_load_files t ~verilog ~liberty ~sdc:sdc_path =
-  let d = FDesign.load_files ~verilog ~liberty ?sdc:sdc_path () in
-  let low = FDesign.lower d in
-  let nl = low.FDesign.netlist in
-  let build, cached = characterize_cached t nl in
-  let sdc = d.FDesign.sdc in
-  let origin = Files { verilog; liberty; sdc = sdc_path } in
-  t.session <- Some (fresh_session ~sdc ~origin ~design:nl.N.name build);
-  (nl, build, sdc, cached)
-
 let op_load_files t j =
   let operation = "load_files" in
-  let file key =
-    match Json.str_field key j with
-    | Ok v -> v
-    | Error msg -> Robust.fail ~subsystem:"serve" ~operation msg
-  in
-  let verilog = file "verilog" and liberty = file "liberty" in
-  let sdc_path =
+  let verilog = required_str ~operation "verilog" j in
+  let liberty = required_str ~operation "liberty" j in
+  let sdc =
     match Json.find "sdc" j with
     | Some (Json.Str p) -> Some p
     | None | Some Json.Null -> None
@@ -372,29 +417,7 @@ let op_load_files t j =
         protocol_repair ~operation "sdc must be a path string; ignored";
         None
   in
-  let nl, build, sdc, cached = do_load_files t ~verilog ~liberty ~sdc:sdc_path in
-  t.pending_wal <-
-    Some
-      ([ ("kind", Json.Str "load_files");
-         ("verilog", Json.Str verilog);
-         ("liberty", Json.Str liberty);
-       ]
-      @ match sdc_path with None -> [] | Some p -> [ ("sdc", Json.Str p) ]);
-  let g = build.Build.graph in
-  [
-    ("design", Json.Str nl.N.name);
-    ("cached", Json.Bool cached);
-    ("n_vertices", Json.Num (float_of_int (Tgraph.n_vertices g)));
-    ("n_edges", Json.Num (float_of_int (Tgraph.n_edges g)));
-    ("n_outputs", Json.Num (float_of_int (Array.length g.Tgraph.outputs)));
-    ("clocks", Json.Num (float_of_int (List.length sdc.FSdc.clocks)));
-    ( "false_paths",
-      Json.Num (float_of_int (List.length sdc.FSdc.false_paths)) );
-  ]
-  @
-  match FSdc.clock_period sdc with
-  | Some p -> [ ("period", Json.Num p) ]
-  | None -> []
+  load_response t (Files { verilog; liberty; sdc })
 
 let scenario_result_fields (r : Batch.result) ~yield =
   match r.Batch.delay with
@@ -414,8 +437,11 @@ let op_quantile t j =
           Robust.fail ~subsystem:"serve" ~operation "no output reachable"
       | Some f -> delay_fields f ~yield)
   | Some sj ->
-      let sc = Batch.scenario_of_json 0 sj in
-      let r = Batch.run_one (batch_base s) sc in
+      let r =
+        match Hashtbl.find_opt t.shared (Json.to_string sj) with
+        | Some r -> r
+        | None -> Batch.run_one (batch_base s) (Batch.scenario_of_json 0 sj)
+      in
       scenario_result_fields r ~yield
 
 let op_report t j =
@@ -570,6 +596,40 @@ let form_of_json ~operation j =
   Form.make ~mean:(num "mean") ~globals:(arr "g") ~pcs:(arr "p")
     ~rand:(num "rand")
 
+(* The committed edits of a WAL whatif record and of the checkpoint:
+   absolute forms by edge. *)
+let edits_field edits =
+  ( "edits",
+    Json.Arr
+      (List.map
+         (fun (edge, f) ->
+           Json.Obj [ ("edge", Json.Num (float_of_int edge)); ("form", form_json f) ])
+         edits) )
+
+let edits_of_json ~operation j =
+  match Json.find "edits" j with
+  | Some (Json.Arr items) ->
+      List.map
+        (fun ej ->
+          let edge =
+            match Json.find "edge" ej with
+            | Some (Json.Num v) -> int_of_float v
+            | _ ->
+                Robust.fail ~subsystem:"serve.wal" ~operation
+                  "logged edit has no numeric edge field"
+          in
+          let form =
+            match Json.find "form" ej with
+            | Some fj -> form_of_json ~operation fj
+            | None ->
+                Robust.fail ~subsystem:"serve.wal" ~operation
+                  "logged edit has no form object"
+          in
+          (edge, form))
+        items
+  | _ ->
+      Robust.fail ~subsystem:"serve.wal" ~operation "record has no edits array"
+
 let parse_edit ~operation g forms idx j =
   match j with
   | Json.Obj _ ->
@@ -676,16 +736,7 @@ let op_whatif t j =
       Some
         [
           ("kind", Json.Str "whatif");
-          ( "edits",
-            Json.Arr
-              (List.map
-                 (fun e ->
-                   Json.Obj
-                     [
-                       ("edge", Json.Num (float_of_int e.edge));
-                       ("form", form_json e.next);
-                     ])
-                 edits) );
+          edits_field (List.map (fun e -> (e.edge, e.next)) edits);
         ]
   end
   else begin
@@ -798,9 +849,15 @@ let error_json (c : Robust.context) =
 
 let respond ~id fields = Json.to_string (Json.Obj (("id", id) :: fields))
 
+(* A failed request's envelope; an expired deadline marks it a timeout. *)
 let respond_error ~id c =
   Obs.incr c_errors;
-  respond ~id [ ("ok", Json.Bool false); ("error", error_json c) ]
+  let timeout = c.Robust.subsystem = "deadline" in
+  if timeout then Obs.incr c_timeouts;
+  respond ~id
+    ((("ok", Json.Bool false)
+     :: (if timeout then [ ("timeout", Json.Bool true) ] else []))
+    @ [ ("error", error_json c) ])
 
 let request_id j = match Json.find "id" j with Some v -> v | None -> Json.Null
 
@@ -817,31 +874,11 @@ let checkpoint t =
         match t.session with
         | None -> Json.Null
         | Some s ->
-            let origin_fields =
-              match s.origin with
-              | Bundled name ->
-                  [ ("kind", Json.Str "bundled"); ("design", Json.Str name) ]
-              | Files { verilog; liberty; sdc } ->
-                  [
-                    ("kind", Json.Str "files");
-                    ("verilog", Json.Str verilog);
-                    ("liberty", Json.Str liberty);
-                  ]
-                  @ ( match sdc with
-                    | None -> []
-                    | Some p -> [ ("sdc", Json.Str p) ] )
-            in
             let edits =
               Hashtbl.fold (fun e f acc -> (e, f) :: acc) s.committed []
               |> List.sort (fun (a, _) (b, _) -> compare a b)
-              |> List.map (fun (e, f) ->
-                     Json.Obj
-                       [
-                         ("edge", Json.Num (float_of_int e));
-                         ("form", form_json f);
-                       ])
             in
-            Json.Obj (origin_fields @ [ ("edits", Json.Arr edits) ])
+            Json.Obj (origin_fields ~wal:false s.origin @ [ edits_field edits ])
       in
       let commit_fields =
         match t.last_commit with
@@ -898,12 +935,6 @@ let dispatch t op j =
             whatif/revert/batch/stats/ping/shutdown)"
            other)
 
-let respond_timeout ~id c =
-  Obs.incr c_timeouts;
-  Obs.incr c_errors;
-  respond ~id
-    [ ("ok", Json.Bool false); ("timeout", Json.Bool true); ("error", error_json c) ]
-
 let request_deadline_ms j =
   match Json.find "deadline_ms" j with
   | None | Some Json.Null -> None
@@ -913,93 +944,65 @@ let request_deadline_ms j =
         "deadline_ms must be a non-negative number; ignored";
       None
 
-let handle_parsed ?raw t j =
-  let id = request_id j in
-  let op = match Json.str_field ~default:"" "op" j with Ok v -> v | Error _ -> "" in
-  let raw = match raw with Some r -> r | None -> Json.to_string j in
-  t.pending_wal <- None;
-  match t.dedup with
-  | Some (req_digest, resp)
-    when String.equal req_digest (Digest.to_hex (Digest.string raw)) ->
-      (* Exactly-once across the crash window: the WAL logged this request
-         (with its response) but the dead daemon never answered it, and
-         recovery already replayed its effect.  Answer the logged response
-         without applying twice.  Relies on clients using unique request
-         ids, which make the raw-line digest unique. *)
-      t.dedup <- None;
-      resp
-  | _ -> (
-      t.dedup <- None;
-      try
-        if op = "" then
-          Robust.fail ~subsystem:"serve" ~operation:"dispatch"
-            "request has no \"op\" field";
-        let deadline_ms = request_deadline_ms j in
-        let fields =
-          Deadline.with_deadline_ms deadline_ms (fun () ->
-              Deadline.check ~operation:op;
-              Obs.with_span ("serve.op." ^ op) (fun () -> dispatch t op j))
-        in
-        let resp =
-          respond ~id (("ok", Json.Bool true) :: ("op", Json.Str op) :: fields)
-        in
-        wal_append_pending t ~raw resp;
-        flush_spill t;
-        resp
-      with
-      | Robust.Error c when c.Robust.subsystem = "deadline" ->
-          t.pending_wal <- None;
-          t.pending_spill <- None;
-          respond_timeout ~id c
-      | Robust.Error c ->
-          t.pending_wal <- None;
-          t.pending_spill <- None;
-          respond_error ~id c
-      | e ->
-          t.pending_wal <- None;
-          t.pending_spill <- None;
-          respond_error ~id
-            (Robust.context ~subsystem:"serve"
-               ~operation:(if op = "" then "dispatch" else op)
-               ("unexpected exception: " ^ Printexc.to_string e)))
-
-let handle_line t line =
+(* The one request path: every line, alone or in a group, is answered
+   here.  Parse failures, dedup, the deadline, the serve.op.<op> span,
+   the WAL append and the exception-to-envelope mapping all live in this
+   function. *)
+let handle_parsed t line parsed =
   Obs.incr c_requests;
-  Obs.with_span "serve.request" (fun () ->
-      match Json.parse line with
-      | Ok j -> handle_parsed ~raw:line t j
-      | Error msg -> (
+  Obs.with_span "serve.request" @@ fun () ->
+  match parsed with
+  | Error msg ->
+      (* Under Strict the repair raises this same context. *)
+      (try protocol_repair ~operation:"parse" msg with Robust.Error _ -> ());
+      respond_error ~id:Json.Null
+        (Robust.context ~subsystem:"serve" ~operation:"parse" msg)
+  | Ok j -> (
+      let id = request_id j in
+      let op = match Json.str_field ~default:"" "op" j with Ok v -> v | Error _ -> "" in
+      t.pending_wal <- None;
+      match t.dedup with
+      | Some (req_digest, resp)
+        when String.equal req_digest (Digest.to_hex (Digest.string line)) ->
+          (* Exactly-once across the crash window: the WAL logged this
+             request (with its response) but the dead daemon never
+             answered it, and recovery already replayed its effect.
+             Answer the logged response without applying twice.  Relies
+             on clients using unique request ids, which make the raw-line
+             digest unique. *)
+          t.dedup <- None;
+          resp
+      | _ -> (
+          t.dedup <- None;
           try
-            protocol_repair ~operation:"parse" msg;
-            respond_error ~id:Json.Null
-              (Robust.context ~subsystem:"serve" ~operation:"parse" msg)
-          with Robust.Error c -> respond_error ~id:Json.Null c))
+            if op = "" then
+              Robust.fail ~subsystem:"serve" ~operation:"dispatch"
+                "request has no \"op\" field";
+            let fields =
+              Deadline.with_deadline_ms (request_deadline_ms j) (fun () ->
+                  Deadline.check ~operation:op;
+                  Obs.with_span ("serve.op." ^ op) (fun () -> dispatch t op j))
+            in
+            let resp =
+              respond ~id (("ok", Json.Bool true) :: ("op", Json.Str op) :: fields)
+            in
+            wal_append_pending t ~raw:line resp;
+            flush_spill t;
+            resp
+          with e ->
+            t.pending_wal <- None;
+            t.pending_spill <- None;
+            respond_error ~id
+              (match e with
+              | Robust.Error c -> c
+              | e ->
+                  Robust.context ~subsystem:"serve"
+                    ~operation:(if op = "" then "dispatch" else op)
+                    ("unexpected exception: " ^ Printexc.to_string e))))
+
+let handle_line t line = handle_parsed t line (Json.parse line)
 
 (* ---- recovery ------------------------------------------------------ *)
-
-let edits_of_json ~operation j =
-  match Json.find "edits" j with
-  | Some (Json.Arr items) ->
-      List.map
-        (fun ej ->
-          let edge =
-            match Json.find "edge" ej with
-            | Some (Json.Num v) -> int_of_float v
-            | _ ->
-                Robust.fail ~subsystem:"serve.wal" ~operation
-                  "logged edit has no numeric edge field"
-          in
-          let form =
-            match Json.find "form" ej with
-            | Some fj -> form_of_json ~operation fj
-            | None ->
-                Robust.fail ~subsystem:"serve.wal" ~operation
-                  "logged edit has no form object"
-          in
-          (edge, form))
-        items
-  | _ ->
-      Robust.fail ~subsystem:"serve.wal" ~operation "record has no edits array"
 
 (* Replayed commits apply absolute forms through the same incremental
    update path a live commit uses; the incremental sweep is bit-identical
@@ -1023,77 +1026,32 @@ let apply_absolute_edits t ~operation edits =
     s.edited <- true
   end
 
-let record_dedup t j =
-  match (Json.find "req" j, Json.find "resp" j) with
+let record_dedup t ~req ~resp j =
+  match (Json.find req j, Json.find resp j) with
   | Some (Json.Str d), Some (Json.Str r) -> t.last_commit <- Some (d, r)
   | _ -> ()
 
 let apply_record t j =
   let operation = "replay" in
-  (match Json.str_field ~default:"" "kind" j with
-  | Ok "load" -> (
-      match Json.find "design" j with
-      | Some (Json.Str name) ->
-          ignore (load_design t name);
-          flush_spill t
-      | _ ->
-          Robust.fail ~subsystem:"serve.wal" ~operation
-            "load record has no design field")
-  | Ok "load_files" -> (
-      let str key =
-        match Json.find key j with Some (Json.Str s) -> Some s | _ -> None
-      in
-      match (str "verilog", str "liberty") with
-      | Some verilog, Some liberty ->
-          ignore (do_load_files t ~verilog ~liberty ~sdc:(str "sdc"));
-          flush_spill t
-      | _ ->
-          Robust.fail ~subsystem:"serve.wal" ~operation
-            "load_files record is missing verilog/liberty paths")
-  | Ok "whatif" -> apply_absolute_edits t ~operation (edits_of_json ~operation j)
-  | Ok "revert" ->
+  (match Json.find "kind" j with
+  | Some (Json.Str "whatif") ->
+      apply_absolute_edits t ~operation (edits_of_json ~operation j)
+  | Some (Json.Str "revert") ->
       if t.session <> None then begin
         ignore (op_revert t);
         t.pending_wal <- None
       end
-  | Ok k ->
-      Robust.fail ~subsystem:"serve.wal" ~operation
-        (Printf.sprintf "unknown WAL record kind %S" k)
-  | Error msg -> Robust.fail ~subsystem:"serve.wal" ~operation msg);
-  record_dedup t j
+  | _ -> ignore (load_origin ~replay:true t (origin_of_json ~wal:true ~operation j)));
+  record_dedup t ~req:"req" ~resp:"resp" j
 
 let restore_checkpoint t j =
   let operation = "checkpoint" in
   (match Json.find "session" j with
   | None | Some Json.Null -> ()
   | Some sj ->
-      let str key =
-        match Json.find key sj with Some (Json.Str s) -> Some s | _ -> None
-      in
-      (match str "kind" with
-      | Some "bundled" -> (
-          match str "design" with
-          | Some name ->
-              ignore (load_design t name);
-              flush_spill t
-          | None ->
-              Robust.fail ~subsystem:"serve.wal" ~operation
-                "bundled checkpoint has no design field")
-      | Some "files" -> (
-          match (str "verilog", str "liberty") with
-          | Some verilog, Some liberty ->
-              ignore (do_load_files t ~verilog ~liberty ~sdc:(str "sdc"));
-              flush_spill t
-          | _ ->
-              Robust.fail ~subsystem:"serve.wal" ~operation
-                "files checkpoint is missing verilog/liberty paths")
-      | _ ->
-          Robust.fail ~subsystem:"serve.wal" ~operation
-            "checkpoint session has no recognized kind");
+      ignore (load_origin ~replay:true t (origin_of_json ~wal:false ~operation sj));
       apply_absolute_edits t ~operation (edits_of_json ~operation sj));
-  match (Json.find "last_req" j, Json.find "last_resp" j) with
-  | Some (Json.Str d), Some (Json.Str r) -> t.last_commit <- Some (d, r)
-  | _ -> ()
+  record_dedup t ~req:"last_req" ~resp:"last_resp" j
 
 (* Startup recovery: restore the checkpointed session, then replay every
    WAL record past the checkpoint sequence number.  Store.replay_wal has
@@ -1127,80 +1085,53 @@ let create ?cache_dir ?max_queue ?checkpoint_every () =
 
 (* ---- pipelined batching ------------------------------------------- *)
 
-(* A request qualifies for sweep sharing when it is a quantile query with
-   an explicit scenario: those all evaluate over the pristine batch base,
-   so a maximal consecutive run of them is one Batch.run.  Identical
-   scenarios are deduplicated (scenario is a plain value record, so
-   structural equality is exact). *)
-let quantile_scenario j =
-  match Json.str_field ~default:"" "op" j with
-  | Ok "quantile" -> (
+(* The scenario of a quantile request that may share its sweep: one with
+   a scenario object and no deadline_ms (a deadline request runs its own
+   sweep under its own deadline). *)
+let shareable_scenario = function
+  | Ok j when Json.str_field ~default:"" "op" j = Ok "quantile"
+              && Json.find "deadline_ms" j = None -> (
       match Json.find "scenario" j with
       | Some (Json.Obj _ as sj) -> Some sj
       | _ -> None)
   | _ -> None
 
-let handle_quantile_group t group =
+(* Sweep sharing for a maximal run of shareable scenario quantiles: they
+   all read the pristine batch base, so every distinct scenario runs
+   once, in one Batch.run, and op_quantile answers each request of the
+   run from t.shared instead of its own sweep.  The batch engine is
+   bit-identical to independent runs, so sharing never changes a
+   response.  Scenarios are decoded under Strict: one that needs a
+   repair stays out of the table and is decoded by its own request, so
+   repair counters match an ungrouped stream.  A failed run fills
+   nothing and each request runs alone. *)
+let share_sweeps t scenarios =
   match t.session with
-  | None -> List.map (fun (_, j) -> handle_parsed t j) group
+  | None -> ()
   | Some s -> (
-      (* Decode every scenario first; a decode failure under strict policy
-         fails only that request. *)
+      let strictly f =
+        let policy = Robust.policy () in
+        Robust.set_policy Robust.Strict;
+        Fun.protect ~finally:(fun () -> Robust.set_policy policy) f
+      in
+      let keyed = List.map (fun sj -> (Json.to_string sj, sj)) scenarios in
       let decoded =
-        List.map
-          (fun (sj, j) ->
-            match Batch.scenario_of_json 0 sj with
-            | sc -> (j, Ok sc)
-            | exception Robust.Error c -> (j, Error c))
-          group
+        List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed
+        |> List.filter_map (fun (key, sj) ->
+               match strictly (fun () -> Batch.scenario_of_json 0 sj) with
+               | sc -> Some (key, sc)
+               | exception Robust.Error _ -> None)
       in
-      let scenarios =
-        List.filter_map
-          (function _, Ok sc -> Some sc | _, Error _ -> None)
-          decoded
-      in
-      let uniq = ref [] in
-      List.iter
-        (fun sc -> if not (List.mem sc !uniq) then uniq := sc :: !uniq)
-        scenarios;
-      let uniq = Array.of_list (List.rev !uniq) in
-      Obs.add c_batched (List.length group);
-      Obs.add c_shared (List.length scenarios - Array.length uniq);
-      match Batch.run (batch_base s) uniq with
-      | results ->
-          let result_for sc =
-            let rec find i =
-              if i >= Array.length uniq then None
-              else if uniq.(i) = sc then Some results.(i)
-              else find (i + 1)
-            in
-            find 0
-          in
-          List.map
-            (fun (j, d) ->
-              let id = request_id j in
-              match d with
-              | Error c -> respond_error ~id c
-              | Ok sc -> (
-                  Obs.incr c_requests;
-                  match result_for sc with
-                  | None ->
-                      respond_error ~id
-                        (Robust.context ~subsystem:"serve"
-                           ~operation:"quantile" "batched scenario lost")
-                  | Some r -> (
-                      try
-                        let yield = req_yield ~operation:"quantile" j in
-                        respond ~id
-                          (("ok", Json.Bool true)
-                          :: ("op", Json.Str "quantile")
-                          :: scenario_result_fields r ~yield)
-                      with Robust.Error c -> respond_error ~id c)))
-            decoded
-      | exception Robust.Error c ->
-          (* The shared run itself failed: every request in the group
-             degrades to that structured error. *)
-          List.map (fun (j, _) -> respond_error ~id:(request_id j) c) decoded)
+      if decoded <> [] then
+        match Batch.run (batch_base s) (Array.of_list (List.map snd decoded)) with
+        | results ->
+            List.iteri
+              (fun i (key, _) -> Hashtbl.replace t.shared key results.(i))
+              decoded;
+            let served = List.filter (fun (key, _) -> Hashtbl.mem t.shared key) keyed in
+            Obs.add c_batched (List.length served);
+            Obs.add c_shared (List.length served - List.length decoded)
+        | exception _ -> ())
 
 (* Load shedding: a structured refusal, not a dropped connection.  The
    retry-after hint is the queue bound times the smoothed per-request
@@ -1225,46 +1156,43 @@ let overloaded_response t line =
              "pending-request queue is full; request shed") );
     ]
 
-let rec take_n n = function
-  | [] -> ([], [])
-  | l when n <= 0 -> ([], l)
-  | x :: tl ->
-      let a, b = take_n (n - 1) tl in
-      (x :: a, b)
-
 let handle_lines t lines =
   let n = List.length lines in
   Obs.gauge_max g_queue_depth n;
   (* Bounded admission: everything past the queue cap is shed up front
      with a structured overloaded response (responses stay in request
      order - the shed tail is the newest work). *)
-  let accepted, shed =
-    if n <= t.max_queue then (lines, []) else take_n t.max_queue lines
-  in
+  let accepted = List.filteri (fun i _ -> i < t.max_queue) lines in
+  let shed = List.filteri (fun i _ -> i >= t.max_queue) lines in
   let t0 = Unix.gettimeofday () in
-  (* Split into maximal runs of batchable quantile requests vs. singles,
-     preserving order. *)
-  let flush_group acc group =
-    match group with
-    | [] -> acc
-    | g -> List.rev_append (handle_quantile_group t (List.rev g)) acc
+  (* Each line is parsed once and answered by handle_parsed.  A maximal
+     run of shareable scenario quantiles first shares its sweeps; the
+     table lives for that run only, since the next request may change
+     the session. *)
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (line, p, None) :: rest -> go (handle_parsed t line p :: acc) rest
+    | items ->
+        let rec split run = function
+          | ((_, _, Some _) as item) :: rest -> split (item :: run) rest
+          | rest -> (List.rev run, rest)
+        in
+        let run, rest = split [] items in
+        share_sweeps t (List.filter_map (fun (_, _, sj) -> sj) run);
+        let acc =
+          List.fold_left (fun acc (line, p, _) -> handle_parsed t line p :: acc) acc run
+        in
+        Hashtbl.reset t.shared;
+        go acc rest
   in
-  let acc, group =
-    List.fold_left
-      (fun (acc, group) line ->
-        match Json.parse line with
-        | Ok j -> (
-            match quantile_scenario j with
-            | Some sj -> (acc, (sj, j) :: group)
-            | None ->
-                let acc = flush_group acc group in
-                (handle_line t line :: acc, []))
-        | Error _ ->
-            let acc = flush_group acc group in
-            (handle_line t line :: acc, []))
-      ([], []) accepted
+  let responses =
+    go []
+      (List.map
+         (fun line ->
+           let p = Json.parse line in
+           (line, p, shareable_scenario p))
+         accepted)
   in
-  let responses = List.rev (flush_group acc group) in
   (match accepted with
   | [] -> ()
   | _ ->
@@ -1317,32 +1245,28 @@ let serve_connection t fd =
       try Unix.read fd chunk 0 (Bytes.length chunk)
       with Unix.Unix_error (Unix.EINTR, _, _) -> if t.stop then 0 else -1
     in
-    if n = 0 then begin
-      eof := true;
-      (* A final unterminated line still counts as a request. *)
-      if Buffer.length pending > 0 then begin
+    let lines =
+      if n = 0 then begin
+        eof := true;
+        (* A final unterminated line still counts as a request. *)
         let line = Buffer.contents pending in
         Buffer.clear pending;
-        if String.trim line <> "" then begin
-          write_all fd (handle_line t line ^ "\n");
-          Crash.tick "request"
-        end
+        [ line ]
       end
-    end
-    else if n > 0 then begin
-      Buffer.add_subbytes pending chunk 0 n;
-      let lines =
-        extract_lines () |> List.filter (fun l -> String.trim l <> "")
-      in
-      match lines with
-      | [] -> ()
-      | lines ->
-          let responses = handle_lines t lines in
-          write_all fd (String.concat "\n" responses ^ "\n");
-          (* The "request" crash point counts *answered* requests: it
-             fires only after the response bytes reached the socket. *)
-          List.iter (fun _ -> Crash.tick "request") responses
-    end
+      else if n > 0 then begin
+        Buffer.add_subbytes pending chunk 0 n;
+        extract_lines ()
+      end
+      else []
+    in
+    match List.filter (fun l -> String.trim l <> "") lines with
+    | [] -> ()
+    | lines ->
+        let responses = handle_lines t lines in
+        write_all fd (String.concat "\n" responses ^ "\n");
+        (* The "request" crash point counts *answered* requests: it
+           fires only after the response bytes reached the socket. *)
+        List.iter (fun _ -> Crash.tick "request") responses
   done
 
 (* The daemon exits 0 on graceful shutdown: either a {"op":"shutdown"}

@@ -96,16 +96,22 @@ val cache_size : t -> int
 val handle_line : t -> string -> string
 (** Process one request line, returning the response line (no trailing
     newline).  Catches {!Ssta_robust.Robust.Error} and unexpected
-    exceptions into error responses — the caller's loop never dies. *)
+    exceptions into error responses — the caller's loop never dies.
+    This is the one request path: {!handle_lines} sends every line of a
+    group through it too. *)
 
 val handle_lines : t -> string list -> string list
-(** Process a pipelined group of request lines, in order.  Maximal runs
-    of consecutive [quantile]-with-scenario requests are recomposed into
-    one {!Ssta_batch.Batch.run} (deduplicating identical scenarios), so
-    compatible queries share a single forward sweep; because the batch
-    engine is bit-identical to independent runs, the responses are
-    byte-identical to [List.map (handle_line t)] — grouping only trades
-    wall clock.  [test/test_serve.ml] pins that equivalence. *)
+(** Process a pipelined group of request lines, in order, each through
+    the request path of {!handle_line}.  Sharing is an optimisation
+    inside that path: before a maximal run of consecutive
+    [quantile]-with-scenario requests, each distinct scenario runs once
+    in one {!Ssta_batch.Batch.run}, and each request of the run reads its
+    result instead of sweeping again.  A request that carries
+    [deadline_ms] is never shared: it runs its own sweep under its own
+    deadline.  The batch engine is bit-identical to independent runs, so
+    the responses, and the [requests] / [errors] / [timeouts] counts in
+    [stats], equal those of [List.map (handle_line t)] — grouping only
+    trades wall clock.  [test/test_serve.ml] pins that equivalence. *)
 
 val run_daemon : ?socket:string -> ?preload:string list -> t -> unit
 (** Bind a unix-domain socket at [socket] (default ["hssta.sock"];

@@ -16,6 +16,7 @@ module Json = Ssta_json.Json
 module Serve = Ssta_serve.Serve
 module H = Hier_ssta
 module Rng = Ssta_gauss.Rng
+module Obs = Ssta_obs.Obs
 
 let with_policy policy f =
   let prev = Robust.policy () in
@@ -296,28 +297,96 @@ let grouping_corpus =
     req [ ("id", Json.Num 8.0); ("op", Json.Str "stats") ];
   ]
 
-(* stats output includes live counters, which legitimately differ between
-   grouped and sequential processing; compare all other lines. *)
-let comparable resp =
+(* Requests that carry a deadline are never shared: each runs its own
+   sweep under its own (here already expired) deadline and times out,
+   grouped or not. *)
+let deadline_corpus =
+  List.map
+    (fun id ->
+      req
+        [
+          ("id", Json.Num (float_of_int id));
+          ("op", Json.Str "quantile");
+          ("scenario", Json.Obj [ ("corner", Json.Str "slow") ]);
+          ("deadline_ms", Json.Num 0.0);
+        ])
+    [ 9; 10 ]
+  @ [ req [ ("id", Json.Num 11.0); ("op", Json.Str "stats") ] ]
+
+(* Under Strict an undecodable scenario inside a run fails alone, and is
+   counted as a request like any other. *)
+let strict_corpus =
+  [
+    req [ ("id", Json.Num 1.0); ("op", Json.Str "load"); ("design", Json.Str "c432") ];
+    scenario_quantile ~id:2 "slow" 1.0;
+    req
+      [
+        ("id", Json.Num 3.0);
+        ("op", Json.Str "quantile");
+        ("scenario", Json.Obj [ ("corner", Json.Str "typical") ]);
+      ];
+    scenario_quantile ~id:4 "slow" 1.0;
+    req [ ("id", Json.Num 5.0); ("op", Json.Str "stats") ];
+  ]
+
+let is_stats resp =
   match Json.parse resp with
-  | Ok j -> (match Json.str_field "op" j with Ok "stats" -> false | _ -> true)
-  | Error _ -> true
+  | Ok j -> Json.str_field "op" j = Ok "stats"
+  | Error _ -> false
 
-let run_corpus grouped =
-  let t = Serve.create () in
-  let responses =
-    if grouped then Serve.handle_lines t grouping_corpus
-    else List.map (Serve.handle_line t) grouping_corpus
-  in
-  List.filter comparable responses
+let stats_lines responses = List.map parse_resp (List.filter is_stats responses)
 
+(* Counters are process-global: each run starts from zero. *)
+let run_corpus ?(policy = Robust.Repair) corpus grouped =
+  with_policy policy (fun () ->
+      Obs.reset ();
+      let t = Serve.create () in
+      if grouped then Serve.handle_lines t corpus
+      else List.map (Serve.handle_line t) corpus)
+
+let with_obs f =
+  let was = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
+
+(* stats lines carry the sharing counters, which only a group moves;
+   every other line is byte-compared, and stats must agree on the
+   request, error and timeout counts. *)
 let test_grouping_equals_sequential () =
-  Alcotest.(check (list string))
-    "pipelined grouping is byte-identical to sequential handling"
-    (run_corpus false) (run_corpus true)
+  with_obs (fun () ->
+      List.iter
+        (fun (label, policy, corpus) ->
+          let single = run_corpus ~policy corpus false in
+          let grouped = run_corpus ~policy corpus true in
+          let others l = List.filter (fun r -> not (is_stats r)) l in
+          Alcotest.(check (list string))
+            (label ^ ": pipelined grouping is byte-identical to sequential handling")
+            (others single) (others grouped);
+          List.iter2
+            (fun s g ->
+              List.iter
+                (fun key ->
+                  Alcotest.(check (float 0.0))
+                    (Printf.sprintf "%s: stats %s" label key)
+                    (num label key s) (num label key g))
+                [ "requests"; "errors"; "timeouts" ])
+            (stats_lines single) (stats_lines grouped))
+        [
+          ("repair", Robust.Repair, grouping_corpus @ deadline_corpus);
+          ("strict", Robust.Strict, strict_corpus);
+        ];
+      (* Sharing on the corpus without deadlines: ids 2-5 are one run
+         (id 4 repeats id 2) and id 7 a run of its own. *)
+      match stats_lines (run_corpus grouping_corpus true) with
+      | [ j ] ->
+          Alcotest.(check (float 0.0)) "batched requests" 5.0
+            (num "stats" "batched_requests" j);
+          Alcotest.(check (float 0.0)) "shared sweeps" 1.0
+            (num "stats" "shared_sweeps" j)
+      | _ -> Alcotest.fail "expected one stats line")
 
 let test_responses_identical_across_domains () =
-  let at n = Par.with_domains n (fun () -> run_corpus true) in
+  let at n = Par.with_domains n (fun () -> run_corpus grouping_corpus true) in
   Alcotest.(check (list string))
     "response stream byte-identical at 1 vs 4 domains" (at 1) (at 4)
 
@@ -609,6 +678,146 @@ let test_wal_bit_flip () =
         "models still served from disk" true
         (cached_of "load after flip" (Serve.handle_line t2 load_c432)))
 
+(* The durable files as earlier builds frame them, written by hand:
+   "<md5 of payload> <payload>" lines, the checkpoint's session object
+   ("bundled" / "files" plus its committed edits and the dedup pair) and
+   the four WAL record kinds ("load", "load_files", "whatif", "revert").
+   A writer-reader round trip cannot catch a change that moves both
+   sides; these literals can.  Each recovered engine must answer like a
+   live engine that ran the equivalent requests, and must answer the
+   re-sent last logged request with its logged response. *)
+let framed payloads =
+  String.concat ""
+    (List.map
+       (fun p -> Digest.to_hex (Digest.string p) ^ " " ^ p ^ "\n")
+       payloads)
+
+let form_literal (f : Form.t) =
+  let g = Printf.sprintf "%.17g" in
+  let arr a = String.concat "," (Array.to_list (Array.map g a)) in
+  Printf.sprintf {|{"mean":%s,"rand":%s,"g":[%s],"p":[%s]}|} (g f.Form.mean)
+    (g f.Form.rand) (arr f.Form.globals) (arr f.Form.pcs)
+
+let c17 ext = "../examples/frontend/c17." ^ ext
+
+let c17_fields =
+  [
+    ("verilog", Json.Str (c17 "v"));
+    ("liberty", Json.Str (c17 "lib"));
+    ("sdc", Json.Str (c17 "sdc"));
+  ]
+
+let c17_literal =
+  Printf.sprintf {|"verilog":"%s","liberty":"%s","sdc":"%s"|} (c17 "v")
+    (c17 "lib") (c17 "sdc")
+
+(* The committed form of [set] on a pristine edge. *)
+let set_form (build : Ssta_timing.Build.t) edge mean =
+  form_literal { build.Ssta_timing.Build.forms.(edge) with Form.mean }
+
+let set_edit id edge v =
+  req
+    [
+      ("id", Json.Num (float_of_int id));
+      ("op", Json.Str "whatif");
+      ( "edits",
+        Json.Arr [ Json.Obj [ ("edge", Json.Num (float_of_int edge)); ("set", Json.Num v) ] ] );
+      ("commit", Json.Bool true);
+    ]
+
+let test_durable_formats_pinned () =
+  let module Build = Ssta_timing.Build in
+  let module FDesign = Ssta_frontend.Design in
+  let c432 = Build.characterize (Ssta_circuit.Iscas.build "c432") in
+  let c17_build =
+    Build.characterize
+      (FDesign.lower
+         (FDesign.load_files ~verilog:(c17 "v") ~liberty:(c17 "lib")
+            ~sdc:(c17 "sdc") ()))
+        .FDesign.netlist
+  in
+  let load_c17 = req (("op", Json.Str "load_files") :: c17_fields) in
+  let read id op = req [ ("id", Json.Num (float_of_int id)); ("op", Json.Str op) ] in
+  let field key resp =
+    match Json.find key (parse_resp resp) with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.failf "no %s in %s" key resp
+  in
+  (* [live] builds the state through ordinary requests; [queries] then
+     go to both engines.  The logged request [last] is re-sent first. *)
+  let recover label ~checkpoint ~wal ~last ~live ~queries =
+    let dir = fresh_dir () in
+    let write name doc =
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+          Out_channel.output_string oc doc)
+    in
+    Option.iter (fun p -> write "checkpoint" (framed [ p ])) checkpoint;
+    if wal <> [] then write "wal.jsonl" (framed wal);
+    let t = Serve.create ~cache_dir:dir () in
+    Alcotest.(check string)
+      (label ^ ": re-sent logged request answered from the log")
+      {|{"id":0,"logged":true}|} (Serve.handle_line t last);
+    let reference = Serve.create () in
+    List.iter (fun l -> ignore (check_ok label (Serve.handle_line reference l))) live;
+    let stats = read 99 "stats" in
+    List.iter2
+      (fun want got ->
+        if is_stats want then
+          List.iter
+            (fun key ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: stats %s" label key)
+                (field key want) (field key got))
+            [ "design"; "edited"; "n_edges" ]
+        else Alcotest.(check string) label want got)
+      (List.map (Serve.handle_line reference) (queries @ [ stats ]))
+      (List.map (Serve.handle_line t) (queries @ [ stats ]))
+  in
+  let digest line = Digest.to_hex (Digest.string line) in
+  let logged line = Printf.sprintf {|"req":"%s","resp":"{\"id\":0,\"logged\":true}"|} (digest line) in
+  (* 1. checkpoint only: bundled session with a committed edit *)
+  let last = set_edit 1 10 500.0 in
+  recover "bundled checkpoint"
+    ~checkpoint:
+      (Some
+         (Printf.sprintf
+            {|{"seq":1,"session":{"kind":"bundled","design":"c432","edits":[{"edge":10,"form":%s}]},"last_req":"%s","last_resp":"{\"id\":0,\"logged\":true}"}|}
+            (set_form c432 10 500.0) (digest last)))
+    ~wal:[] ~last
+    ~live:[ load_c432; set_edit 1 10 500.0 ]
+    ~queries:[ read 2 "quantile"; read 3 "report" ];
+  (* 2. files checkpoint, then a committed whatif and a revert *)
+  let revert = read 5 "revert" in
+  recover "files checkpoint + whatif + revert"
+    ~checkpoint:
+      (Some
+         (Printf.sprintf
+            {|{"seq":1,"session":{"kind":"files",%s,"edits":[{"edge":2,"form":%s}]}}|}
+            c17_literal (set_form c17_build 2 40.0)))
+    ~wal:
+      [
+        Printf.sprintf {|{"seq":2,"kind":"whatif","edits":[{"edge":3,"form":%s}],%s}|}
+          (set_form c17_build 3 30.0) (logged (set_edit 4 3 30.0));
+        Printf.sprintf {|{"seq":3,"kind":"revert",%s}|} (logged revert);
+      ]
+    ~last:revert ~live:[ load_c17 ]
+    ~queries:[ read 6 "quantile"; read 7 "report" ];
+  (* 3. WAL only: load, whatif, load_files, whatif *)
+  let last = set_edit 4 2 40.0 in
+  recover "load + load_files WAL"
+    ~checkpoint:None
+    ~wal:
+      [
+        Printf.sprintf {|{"seq":1,"kind":"load","design":"c432",%s}|} (logged load_c432);
+        Printf.sprintf {|{"seq":2,"kind":"whatif","edits":[{"edge":10,"form":%s}],%s}|}
+          (set_form c432 10 500.0) (logged (set_edit 2 10 500.0));
+        Printf.sprintf {|{"seq":3,"kind":"load_files",%s,%s}|} c17_literal (logged load_c17);
+        Printf.sprintf {|{"seq":4,"kind":"whatif","edits":[{"edge":2,"form":%s}],%s}|}
+          (set_form c17_build 2 40.0) (logged last);
+      ]
+    ~last ~live:[ load_c17; set_edit 4 2 40.0 ]
+    ~queries:[ read 5 "quantile"; read 6 "report"; read 7 "paths" ]
+
 (* Deadlines: an expired per-request deadline turns into a structured
    timeout response (never a wedged or dead engine), and the
    cancellation points inside Batch.run observe an armed deadline. *)
@@ -799,6 +1008,8 @@ let suites =
           test_recovery_bit_identity_domains;
         Alcotest.test_case "torn WAL repair/strict" `Quick test_wal_torn_tail;
         Alcotest.test_case "bit-flipped WAL dropped" `Quick test_wal_bit_flip;
+        Alcotest.test_case "durable formats pinned" `Quick
+          test_durable_formats_pinned;
         Alcotest.test_case "fuzzed WAL/cache files" `Quick test_wal_cache_fuzz;
         Alcotest.test_case "deadline timeout response" `Quick
           test_deadline_timeout_response;
