@@ -7,6 +7,7 @@ module Cholesky = Ssta_linalg.Cholesky
 module Sym_eig = Ssta_linalg.Sym_eig
 module Pca = Ssta_linalg.Pca
 module Rng = Ssta_gauss.Rng
+module Robust = Ssta_robust.Robust
 
 let close ?(tol = 1e-9) msg expected actual =
   Alcotest.(check (float tol)) msg expected actual
@@ -185,6 +186,277 @@ let test_pca_clamps_negative () =
     (Array.for_all (fun v -> v >= 0.0) p.Pca.values);
   Alcotest.(check int) "one retained" 1 p.Pca.retained
 
+(* ------------------------------------------------------------------ *)
+(* Jacobi oracle                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The array-of-arrays cyclic Jacobi that [Sym_eig.decompose] replaced,
+   kept verbatim as the oracle: the flat-storage implementation must
+   reproduce its values and vectors bit for bit. *)
+module Oracle = struct
+  module Robust = Ssta_robust.Robust
+
+  type decomposition = { values : float array; vectors : Mat.t }
+
+  let jacobi_residual = Robust.counter "robust.jacobi_residual"
+
+  let decompose ?(max_sweeps = 64) c =
+    let n, m = Mat.dims c in
+    if n <> m then invalid_arg "Sym_eig.decompose: matrix not square";
+    let scale =
+      let s = ref 1e-300 in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let x = Mat.get c i j in
+          if not (Robust.is_finite x) then
+            Robust.fail ~subsystem:"linalg.sym_eig" ~operation:"decompose"
+              ~indices:[ i; j ] ~values:[ x ] "non-finite matrix entry";
+          s := Float.max !s (abs_float x)
+        done
+      done;
+      !s
+    in
+    if not (Mat.is_symmetric ~tol:(1e-8 *. scale) c) then begin
+      (* Name the worst-offending entry pair in the error. *)
+      let bi = ref 0 and bj = ref 0 and bd = ref 0.0 in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let d = abs_float (Mat.get c i j -. Mat.get c j i) in
+          if d > !bd then begin
+            bd := d;
+            bi := i;
+            bj := j
+          end
+        done
+      done;
+      Robust.fail ~subsystem:"linalg.sym_eig" ~operation:"decompose"
+        ~indices:[ !bi; !bj ]
+        ~values:[ Mat.get c !bi !bj; Mat.get c !bj !bi ]
+        "matrix not symmetric"
+    end;
+    let a = Mat.to_arrays c in
+    let v = Mat.to_arrays (Mat.identity n) in
+    let off_norm () =
+      let s = ref 0.0 in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          s := !s +. (a.(i).(j) *. a.(i).(j))
+        done
+      done;
+      sqrt (2.0 *. !s)
+    in
+    let eps = 1e-13 *. float_of_int n *. scale in
+    let sweep = ref 0 in
+    while off_norm () > eps && !sweep < max_sweeps do
+      incr sweep;
+      for p = 0 to n - 2 do
+        for q = p + 1 to n - 1 do
+          let apq = a.(p).(q) in
+          if abs_float apq > 1e-300 then begin
+            let app = a.(p).(p) and aqq = a.(q).(q) in
+            let tau = (aqq -. app) /. (2.0 *. apq) in
+            let t =
+              let sign = if tau >= 0.0 then 1.0 else -1.0 in
+              sign /. (abs_float tau +. sqrt (1.0 +. (tau *. tau)))
+            in
+            let cth = 1.0 /. sqrt (1.0 +. (t *. t)) in
+            let sth = t *. cth in
+            (* Update rows/cols p and q of [a]. *)
+            for k = 0 to n - 1 do
+              let akp = a.(k).(p) and akq = a.(k).(q) in
+              a.(k).(p) <- (cth *. akp) -. (sth *. akq);
+              a.(k).(q) <- (sth *. akp) +. (cth *. akq)
+            done;
+            for k = 0 to n - 1 do
+              let apk = a.(p).(k) and aqk = a.(q).(k) in
+              a.(p).(k) <- (cth *. apk) -. (sth *. aqk);
+              a.(q).(k) <- (sth *. apk) +. (cth *. aqk)
+            done;
+            for k = 0 to n - 1 do
+              let vkp = v.(k).(p) and vkq = v.(k).(q) in
+              v.(k).(p) <- (cth *. vkp) -. (sth *. vkq);
+              v.(k).(q) <- (sth *. vkp) +. (cth *. vkq)
+            done
+          end
+        done
+      done
+    done;
+    (* The sweep cap is a hard iteration bound; verify the residual actually
+       converged.  For finite symmetric input cyclic Jacobi converges well
+       inside 64 sweeps, so this fires only on pathological inputs: Strict
+       raises, Repair/Warn accept the partial diagonalisation and count it. *)
+    let residual = off_norm () in
+    if residual > eps then
+      Robust.repair jacobi_residual
+        (Robust.context ~subsystem:"linalg.sym_eig" ~operation:"decompose"
+           ~indices:[ !sweep; max_sweeps ]
+           ~values:[ residual; eps ]
+           "sweep cap reached with off-diagonal residual above tolerance");
+    let order = Array.init n (fun i -> i) in
+    Array.sort (fun i j -> compare a.(j).(j) a.(i).(i)) order;
+    let values = Array.map (fun i -> a.(i).(i)) order in
+    let vectors = Mat.init n n (fun r c_ -> v.(r).(order.(c_))) in
+    { values; vectors }
+end
+
+(* Every bit of a decomposition, values then vectors row-major. *)
+let eig_bits values vectors =
+  let n = Array.length values in
+  Array.append
+    (Array.map Int64.bits_of_float values)
+    (Array.init (n * n) (fun k ->
+         Int64.bits_of_float (Mat.get vectors (k / n) (k mod n))))
+
+let eig_digest values vectors =
+  Digest.to_hex
+    (Digest.string
+       (String.concat " "
+          (Array.to_list
+             (Array.map (Printf.sprintf "%Lx") (eig_bits values vectors)))))
+
+(* Runs [f] under the Repair policy, returning its result and how many
+   times it bumped [robust.jacobi_residual]. *)
+let residual_repairs f =
+  let saved = Robust.policy () in
+  Robust.set_policy Robust.Repair;
+  Fun.protect ~finally:(fun () -> Robust.set_policy saved) @@ fun () ->
+  let before = Robust.value Oracle.jacobi_residual in
+  let r = f () in
+  (r, Robust.value Oracle.jacobi_residual - before)
+
+let check_against_oracle ?max_sweeps msg c =
+  let o, o_repairs =
+    residual_repairs (fun () -> Oracle.decompose ?max_sweeps c)
+  in
+  let d, d_repairs =
+    residual_repairs (fun () -> Sym_eig.decompose ?max_sweeps c)
+  in
+  Alcotest.(check int) (msg ^ ": residual repairs") o_repairs d_repairs;
+  Alcotest.(check bool) (msg ^ ": bitwise equal to the oracle") true
+    (eig_bits o.Oracle.values o.Oracle.vectors
+    = eig_bits d.Sym_eig.values d.Sym_eig.vectors);
+  d_repairs
+
+(* Random symmetric matrices of the shapes PCA meets: general, diagonal
+   (with repeats), rank-deficient, repeated eigenvalues, and symmetric only
+   to within the input tolerance (the lower triangle must be rotated too). *)
+let random_symmetric ~seed ~kind n =
+  let rng = Rng.create ~seed in
+  let lowrank r =
+    let b = random_mat rng n r in
+    Mat.mul b (Mat.transpose b)
+  in
+  match kind with
+  | 0 ->
+      let a = random_mat rng n n in
+      Mat.add a (Mat.transpose a)
+  | 1 ->
+      let d = Array.init n (fun _ -> float_of_int (Rng.int rng 4)) in
+      Mat.init n n (fun i j -> if i = j then d.(i) else 0.0)
+  | 2 -> lowrank (n / 3)
+  | 3 -> Mat.add (Mat.scale 2.0 (Mat.identity n)) (lowrank 2)
+  | _ ->
+      let c = random_spd rng n in
+      Mat.init n n (fun i j ->
+          let x = Mat.get c i j in
+          if i < j then x *. (1.0 +. 1e-12) else x)
+
+let eig_oracle_qcheck =
+  QCheck.Test.make ~count:200 ~name:"decompose is bitwise the Jacobi oracle"
+    QCheck.(quad (int_range 0 40) (int_range 0 4) bool small_nat)
+    (fun (n, kind, capped, seed) ->
+      let c = random_symmetric ~seed ~kind n in
+      let max_sweeps = if capped then Some 1 else None in
+      ignore
+        (check_against_oracle ?max_sweeps
+           (Printf.sprintf "n=%d kind=%d capped=%b seed=%d" n kind capped seed)
+           c);
+      true)
+
+(* The input checks raise the oracle's structured errors: non-finite entry,
+   asymmetry (naming the worst pair), and under Strict the sweep cap. *)
+let test_eig_oracle_errors () =
+  let error f =
+    match f () with
+    | _ -> Alcotest.fail "no error raised"
+    | exception Robust.Error ctx -> Robust.to_string ctx
+  in
+  let same msg ?max_sweeps c =
+    Alcotest.(check string) msg
+      (error (fun () -> ignore (Oracle.decompose ?max_sweeps c)))
+      (error (fun () -> ignore (Sym_eig.decompose ?max_sweeps c)))
+  in
+  let c = random_spd (Rng.create ~seed:10) 6 in
+  let poke i j f =
+    Mat.init 6 6 (fun r k ->
+        let x = Mat.get c r k in
+        if (r, k) = (i, j) then f x else x)
+  in
+  same "non-finite" (poke 4 1 (fun _ -> Float.infinity));
+  same "asymmetric" (poke 2 5 (fun x -> x +. 0.5));
+  let saved = Robust.policy () in
+  Robust.set_policy Robust.Strict;
+  Fun.protect ~finally:(fun () -> Robust.set_policy saved) @@ fun () ->
+  same "sweep cap under Strict" ~max_sweeps:1 c
+
+(* The real design-grid covariance matrices of the hierarchical flow:
+   extracted c6288 modules abutted 2x2 (Fig. 7, 100 tiles) and 3x3 (the
+   chain design, 225 tiles; its wiring does not change the grid). *)
+module H = Hier_ssta
+
+let c6288 =
+  lazy
+    (let build =
+       Ssta_timing.Build.characterize (Ssta_circuit.Iscas.build "c6288")
+     in
+     (build, H.Extract.extract build))
+
+let design_covariance fp =
+  Ssta_variation.Basis.local_covariance_matrix
+    (H.Design_grid.build fp).H.Design_grid.basis
+
+let fig7_floorplan () =
+  let build, model = Lazy.force c6288 in
+  H.Floorplan.mult_grid ~label:"c6288" ~build ~model ()
+
+let fig7_covariance = lazy (design_covariance (fig7_floorplan ()))
+
+let soc9_covariance =
+  lazy
+    (let build, model = Lazy.force c6288 in
+     let mdie = model.H.Timing_model.die in
+     let module Tile = Ssta_variation.Tile in
+     let w = Tile.width mdie and h = Tile.height mdie in
+     let inst k =
+       {
+         H.Floorplan.label = Printf.sprintf "c6288_%d" k;
+         build = Some build;
+         model;
+         origin = (float_of_int (k / 3) *. w, float_of_int (k mod 3) *. h);
+       }
+     in
+     design_covariance
+       (H.Floorplan.create
+          ~die:(Tile.make ~x0:0.0 ~y0:0.0 ~x1:(3.0 *. w) ~y1:(3.0 *. h))
+          ~instances:(Array.init 9 inst) ~connections:[||]))
+
+let test_eig_oracle_fig7 () =
+  let c = Lazy.force fig7_covariance in
+  Alcotest.(check (pair int int)) "100 tiles" (100, 100) (Mat.dims c);
+  ignore (check_against_oracle "fig7" c);
+  Alcotest.(check int) "one sweep leaves a residual" 1
+    (check_against_oracle ~max_sweeps:1 "fig7, one sweep" c);
+  (* Recorded from the array-of-arrays implementation, so the oracle and
+     [decompose] cannot drift together. *)
+  let d = Sym_eig.decompose c in
+  Alcotest.(check string) "fig7 PCA bits" "4a612abd1e5e84e53505c1023169c6d4"
+    (eig_digest d.Sym_eig.values d.Sym_eig.vectors)
+
+let test_eig_oracle_soc9 () =
+  let c = Lazy.force soc9_covariance in
+  Alcotest.(check (pair int int)) "225 tiles" (225, 225) (Mat.dims c);
+  ignore (check_against_oracle "3x3 chain" c)
+
 let mat_mul_assoc_qcheck =
   QCheck.Test.make ~count:100 ~name:"matrix multiplication associates"
     QCheck.(int_range 1 6)
@@ -221,6 +493,13 @@ let suites =
           test_pca_sample_covariance;
         Alcotest.test_case "pca clamps negatives" `Quick
           test_pca_clamps_negative;
+        Alcotest.test_case "eig oracle fig7 design grid" `Quick
+          test_eig_oracle_fig7;
+        Alcotest.test_case "eig oracle 3x3 design grid" `Quick
+          test_eig_oracle_soc9;
+        Alcotest.test_case "eig oracle input errors" `Quick
+          test_eig_oracle_errors;
+        q eig_oracle_qcheck;
         q mat_mul_assoc_qcheck;
       ] );
   ]

@@ -229,6 +229,31 @@ let test_c1908_screen_counters () =
     (cr.H.Criticality.exact_evals, cr.H.Criticality.screened_pairs)
     (tiled.H.Criticality.exact_evals, tiled.H.Criticality.screened_pairs)
 
+(* The design-grid PCA's Jacobi work on Fig. 7 (c6288 2x2, 100 tiles):
+   9 sweeps, each rotating all 4 950 pairs, published once per decompose
+   and pinned through the production path
+   [Design_grid.build] at 1 and 4 domains.  The counts change only when
+   the rotation sequence does.  Disabled, nothing is published. *)
+let test_fig7_jacobi_counters () =
+  with_obs @@ fun () ->
+  let fp = Test_linalg.fig7_floorplan () in
+  let counts () =
+    (Obs.find_counter "linalg.jacobi_sweeps", Obs.find_counter "linalg.jacobi_rotations")
+  in
+  List.iter
+    (fun domains ->
+      Obs.reset ();
+      Obs.enable ();
+      ignore (Par.with_domains domains (fun () -> H.Design_grid.build fp));
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "sweeps, rotations at %d domains" domains)
+        (9, 44_550) (counts ()))
+    [ 1; 4 ];
+  Obs.reset ();
+  Obs.disable ();
+  ignore (Ssta_linalg.Sym_eig.decompose (Lazy.force Test_linalg.fig7_covariance));
+  Alcotest.(check (pair int int)) "nothing published when disabled" (0, 0) (counts ())
+
 (* ------------------------------------------------------------------ *)
 (* JSONL trace sink                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -427,6 +452,8 @@ let suites =
           test_counter_totals_domain_invariant;
         Alcotest.test_case "criticality counters domain-invariant" `Quick
           test_criticality_counters_domain_invariant;
+        Alcotest.test_case "fig7 jacobi counters pinned" `Quick
+          test_fig7_jacobi_counters;
         Alcotest.test_case "c1908 screen counters pinned" `Quick
           test_c1908_screen_counters;
       ] );
