@@ -158,6 +158,103 @@ let blit src i dst j =
     A1.unsafe_set dst.data (od + k) (A1.unsafe_get src.data (os + k))
   done
 
+(* Independent-variable replacement (paper eq. (19)) straight into a
+   slot.  [Substitute m] rewrites each parameter's PC block x as M^T x with
+   exactly [Mat.tmul_vec]'s accumulation per output entry: start at 0.0,
+   then add x_i * M_ij for every non-zero x_i in ascending i.  Four
+   non-zero rows are register-blocked into one running value, so each
+   output entry is loaded and stored once per four rows while seeing the
+   same adds in the same order - bit-identical to the lone-row loop.
+   [Place] copies the block into its private design slots, zeros
+   elsewhere. *)
+type pc_map =
+  | Substitute of Ssta_linalg.Mat.t
+  | Place of { offset : int; tiles : int }
+
+let rec next_nonzero (x : float array) xo n i =
+  if i >= n || Array.unsafe_get x (xo + i) <> 0.0 then i
+  else next_nonzero x xo n (i + 1)
+
+let axpy_row (m : float array) ~cols ~a ~row (d : data) o =
+  let b = row * cols in
+  for j = 0 to cols - 1 do
+    A1.unsafe_set d (o + j)
+      (A1.unsafe_get d (o + j) +. (a *. Array.unsafe_get m (b + j)))
+  done
+
+(* [d.{o + j} <- sum_i x.(xo + i) * m.(i * cols + j)] over the [n] rows;
+   the [cols] output entries must be zero on entry. *)
+let tmul_block (m : float array) ~cols (x : float array) xo n (d : data) o =
+  let i0 = ref (next_nonzero x xo n 0) in
+  while !i0 < n do
+    let i1 = next_nonzero x xo n (!i0 + 1) in
+    let i2 = if i1 < n then next_nonzero x xo n (i1 + 1) else n in
+    let i3 = if i2 < n then next_nonzero x xo n (i2 + 1) else n in
+    if i3 < n then begin
+      let a0 = Array.unsafe_get x (xo + !i0)
+      and a1 = Array.unsafe_get x (xo + i1)
+      and a2 = Array.unsafe_get x (xo + i2)
+      and a3 = Array.unsafe_get x (xo + i3) in
+      let b0 = !i0 * cols and b1 = i1 * cols and b2 = i2 * cols
+      and b3 = i3 * cols in
+      for j = 0 to cols - 1 do
+        A1.unsafe_set d (o + j)
+          (A1.unsafe_get d (o + j)
+           +. (a0 *. Array.unsafe_get m (b0 + j))
+           +. (a1 *. Array.unsafe_get m (b1 + j))
+           +. (a2 *. Array.unsafe_get m (b2 + j))
+           +. (a3 *. Array.unsafe_get m (b3 + j)))
+      done;
+      i0 := next_nonzero x xo n (i3 + 1)
+    end
+    else begin
+      axpy_row m ~cols ~a:(Array.unsafe_get x (xo + !i0)) ~row:!i0 d o;
+      if i1 < n then axpy_row m ~cols ~a:(Array.unsafe_get x (xo + i1)) ~row:i1 d o;
+      if i2 < n then axpy_row m ~cols ~a:(Array.unsafe_get x (xo + i2)) ~row:i2 d o;
+      i0 := n
+    end
+  done
+
+let replace_into ~map ~(src : Form.t) ~dst ~idst =
+  check_slot dst idst "replace_into";
+  let ng = dst.dims.Form.n_globals and np = dst.dims.Form.n_pcs in
+  let rows, fits =
+    match map with
+    | Substitute m -> (m.Ssta_linalg.Mat.rows, ng * m.Ssta_linalg.Mat.cols = np)
+    | Place { offset; tiles } ->
+        (tiles, offset >= 0 && ng * (offset + tiles) <= np)
+  in
+  if
+    (not fits)
+    || Array.length src.Form.globals <> ng
+    || Array.length src.Form.pcs <> ng * rows
+  then invalid_arg "Form_buf.replace_into: form does not match the bases";
+  let design = if ng = 0 then 0 else np / ng in
+  let d = dst.data and od = idst * dst.stride in
+  A1.unsafe_set d od src.Form.mean;
+  for k = 0 to ng - 1 do
+    A1.unsafe_set d (od + 1 + k) (Array.unsafe_get src.Form.globals k)
+  done;
+  let pc0 = od + 1 + ng in
+  for k = pc0 to pc0 + np - 1 do
+    A1.unsafe_set d k 0.0
+  done;
+  (match map with
+  | Substitute m ->
+      for k = 0 to ng - 1 do
+        tmul_block m.Ssta_linalg.Mat.data ~cols:design src.Form.pcs (k * rows)
+          rows d (pc0 + (k * design))
+      done
+  | Place { offset; tiles } ->
+      for k = 0 to ng - 1 do
+        for i = 0 to tiles - 1 do
+          A1.unsafe_set d
+            (pc0 + (k * design) + offset + i)
+            (Array.unsafe_get src.Form.pcs ((k * tiles) + i))
+        done
+      done);
+  A1.unsafe_set d (od + dst.stride - 1) src.Form.rand
+
 let mean t i = A1.unsafe_get t.data (i * t.stride)
 let rand_coeff t i = A1.unsafe_get t.data ((i * t.stride) + t.stride - 1)
 

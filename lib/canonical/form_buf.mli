@@ -93,6 +93,29 @@ val blit : t -> int -> t -> int -> unit
 (** [blit src i dst j] copies slot [i] of [src] over slot [j] of [dst].
     The buffers must have equal dims. *)
 
+(** {1 Basis replacement} *)
+
+(** How a module-basis PC block maps onto the design basis of the
+    destination buffer (paper eq. (19)). *)
+type pc_map =
+  | Substitute of Ssta_linalg.Mat.t
+      (** the replacement matrix M (module tiles x design tiles): the
+          block x becomes M{^T}x *)
+  | Place of { offset : int; tiles : int }
+      (** the block of [tiles] coefficients goes to design slots
+          [offset .. offset + tiles - 1], every other slot is zero *)
+
+val replace_into : map:pc_map -> src:Form.t -> dst:t -> idst:int -> unit
+(** Slot [idst] of [dst] becomes [src], a form over a module basis with
+    the same process parameters, rewritten over [dst]'s basis: mean,
+    globals and random coefficient are copied and each parameter's PC
+    block goes through [map].  Under [Substitute m] every output entry is
+    accumulated exactly like {!Ssta_linalg.Mat.tmul_vec}: from 0.0, adding
+    [x_i * M_ij] for every non-zero [x_i] in ascending [i], so the slot is
+    bit-identical to the boxed per-block product.  Allocates nothing;
+    concurrent calls on disjoint slots of one buffer are safe.  Raises
+    [Invalid_argument] when the shapes disagree. *)
+
 (** {1 Scalar probes} — read straight out of the flat buffer. *)
 
 val mean : t -> int -> float

@@ -120,26 +120,44 @@ let extract ?domains ?delta b =
 
 let extract_design ?domains ?(delta = 0.05) ~name (fp : Floorplan.t)
     (dg : Design_grid.t) (res : Hier_analysis.result) =
+  let module Form_buf = Ssta_canonical.Form_buf in
   let t0 = Unix.gettimeofday () in
   let g = res.Hier_analysis.graph in
+  let slab = res.Hier_analysis.forms in
   let forms =
     CForm.sanitize_forms ~subsystem:"extract" ~operation:"extract_design"
-      res.Hier_analysis.forms
+      (Array.init (Form_buf.length slab) (Form_buf.get slab))
   in
   let _crit, graph, rforms, stats =
     reduce_and_stats ?domains ~delta ~t0 g forms
   in
   (* Each design output is an instance output port; its load increment is
-     the instance's, rewritten over the design basis. *)
+     the instance's, rewritten over the design basis by the replacement
+     kernel - one matrix per driving instance, built when the instance
+     first drives a design output. *)
   let output_load =
     Obs.with_span "extract.output_load" (fun () ->
-        Array.map
-          (fun ({ Floorplan.inst; port } as _p) ->
+        let maps = Array.make (Array.length fp.Floorplan.instances) None in
+        let map_of inst =
+          match maps.(inst) with
+          | Some m -> m
+          | None ->
+              let m = Replace.pc_map dg fp ~mode:Replace.Replaced ~inst in
+              maps.(inst) <- Some m;
+              m
+        in
+        let outs = fp.Floorplan.ext_outputs in
+        let buf =
+          Form_buf.create dg.Design_grid.basis.Ssta_variation.Basis.dims
+            (Array.length outs)
+        in
+        Array.iteri
+          (fun o { Floorplan.inst; port } ->
             let model = fp.Floorplan.instances.(inst).Floorplan.model in
-            let m = Some (Replace.matrix dg fp ~inst) in
-            Replace.transform_form dg ~mode:Replace.Replaced ~m ~inst
-              model.Timing_model.output_load.(port))
-          fp.Floorplan.ext_outputs)
+            Form_buf.replace_into ~map:(map_of inst)
+              ~src:model.Timing_model.output_load.(port) ~dst:buf ~idst:o)
+          outs;
+        Array.init (Array.length outs) (Form_buf.get buf))
   in
   {
     Timing_model.name;

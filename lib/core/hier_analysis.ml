@@ -6,14 +6,15 @@ module Build = Ssta_timing.Build
 
 type result = {
   graph : Tgraph.t;
-  forms : Form.t array;
-  arrival : Form.t option array;
+  forms : Form_buf.t;
   po_delays : Form.t option array;
   delay : Form.t;
   setup_seconds : float;
   propagate_seconds : float;
   wall_seconds : float;
 }
+
+module Obs = Ssta_obs.Obs
 
 let stitch_vertices graphs =
   let n = Array.length graphs in
@@ -26,10 +27,31 @@ let stitch_vertices graphs =
     graphs;
   (offsets, !total)
 
+(* Sweep the edge slab from the graph's inputs and box only the outputs. *)
+let sweep_outputs ws graph forms =
+  Propagate.forward_into ws graph ~forms ~sources:graph.Tgraph.inputs;
+  Array.map (Propagate.ws_form ws) graph.Tgraph.outputs
+
+(* Left fold of [Form.max2] over the reached outputs in output order: the
+   bits [Propagate.max_over] gives on the full arrival array. *)
+let max_delay ~operation po =
+  let fold acc x =
+    match (acc, x) with
+    | None, x | x, None -> x
+    | Some a, Some b -> Some (Form.max2 a b)
+  in
+  match Array.fold_left fold None po with
+  | Some d -> d
+  | None ->
+      Ssta_robust.Robust.fail ~subsystem:"hier_analysis" ~operation
+        ~indices:[ Array.length po ]
+        "no design output is reachable from any design input"
+
 let analyze ?workspace (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
-  let sp_setup = Ssta_obs.Obs.span_begin "hier.setup" in
+  let sp_setup = Obs.span_begin "hier.setup" in
   let t0 = Unix.gettimeofday () in
   let instances = fp.Floorplan.instances in
+  let n_inst = Array.length instances in
   let graphs =
     Array.map (fun i -> i.Floorplan.model.Timing_model.graph) instances
   in
@@ -51,93 +73,111 @@ let analyze ?workspace (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
     (fun row ->
       Array.iteri (fun p k -> row.(p) <- max 0 (k - 1)) row)
     extra_sinks;
-  let edges = ref [] and forms = ref [] in
-  Array.iteri
-    (fun i inst ->
-      let g = graphs.(i) in
-      let model = inst.Floorplan.model in
-      (* Validated boundary: instance models arrive from disk or from
-         earlier extractions; their forms and load increments are checked
-         (and, under Repair/Warn, sanitized) before stitching. *)
-      let model_forms =
-        Form.sanitize_forms ~subsystem:"hier_analysis"
-          ~operation:("analyze:" ^ inst.Floorplan.label)
-          model.Timing_model.forms
-      in
-      let load_forms =
-        Form.sanitize_forms ~subsystem:"hier_analysis"
-          ~operation:("analyze.output_load:" ^ inst.Floorplan.label)
-          model.Timing_model.output_load
-      in
-      (* Output-port index per model vertex (for load increments). *)
-      let port_of_vertex = Array.make (Tgraph.n_vertices g) (-1) in
-      Array.iteri
-        (fun p v -> port_of_vertex.(v) <- p)
-        g.Tgraph.outputs;
-      let base_forms =
-        Array.mapi
-          (fun e f ->
-            let p = port_of_vertex.(g.Tgraph.dst.(e)) in
-            if p >= 0 && extra_sinks.(i).(p) > 0 then
-              Form.add f
-                (Form.scale
-                   (float_of_int extra_sinks.(i).(p))
-                   load_forms.(p))
-            else f)
-          model_forms
-      in
-      let tf = Replace.transform_instance dg fp ~mode ~inst:i base_forms in
-      Array.iteri
-        (fun e s ->
-          edges := (offsets.(i) + s, offsets.(i) + g.Tgraph.dst.(e)) :: !edges;
-          forms := tf.(e) :: !forms)
-        g.Tgraph.src)
-    instances;
   let port_in { Floorplan.inst; port } =
     offsets.(inst) + graphs.(inst).Tgraph.inputs.(port)
   in
   let port_out { Floorplan.inst; port } =
     offsets.(inst) + graphs.(inst).Tgraph.outputs.(port)
   in
-  Array.iter
-    (fun (src, dst) ->
-      edges := (port_out src, port_in dst) :: !edges;
-      forms := Form.constant dims 0.0 :: !forms)
+  (* Stitch first.  The design graph is sorted from the edge list this flow
+     has always built - module edges instance by instance, then the
+     interconnect, the whole list reversed - so [make_sorted]'s order, and
+     with it every fanin fold, is unchanged.  [first.(i)] is the position
+     of instance [i]'s edge 0 in that list before the reversal. *)
+  let first = Array.make (n_inst + 1) 0 in
+  Array.iteri (fun i g -> first.(i + 1) <- first.(i) + Tgraph.n_edges g) graphs;
+  let n_module = first.(n_inst) in
+  let n_edges = n_module + Array.length fp.Floorplan.connections in
+  let edges = Array.make n_edges (0, 0) in
+  let put p e = edges.(n_edges - 1 - p) <- e in
+  Array.iteri
+    (fun i g ->
+      Array.iteri
+        (fun e s ->
+          put (first.(i) + e) (offsets.(i) + s, offsets.(i) + g.Tgraph.dst.(e)))
+        g.Tgraph.src)
+    graphs;
+  Array.iteri
+    (fun c (src, dst) -> put (n_module + c) (port_out src, port_in dst))
     fp.Floorplan.connections;
   let inputs = Array.map port_in fp.Floorplan.ext_inputs in
   let outputs = Array.map port_out fp.Floorplan.ext_outputs in
-  let edges = Array.of_list !edges and weights = Array.of_list !forms in
   let graph, perm = Tgraph.make_sorted ~n_vertices ~edges ~inputs ~outputs in
-  let forms = Array.map (fun i -> weights.(i)) perm in
+  (* [slot.(p)]: the design slot of module edge [p]; interconnect slots
+     keep the zero form the slab starts as. *)
+  let slot = Array.make n_module 0 in
+  Array.iteri
+    (fun s o ->
+      let p = n_edges - 1 - o in
+      if p < n_module then slot.(p) <- s)
+    perm;
+  let forms = Form_buf.create dims n_edges in
+  Obs.with_span "replace.transform_instance" (fun () ->
+      (* Validation, load increments and the replacement matrices run here
+         in the calling domain, instance by instance, so robust repairs
+         and strict errors come in the same order as a sequential flow;
+         only the slot kernel fans out, each task writing its own
+         instance's slots. *)
+      let jobs =
+        Array.mapi
+          (fun i inst ->
+            let g = graphs.(i) in
+            let model = inst.Floorplan.model in
+            (* Validated boundary: instance models arrive from disk or from
+               earlier extractions; their forms and load increments are
+               checked (and, under Repair/Warn, sanitized) before
+               stitching. *)
+            let model_forms =
+              Form.sanitize_forms ~subsystem:"hier_analysis"
+                ~operation:("analyze:" ^ inst.Floorplan.label)
+                model.Timing_model.forms
+            in
+            let load_forms =
+              Form.sanitize_forms ~subsystem:"hier_analysis"
+                ~operation:("analyze.output_load:" ^ inst.Floorplan.label)
+                model.Timing_model.output_load
+            in
+            (* Output-port index per model vertex (for load increments). *)
+            let port_of_vertex = Array.make (Tgraph.n_vertices g) (-1) in
+            Array.iteri
+              (fun p v -> port_of_vertex.(v) <- p)
+              g.Tgraph.outputs;
+            let base_forms =
+              Array.mapi
+                (fun e f ->
+                  let p = port_of_vertex.(g.Tgraph.dst.(e)) in
+                  if p >= 0 && extra_sinks.(i).(p) > 0 then
+                    Form.add f
+                      (Form.scale
+                         (float_of_int extra_sinks.(i).(p))
+                         load_forms.(p))
+                  else f)
+                model_forms
+            in
+            (Replace.pc_map dg fp ~mode ~inst:i, base_forms))
+          instances
+      in
+      Ssta_par.Par.run_tasks ~n_tasks:n_inst ~init:ignore
+        ~task:(fun () i ->
+          let map, base_forms = jobs.(i) in
+          Replace.transform_into map base_forms ~dst:forms
+            ~slot:(fun e -> slot.(first.(i) + e)))
+        ());
   let t1 = Unix.gettimeofday () in
-  Ssta_obs.Obs.span_end sp_setup;
-  let sp_prop = Ssta_obs.Obs.span_begin "hier.propagate" in
-  (* Kernel-tier sweep: the stitched design graph is propagated through a
-     (possibly caller-owned, reused) workspace; only the exported per-vertex
-     option array is materialized afterwards. *)
-  let fbuf = Form_buf.of_forms dims forms in
+  Obs.span_end sp_setup;
+  let sp_prop = Obs.span_begin "hier.propagate" in
+  (* Kernel-tier sweep of the slab through a (possibly caller-owned,
+     reused) workspace; only the design outputs are boxed. *)
   let ws =
     match workspace with Some ws -> ws | None -> Propagate.create_workspace ()
   in
-  Propagate.forward_into ws graph ~forms:fbuf ~sources:graph.Tgraph.inputs;
-  let arrival =
-    Array.init (Tgraph.n_vertices graph) (fun v -> Propagate.ws_form ws v)
-  in
-  let po_delays = Array.map (fun v -> arrival.(v)) graph.Tgraph.outputs in
-  let delay =
-    match Propagate.max_over arrival graph.Tgraph.outputs with
-    | Some d -> d
-    | None ->
-        Ssta_robust.Robust.fail ~subsystem:"hier_analysis" ~operation:"analyze"
-          ~indices:[ Array.length outputs ]
-          "no design output is reachable from any design input"
-  in
+  let po_delays = sweep_outputs ws graph forms in
+  let delay = max_delay ~operation:"analyze" po_delays in
   let t2 = Unix.gettimeofday () in
-  Ssta_obs.Obs.span_end sp_prop;
+  Obs.span_end sp_prop;
   {
     graph;
     forms;
-    arrival;
     po_delays;
     delay;
     setup_seconds = t1 -. t0;
@@ -216,44 +256,40 @@ let flatten (fp : Floorplan.t) (dg : Design_grid.t) =
 
 let flat_form (fp : Floorplan.t) (dg : Design_grid.t) =
   let graph, payload = flatten_graph fp in
-  let dims = dg.Design_grid.basis.Basis.dims in
   let dbasis = dg.Design_grid.basis in
-  let forms =
-    Array.map
-      (function
-        | `Interconnect -> Form.constant dims 0.0
-        | `Module (i, e) ->
-            let s =
-              match fp.Floorplan.instances.(i).Floorplan.build with
-              | Some b -> b.Build.sparse.(e)
-              | None -> assert false (* flatten_graph already checked *)
-            in
-            Basis.delay_form dbasis ~nominal:s.Build.nominal
-              ~tile:(Design_grid.design_tile_of_instance dg ~inst:i s.Build.tile)
-              ~sens:s.Build.sens
-              ~extra_random_sigma:
-                (let vr = dbasis.Basis.corr.Ssta_variation.Correlation.var_random in
-                 let param_rand =
-                   Array.fold_left
-                     (fun acc sv ->
-                       acc +. (s.Build.nominal *. sv *. s.Build.nominal *. sv *. vr))
-                     0.0 s.Build.sens
-                 in
-                 sqrt (Float.max 0.0 ((s.Build.random_sigma *. s.Build.random_sigma) -. param_rand)))
-              (* delay_form re-adds the parameter random variance; pass only
-                 the load component so the total random sigma matches the
-                 module characterization *))
-      payload
-  in
-  let ws = Propagate.create_workspace () in
-  Propagate.forward_into ws graph ~forms:(Form_buf.of_forms dims forms)
-    ~sources:graph.Tgraph.inputs;
-  let arrival =
-    Array.init (Tgraph.n_vertices graph) (fun v -> Propagate.ws_form ws v)
-  in
-  match Propagate.max_over arrival graph.Tgraph.outputs with
-  | Some d -> d
-  | None ->
-      Ssta_robust.Robust.fail ~subsystem:"hier_analysis" ~operation:"flat_form"
-        ~indices:[ Array.length graph.Tgraph.outputs ]
-        "no design output is reachable from any design input"
+  let forms = Form_buf.create dbasis.Basis.dims (Array.length payload) in
+  Array.iteri
+    (fun slot -> function
+      | `Interconnect -> () (* the zero form the slab starts as *)
+      | `Module (i, e) ->
+          let s =
+            match fp.Floorplan.instances.(i).Floorplan.build with
+            | Some b -> b.Build.sparse.(e)
+            | None -> assert false (* flatten_graph already checked *)
+          in
+          Form_buf.set forms slot
+            (Basis.delay_form dbasis ~nominal:s.Build.nominal
+               ~tile:
+                 (Design_grid.design_tile_of_instance dg ~inst:i s.Build.tile)
+               ~sens:s.Build.sens
+               ~extra_random_sigma:
+                 (let vr =
+                    dbasis.Basis.corr.Ssta_variation.Correlation.var_random
+                  in
+                  let param_rand =
+                    Array.fold_left
+                      (fun acc sv ->
+                        acc
+                        +. (s.Build.nominal *. sv *. s.Build.nominal *. sv *. vr))
+                      0.0 s.Build.sens
+                  in
+                  sqrt
+                    (Float.max 0.0
+                       ((s.Build.random_sigma *. s.Build.random_sigma)
+                       -. param_rand)))
+               (* delay_form re-adds the parameter random variance; pass
+                  only the load component so the total random sigma matches
+                  the module characterization *)))
+    payload;
+  max_delay ~operation:"flat_form"
+    (sweep_outputs (Propagate.create_workspace ()) graph forms)

@@ -8,16 +8,26 @@
     reference (the paper's golden comparison for Fig. 7). *)
 
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type result = {
   graph : Tgraph.t;  (** the stitched design-level graph *)
-  forms : Form.t array;
-  arrival : Form.t option array;
-  po_delays : Form.t option array;  (** per design PO *)
-  delay : Form.t;  (** design delay: statistical max over POs *)
+  forms : Form_buf.t;
+      (** the design-level edge forms, one slot per edge of [graph] in its
+          edge order: every instance edge rewritten over the design basis
+          (written by the replacement kernel straight into this slab),
+          every interconnect edge the zero form.  Never boxed on the
+          analysis path; {!Extract.extract_design} boxes it. *)
+  po_delays : Form.t option array;
+      (** per design PO, in [graph.outputs] order; [None] where no design
+          input reaches it.  These and [delay] are the only boxed forms
+          an analysis builds. *)
+  delay : Form.t;
+      (** design delay: the left fold of [Form.max2] over the reached
+          [po_delays], in output order *)
   setup_seconds : float;
-      (** one-time design-load cost: variable replacement + stitching *)
+      (** one-time design-load cost: stitching + variable replacement *)
   propagate_seconds : float;
       (** per-analysis cost: the design-level arrival propagation (what the
           paper's speedup-vs-Monte-Carlo comparison is about) *)
@@ -30,7 +40,13 @@ val analyze :
   Design_grid.t ->
   mode:Replace.mode ->
   result
-(** Raises [Failure] if no design output is reachable.  [workspace] lets a
+(** Stitches the instance graphs into [graph], writes each instance's
+    replaced edge forms into the [forms] slab (replacement matrices in the
+    calling domain, the slot kernel spread over {!Ssta_par.Par}'s domains;
+    the slots are disjoint, so the result is bit-identical at every domain
+    count), sweeps the slab and boxes only the outputs.
+
+    Raises [Failure] if no design output is reachable.  [workspace] lets a
     caller running many analyses (what-if sweeps, incremental re-analysis)
     reuse one propagation workspace across calls instead of allocating a
     fresh one per analysis. *)
@@ -46,4 +62,5 @@ val flat_form :
   Floorplan.t -> Design_grid.t -> Form.t
 (** Canonical SSTA on the flattened design over the design basis (no model
     extraction involved) - the "flat SSTA" reference separating model
-    compression error from hierarchical propagation error. *)
+    compression error from hierarchical propagation error.  Like
+    {!analyze}, it sweeps one edge slab and boxes only the outputs. *)

@@ -1,4 +1,5 @@
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Mat = Ssta_linalg.Mat
 module Pca = Ssta_linalg.Pca
 module Basis = Ssta_variation.Basis
@@ -59,44 +60,45 @@ let matrix (dg : Design_grid.t) (fp : Floorplan.t) ~inst =
         let x = Mat.get m i j in
         if Robust.is_finite x then x else 0.0)
 
-let transform_form (dg : Design_grid.t) ~mode ~m ~inst (f : Form.t) =
-  let dbasis = dg.Design_grid.basis in
-  let n_params = dbasis.Basis.n_params in
-  let m_design = Basis.n_tiles dbasis in
-  let n_mod = dg.Design_grid.instance_n_tiles.(inst) in
-  if Array.length f.Form.pcs <> n_params * n_mod then
-    invalid_arg "Replace.transform_form: form does not match module basis";
-  let pcs = Array.make (n_params * m_design) 0.0 in
-  (match mode with
-  | Replaced ->
-      let m =
-        match m with
-        | Some m -> m
-        | None -> invalid_arg "Replace.transform_form: missing matrix"
-      in
-      for k = 0 to n_params - 1 do
-        let block = Array.sub f.Form.pcs (k * n_mod) n_mod in
-        let out = Mat.tmul_vec m block in
-        Array.blit out 0 pcs (k * m_design) m_design
-      done
-  | Global_only ->
-      (* Identity into the instance's private design slots: within-module
-         correlation is preserved, cross-module local correlation dropped. *)
-      let offset = dg.Design_grid.instance_tile_offset.(inst) in
-      for k = 0 to n_params - 1 do
-        for i = 0 to n_mod - 1 do
-          pcs.((k * m_design) + offset + i) <- f.Form.pcs.((k * n_mod) + i)
-        done
-      done);
-  Form.make ~mean:f.Form.mean ~globals:(Array.copy f.Form.globals) ~pcs
-    ~rand:f.Form.rand
+(* Identity into the instance's private design slots: within-module
+   correlation is preserved, cross-module local correlation dropped. *)
+let place (dg : Design_grid.t) ~inst =
+  Form_buf.Place
+    {
+      offset = dg.Design_grid.instance_tile_offset.(inst);
+      tiles = dg.Design_grid.instance_n_tiles.(inst);
+    }
+
+let pc_map dg fp ~mode ~inst =
+  match mode with
+  | Replaced -> Form_buf.Substitute (matrix dg fp ~inst)
+  | Global_only -> place dg ~inst
+
+let transform_into map forms ~dst ~slot =
+  Obs.add c_forms_transformed (Array.length forms);
+  Array.iteri
+    (fun e src -> Form_buf.replace_into ~map ~src ~dst ~idst:(slot e))
+    forms
+
+let design_buf (dg : Design_grid.t) n =
+  Form_buf.create dg.Design_grid.basis.Basis.dims n
+
+(* The boxed entry points below are thin wrappers over the slot kernel,
+   for tests and API edges; the design-level flow writes its slab
+   directly through [transform_into]. *)
+let transform_form dg ~mode ~m ~inst f =
+  let map =
+    match (mode, m) with
+    | Replaced, Some m -> Form_buf.Substitute m
+    | Replaced, None -> invalid_arg "Replace.transform_form: missing matrix"
+    | Global_only, _ -> place dg ~inst
+  in
+  let buf = design_buf dg 1 in
+  Form_buf.replace_into ~map ~src:f ~dst:buf ~idst:0;
+  Form_buf.get buf 0
 
 let transform_instance dg fp ~mode ~inst forms =
   Obs.with_span "replace.transform_instance" @@ fun () ->
-  let m =
-    match mode with
-    | Replaced -> Some (matrix dg fp ~inst)
-    | Global_only -> None
-  in
-  Obs.add c_forms_transformed (Array.length forms);
-  Array.map (transform_form dg ~mode ~m ~inst) forms
+  let buf = design_buf dg (Array.length forms) in
+  transform_into (pc_map dg fp ~mode ~inst) forms ~dst:buf ~slot:Fun.id;
+  Array.init (Array.length forms) (Form_buf.get buf)

@@ -17,6 +17,7 @@
     so different instances share only the global variables. *)
 
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Mat = Ssta_linalg.Mat
 
 type mode = Replaced | Global_only
@@ -25,12 +26,32 @@ val matrix : Design_grid.t -> Floorplan.t -> inst:int -> Mat.t
 (** The replacement matrix [M] with [x = M x^t]; dimensions
     (module tiles) x (design tiles). *)
 
+val pc_map :
+  Design_grid.t -> Floorplan.t -> mode:mode -> inst:int -> Form_buf.pc_map
+(** The slot kernel's argument for instance [inst]: its {!matrix} under
+    [Replaced] (so this is where repair and strict errors of the matrix
+    surface), its private design slots under [Global_only]. *)
+
+val transform_into :
+  Form_buf.pc_map ->
+  Form.t array ->
+  dst:Form_buf.t ->
+  slot:(int -> int) ->
+  unit
+(** [transform_into map forms ~dst ~slot] rewrites [forms.(e)] into slot
+    [slot e] of the design-basis buffer [dst] with
+    {!Form_buf.replace_into}, and counts the forms in
+    [replace.forms_transformed].  Calls writing disjoint slots may run on
+    different domains. *)
+
 val transform_form :
   Design_grid.t -> mode:mode -> m:Mat.t option -> inst:int -> Form.t -> Form.t
 (** Rewrite one canonical form of instance [inst] over the design basis.
-    For [Replaced], [m] must be the instance's {!matrix}. *)
+    For [Replaced], [m] must be the instance's {!matrix}.  A boxed
+    wrapper over {!Form_buf.replace_into}. *)
 
 val transform_instance :
   Design_grid.t -> Floorplan.t -> mode:mode -> inst:int ->
   Form.t array -> Form.t array
-(** Rewrite all edge forms of an instance's model. *)
+(** Rewrite all edge forms of an instance's model: {!pc_map} then
+    {!transform_into} through a scratch buffer, boxed. *)

@@ -12,6 +12,7 @@ module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Rng = Ssta_gauss.Rng
 module Normal = Ssta_gauss.Normal
+module Mat = Ssta_linalg.Mat
 
 let exactly_equal a b =
   a.Form.mean = b.Form.mean
@@ -455,6 +456,72 @@ let test_sweeps_allocation_free () =
     (Printf.sprintf "backward_block_into: %.2f minor words/sweep <= 1" bw)
     true (bw <= 1.0)
 
+(* Operands of the replacement kernel: mostly Gaussian, with exact zeros
+   of both signs and subnormals injected, so the kernel's zero-row skip
+   and the sign of every zero sum are exercised. *)
+let replace_operand rng =
+  match Rng.int rng 8 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> ldexp (Rng.gaussian rng) (-1040)
+  | 3 -> if Rng.uniform rng < 0.5 then 4.9e-324 else -4.9e-324
+  | _ -> Rng.gaussian rng
+
+let bits_of_form (f : Form.t) =
+  List.map Int64.bits_of_float
+    ((f.Form.mean :: Array.to_list f.Form.globals)
+    @ Array.to_list f.Form.pcs @ [ f.Form.rand ])
+
+let check_form_bits msg (expected : Form.t) (actual : Form.t) =
+  if bits_of_form expected <> bits_of_form actual then
+    Alcotest.failf "%s:@.expected %a@.actual   %a" msg Form.pp expected
+      Form.pp actual
+
+(* [replace_into] against the boxed per-block product it replaced: each
+   parameter block through [Mat.tmul_vec] (Substitute) or copied into its
+   private slots (Place), bit for bit, overwriting a dirty slot and
+   leaving its neighbours alone. *)
+let prop_replace_into seed =
+  let rng = Rng.create ~seed in
+  for _ = 1 to 20 do
+    let ng = Rng.int rng 4 and rows = Rng.int rng 11 in
+    let src =
+      {
+        Form.mean = replace_operand rng;
+        globals = Array.init ng (fun _ -> replace_operand rng);
+        pcs = Array.init (ng * rows) (fun _ -> replace_operand rng);
+        rand = abs_float (Rng.gaussian rng);
+      }
+    in
+    let block k = Array.sub src.Form.pcs (k * rows) rows in
+    let run map cols expected_pcs =
+      let dims = { Form.n_globals = ng; n_pcs = ng * cols } in
+      let buf = Form_buf.create dims 3 in
+      Form_buf.set buf 1 (random_form rng dims);
+      Form_buf.replace_into ~map ~src ~dst:buf ~idst:1;
+      check_form_bits "replaced slot" { src with Form.pcs = expected_pcs }
+        (Form_buf.get buf 1);
+      check_form_bits "slot before" (Form.zero dims) (Form_buf.get buf 0);
+      check_form_bits "slot after" (Form.zero dims) (Form_buf.get buf 2)
+    in
+    let cols = Rng.int rng 14 in
+    let m = Mat.init rows cols (fun _ _ -> replace_operand rng) in
+    run (Form_buf.Substitute m) cols
+      (Array.concat (List.init ng (fun k -> Mat.tmul_vec m (block k))));
+    let offset = Rng.int rng 5 in
+    let cols = offset + rows + Rng.int rng 4 in
+    run
+      (Form_buf.Place { offset; tiles = rows })
+      cols
+      (Array.concat
+         (List.init ng (fun k ->
+              Array.init cols (fun j ->
+                  if j >= offset && j < offset + rows then
+                    src.Form.pcs.((k * rows) + j - offset)
+                  else 0.0))))
+  done;
+  true
+
 let test prop name =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40 ~name QCheck.(int_range 0 100_000) prop)
@@ -475,6 +542,8 @@ let suites =
         test prop_slab_carving
           "slab-carved buffers match fresh buffers (bit-exact)";
         test prop_recompose "recompose_into scales coefficients exactly";
+        test prop_replace_into
+          "replace_into agrees with Mat.tmul_vec per block (bit-exact)";
       ] );
     ( "kernels.workspace",
       [

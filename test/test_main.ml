@@ -17,6 +17,7 @@ let () =
          Test_model.suites;
          Test_hier.suites;
          Test_hier_flow.suites;
+         Test_hier_slab.suites;
          Test_diagnostics.suites;
          Test_obs.suites;
          Test_extensions.suites;
