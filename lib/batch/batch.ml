@@ -16,7 +16,9 @@ module Criticality = Hier_ssta.Criticality
    the topological edge order (Tgraph), the PCA basis, the packed base
    edge forms - across the whole batch.
    Per-scenario state lives on slab-backed Form_buf storage carved once
-   per pool worker, so scenario S+1 reuses scenario S's allocation.
+   per pool worker, and the worker pool lives on the base, so scenario S+1
+   - of this run or of any later run on the same base - reuses scenario
+   S's allocation.
 
    Determinism: the task grid is a pure function of (S, |I|) - never of
    the domain count - every task writes only its own result slot, and a
@@ -27,6 +29,7 @@ module Criticality = Hier_ssta.Criticality
 
 let g_slab_peak = Obs.gauge "batch.slab_bytes_peak"
 let c_scenarios = Obs.counter "batch.scenarios"
+let c_scratch_builds = Obs.counter "batch.scratch_builds"
 
 type grid_variant = Uniform | Gradient of { gx : float; gy : float }
 
@@ -92,16 +95,49 @@ type result = {
   kept_edges : int;
 }
 
+(* Pool-worker scratch: one slab backs both the scenario form buffer and
+   the sweep workspace, so each worker performs exactly one bigarray
+   allocation for the lifetime of its base.  [cached] is the scenario
+   whose forms [sforms] holds, compared physically: scenarios are
+   immutable and the base is fixed, so the same record means the same
+   forms, in this run or any later one. *)
+type scratch = {
+  slab : Form_buf.slab;
+  sforms : Form_buf.t;
+  ws : Propagate.workspace;
+  corner_w : float array;
+  tile_f : float array;
+  mutable cached : scenario option;
+  source1 : int array;
+}
+
 type base = {
   build : Build.t;
-  dims : Form.dims;
   m : int;
-  nv : int;
   fbuf : Form_buf.t;
   edge_tile : int array;
   tile_fx : float array;
   tile_fy : float array;
+  pool : scratch Par.pool;
 }
+
+let make_scratch ~dims ~m ~nv ~nt () =
+  Obs.incr c_scratch_builds;
+  let slab =
+    Form_buf.slab_create
+      (Form_buf.floats_needed dims m + Form_buf.floats_needed dims nv)
+  in
+  let sforms = Form_buf.create ~slab dims m in
+  let ws = Propagate.create_workspace ~slab () in
+  {
+    slab;
+    sforms;
+    ws;
+    corner_w = Array.make (max m 1) 0.0;
+    tile_f = Array.make (max nt 1) 1.0;
+    cached = None;
+    source1 = [| 0 |];
+  }
 
 let prepare (b : Build.t) =
   Obs.with_span "batch.prepare" @@ fun () ->
@@ -124,46 +160,24 @@ let prepare (b : Build.t) =
       tile_fy.(i) <- (cy -. grid.Grid.y0) /. h)
     grid.Grid.tiles;
   let edge_tile = Array.map (fun s -> s.Build.tile) b.Build.sparse in
-  { build = b; dims; m; nv; fbuf; edge_tile; tile_fx; tile_fy }
-
-(* Pool-worker scratch: one slab backs both the scenario form buffer and
-   the sweep workspace, so each worker performs exactly one bigarray
-   allocation for the whole batch. *)
-type scratch = {
-  slab : Form_buf.slab;
-  sforms : Form_buf.t;
-  ws : Propagate.workspace;
-  corner_w : float array;
-  tile_f : float array;
-  mutable cached : int;
-  source1 : int array;
-}
-
-let scratch_floats base =
-  Form_buf.floats_needed base.dims base.m
-  + Form_buf.floats_needed base.dims base.nv
-
-let make_scratch base =
-  let slab = Form_buf.slab_create (scratch_floats base) in
-  let sforms = Form_buf.create ~slab base.dims base.m in
-  let ws = Propagate.create_workspace ~slab () in
   {
-    slab;
-    sforms;
-    ws;
-    corner_w = Array.make (max base.m 1) 0.0;
-    tile_f = Array.make (max (Array.length base.tile_fx) 1) 1.0;
-    cached = -1;
-    source1 = [| 0 |];
+    build = b;
+    m;
+    fbuf;
+    edge_tile;
+    tile_fx;
+    tile_fy;
+    pool = Par.pool (make_scratch ~dims ~m ~nv ~nt);
   }
 
-(* Materialize scenario [k]'s edge forms into the worker's slab-backed
+(* Materialize scenario [s]'s edge forms into the worker's slab-backed
    buffer: mean from the corner model scaled by the scenario's
    deterministic factor, coefficients from the base form scaled by the
    sigma factor.  Fully overwrites every slot, so the [cached] skip can
    only ever avoid re-deriving identical content. *)
-let set_scenario base scr k (s : scenario) =
-  if scr.cached <> k then begin
+let set_scenario base scr (s : scenario) =
+  if not (match scr.cached with Some c -> c == s | None -> false) then begin
+    scr.cached <- None;
     Corners.corner_weights_into base.build s.corner ~into:scr.corner_w;
     let nt = Array.length base.tile_fx in
     (match s.grid_variant with
@@ -187,7 +201,7 @@ let set_scenario base scr k (s : scenario) =
         ~mean:(alpha *. Array.unsafe_get corner_w e)
         ~beta ~a:fbuf ~ia:e ~dst:sforms ~idst:e
     done;
-    scr.cached <- k
+    scr.cached <- Some s
   end
 
 let summarize_outputs scr outputs =
@@ -217,19 +231,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
   let ni = Array.length inputs in
   let results = Array.make s_n None in
-  (* The worker registry exists so the slab high-water gauge can be
-     published after the parallel regions complete; [Par.pool] itself
-     hides its free list. *)
-  let reg_lock = Mutex.create () in
-  let made = ref [] in
-  let pool =
-    Par.pool (fun () ->
-        let scr = make_scratch base in
-        Mutex.lock reg_lock;
-        made := scr :: !made;
-        Mutex.unlock reg_lock;
-        scr)
-  in
+  let pool = base.pool in
   (match mode with
   | Delay ->
       (* One task per scenario: forms, one all-PI forward sweep, output
@@ -242,7 +244,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
              sweep (Par joins all workers before re-raising). *)
           Ssta_robust.Deadline.check ~operation:"batch.scenario";
           let s = scenarios.(k) in
-          set_scenario base scr k s;
+          set_scenario base scr s;
           Propagate.forward_into scr.ws g ~forms:scr.sforms ~sources:inputs;
           let delay, out_mu, out_sigma = summarize_outputs scr outputs in
           results.(k) <-
@@ -270,7 +272,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
           Ssta_robust.Deadline.check ~operation:"batch.io";
           let k = t / n_ichunks and c = t mod n_ichunks in
           let s = scenarios.(k) in
-          set_scenario base scr k s;
+          set_scenario base scr s;
           let lo, hi = Par.chunk_bounds ~chunk ~n:ni c in
           let row = io.(k) in
           for i = lo to hi - 1 do
@@ -305,14 +307,12 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
   let results =
     if not screen then results
     else begin
-      let scr = make_scratch base in
-      Mutex.lock reg_lock;
-      made := scr :: !made;
-      Mutex.unlock reg_lock;
-      Array.mapi
-        (fun k r ->
+      let scr = Par.pool_take pool in
+      Fun.protect ~finally:(fun () -> Par.pool_put pool scr) @@ fun () ->
+      Array.map
+        (fun r ->
           Obs.with_span "batch.screen" @@ fun () ->
-          set_scenario base scr k r.scenario;
+          set_scenario base scr r.scenario;
           let forms =
             Array.init base.m (fun e -> Form_buf.get scr.sforms e)
           in
@@ -331,7 +331,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
   if Obs.enabled () then
     List.iter
       (fun scr -> Obs.gauge_max g_slab_peak (Form_buf.slab_peak_bytes scr.slab))
-      !made;
+      (Par.pool_members pool);
   results
 
 let run_one ?domains ?mode ?screen base s =

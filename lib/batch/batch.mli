@@ -14,7 +14,15 @@
     storage: each pool worker carves its scenario form buffer and sweep
     workspace out of one capacity-planned slab, so evaluating scenario
     S+1 reuses scenario S's allocation byte for byte (gauge
-    [batch.slab_bytes_peak] records the high water).
+    [batch.slab_bytes_peak] records the high water).  The worker pool is
+    held by the {!base}: every {!run} on a base draws its workers from
+    the same pool, so repeated runs allocate no new slab once the pool
+    holds as many workers as the widest run needed (counter
+    [batch.scratch_builds] counts the slabs built).  A base therefore
+    keeps [domains * (edges + vertices) * stride] floats of scratch
+    resident for its lifetime, where [stride] is the packed form width
+    ({!Ssta_canonical.Form_buf.floats_needed}); drop the base to free
+    them.
 
     Determinism contract: the task grid is a pure function of the batch
     size and the input count — never of the domain count — every task
@@ -74,10 +82,14 @@ type result = {
 }
 
 type base
-(** Scenario-invariant state shared by every scenario of a batch. *)
+(** Scenario-invariant state shared by every scenario of a batch, and by
+    every batch run on it: the packed base forms, the grid geometry and
+    the pool of worker scratch.  Runs on one base may be issued
+    concurrently; each worker scratch is held by one run at a time. *)
 
 val prepare : Build.t -> base
-(** Pack the base design's edge forms and grid geometry once. *)
+(** Pack the base design's edge forms and grid geometry once.  Worker
+    scratch is built lazily, on the first run that needs it. *)
 
 val run :
   ?domains:int ->
@@ -89,7 +101,9 @@ val run :
 (** Evaluate the batch, scheduled over scenarios (times input chunks in
     {!Io} mode) on the deterministic domain pool.  [screen] additionally
     runs the criticality screen per scenario (sequentially — the screen
-    parallelizes internally) and fills [kept_edges]. *)
+    parallelizes internally) and fills [kept_edges]; it draws its
+    scenario forms from the base's pool too.  Results never depend on
+    what earlier runs left in the scratch. *)
 
 val run_one :
   ?domains:int -> ?mode:mode -> ?screen:bool -> base -> scenario -> result

@@ -61,6 +61,34 @@ let clark a b =
 
 let tightness a b = (clark a b).Normal.tightness
 
+(* [tightness (add a f) b] without building the sum: every element of
+   [a + f] is formed exactly as [Vec.add] forms it and folded in the same
+   order as [Vec.sum_sq]/[Vec.dot], and the sum's random part goes through
+   the same [sqrt] then square, so the result is bit-identical. *)
+let tightness_of_sum a f b =
+  let ng = Array.length a.globals and np = Array.length a.pcs in
+  if Array.length f.globals <> ng || Array.length b.globals <> ng
+     || Array.length f.pcs <> np || Array.length b.pcs <> np
+  then invalid_arg "Form.tightness_of_sum: dimension mismatch";
+  let sq_g = ref 0.0 and dot_g = ref 0.0 in
+  for i = 0 to ng - 1 do
+    let s = Array.unsafe_get a.globals i +. Array.unsafe_get f.globals i in
+    sq_g := !sq_g +. (s *. s);
+    dot_g := !dot_g +. (s *. Array.unsafe_get b.globals i)
+  done;
+  let sq_p = ref 0.0 and dot_p = ref 0.0 in
+  for i = 0 to np - 1 do
+    let s = Array.unsafe_get a.pcs i +. Array.unsafe_get f.pcs i in
+    sq_p := !sq_p +. (s *. s);
+    dot_p := !dot_p +. (s *. Array.unsafe_get b.pcs i)
+  done;
+  let rand = sqrt ((a.rand *. a.rand) +. (f.rand *. f.rand)) in
+  (Normal.clark_max ~mean_a:(a.mean +. f.mean)
+     ~var_a:(!sq_g +. !sq_p +. (rand *. rand))
+     ~mean_b:b.mean ~var_b:(variance b)
+     ~cov:(!dot_g +. !dot_p))
+    .Normal.tightness
+
 let max2 a b =
   let { Normal.tightness = tp; mean; variance = target_var } = clark a b in
   if tp >= 1.0 then a

@@ -55,6 +55,12 @@ val neg : t -> t
 val tightness : t -> t -> float
 (** [tightness a b] is the probability P(a >= b), paper eq. (6). *)
 
+val tightness_of_sum : t -> t -> t -> float
+(** [tightness_of_sum a f b] is [tightness (add a f) b], bit for bit,
+    without materializing the sum (no intermediate arrays or form): the
+    hot step of maximum-likelihood path tracing.  Raises
+    [Invalid_argument] on mismatched dimensions. *)
+
 val max2 : t -> t -> t
 (** Statistical maximum in canonical form, paper eqs. (7)-(9): the mean is
     exact (Clark), linear coefficients are tightness-blended, and the random

@@ -8,108 +8,234 @@ type path = {
   criticality : float;
 }
 
-let fanin_edges g v =
-  let lo = g.Tgraph.fanin_lo.(v) and hi = g.Tgraph.fanin_hi.(v) in
-  let rec collect i acc = if i >= hi then List.rev acc else collect (i + 1) (i :: acc) in
-  collect lo []
+(* Per-vertex memo over one arrival state.  [ml.(v)] is the
+   maximum-likelihood fanin edge of [v]: the fanin arc whose
+   [arrival(src) + delay] is tightest against [v]'s own arrival, the first
+   one on ties.  A vertex without fanin arcs is a source; a vertex whose
+   fanin arcs all come from unreached vertices has no ML edge, and neither
+   it nor anything whose ML chain runs through it can be traced.
+   [prefix.(v)] is the left-fold sum of the edge forms along the ML chain
+   from its source to [v] - the delay of the path [trace] reports into
+   [v] - so it is only defined for traceable vertices with an ML edge. *)
+type index = {
+  g : Tgraph.t;
+  forms : Form.t array;
+  arrival_of : int -> Form.t option;
+  arrival : Form.t option array;
+  fetched : Bytes.t;
+  ml : int array;
+  prefix : Form.t array;
+  stack : int array;
+}
 
-(* Maximum-likelihood prefix: walk backward following, at each vertex, the
-   fanin arc whose [arrival(src) + delay] is tightest against the vertex's
-   own arrival. *)
-let ml_prefix g ~forms ~arrival v0 =
-  let rec walk v vertices edges =
-    match fanin_edges g v with
-    | [] -> Some (v :: vertices, edges)
-    | fanin ->
-        let best = ref None in
-        List.iter
-          (fun e ->
-            match arrival.(g.Tgraph.src.(e)) with
-            | None -> ()
-            | Some a_src -> (
-                match arrival.(v) with
-                | None -> ()
-                | Some a_v ->
-                    let tp = Form.tightness (Form.add a_src forms.(e)) a_v in
-                    (match !best with
-                    | Some (_, tp') when tp' >= tp -> ()
-                    | _ -> best := Some (e, tp))))
-          fanin;
-        (match !best with
-        | None -> None (* no reachable fanin: v itself must be a source *)
-        | Some (e, _) -> walk g.Tgraph.src.(e) (v :: vertices) (e :: edges))
-  in
-  match arrival.(v0) with None -> None | Some _ -> walk v0 [] []
+let ml_unknown = -2
+let ml_source = -1
+let ml_none = -3
 
-let path_of g ~forms ~arrival ~endpoint vertices edges =
-  ignore g;
-  let delay =
-    match edges with
-    | [] ->
-        (match forms with
-        | [||] -> Form.constant { Form.n_globals = 0; n_pcs = 0 } 0.0
-        | _ -> Form.constant (Form.dims forms.(0)) 0.0)
-    | e :: rest ->
-        List.fold_left (fun acc e' -> Form.add acc forms.(e')) forms.(e) rest
-  in
-  let criticality =
-    match arrival.(endpoint) with
-    | None -> 0.0
-    | Some a -> Form.tightness delay a
-  in
-  { vertices; edges; delay; criticality }
+(* Physical sentinel for a [prefix] slot not yet filled. *)
+let no_prefix = Form.constant { Form.n_globals = 0; n_pcs = 0 } nan
 
-let trace g ~forms ~arrival ~endpoint =
-  match ml_prefix g ~forms ~arrival endpoint with
+let index g ~forms ~arrival =
+  let n = Tgraph.n_vertices g in
+  {
+    g;
+    forms;
+    arrival_of = arrival;
+    arrival = Array.make n None;
+    fetched = Bytes.make n '\000';
+    ml = Array.make n ml_unknown;
+    prefix = Array.make n no_prefix;
+    stack = Array.make n 0;
+  }
+
+let arrival ix v =
+  if Bytes.unsafe_get ix.fetched v = '\000' then begin
+    ix.arrival.(v) <- ix.arrival_of v;
+    Bytes.unsafe_set ix.fetched v '\001'
+  end;
+  ix.arrival.(v)
+
+(* ML fanin edge of a reached vertex. *)
+let ml_edge ix v =
+  let m = ix.ml.(v) in
+  if m <> ml_unknown then m
+  else begin
+    let g = ix.g in
+    let lo = g.Tgraph.fanin_lo.(v) and hi = g.Tgraph.fanin_hi.(v) in
+    let m =
+      if lo >= hi then ml_source
+      else
+        match arrival ix v with
+        | None -> ml_none
+        | Some a_v ->
+            let best = ref ml_none and best_tp = ref 0.0 in
+            for e = lo to hi - 1 do
+              match arrival ix g.Tgraph.src.(e) with
+              | None -> ()
+              | Some a_src ->
+                  let tp = Form.tightness_of_sum a_src ix.forms.(e) a_v in
+                  if !best = ml_none || not (!best_tp >= tp) then begin
+                    best := e;
+                    best_tp := tp
+                  end
+            done;
+            !best
+    in
+    ix.ml.(v) <- m;
+    m
+  end
+
+(* Whether the ML chain from reached vertex [v] ends at a source.  Not
+   memoized: every caller walks the chain anyway to list its vertices. *)
+let rec traceable ix v =
+  let m = ml_edge ix v in
+  m = ml_source || (m <> ml_none && traceable ix ix.g.Tgraph.src.(m))
+
+(* [prefix.(v)] for a traceable [v] with an ML edge, filled source-ward
+   first so each slot is one [Form.add] onto its predecessor's. *)
+let prefix ix v =
+  let g = ix.g and stack = ix.stack in
+  let depth = ref 0 and u = ref v in
+  while
+    ix.prefix.(!u) == no_prefix && ix.ml.(g.Tgraph.src.(ix.ml.(!u))) >= 0
+  do
+    stack.(!depth) <- !u;
+    incr depth;
+    u := g.Tgraph.src.(ix.ml.(!u))
+  done;
+  if ix.prefix.(!u) == no_prefix then ix.prefix.(!u) <- ix.forms.(ix.ml.(!u));
+  for i = !depth - 1 downto 0 do
+    let w = stack.(i) in
+    let e = ix.ml.(w) in
+    ix.prefix.(w) <- Form.add ix.prefix.(g.Tgraph.src.(e)) ix.forms.(e)
+  done;
+  ix.prefix.(v)
+
+(* The ML chain into [v], prepended onto [vertices]/[edges]. *)
+let chain ix v ~vertices ~edges =
+  let rec walk v vs es =
+    let m = ix.ml.(v) in
+    if m = ml_source then (v :: vs, es)
+    else walk ix.g.Tgraph.src.(m) (v :: vs) (m :: es)
+  in
+  walk v vertices edges
+
+let empty_delay ix =
+  match ix.forms with
+  | [||] -> Form.constant { Form.n_globals = 0; n_pcs = 0 } 0.0
+  | _ -> Form.constant (Form.dims ix.forms.(0)) 0.0
+
+let trace ix ~endpoint =
+  match arrival ix endpoint with
   | None -> None
-  | Some (vertices, edges) ->
-      Some (path_of g ~forms ~arrival ~endpoint vertices edges)
+  | Some a ->
+      if not (traceable ix endpoint) then None
+      else begin
+        let vertices, edges = chain ix endpoint ~vertices:[] ~edges:[] in
+        let delay =
+          if ix.ml.(endpoint) = ml_source then empty_delay ix
+          else prefix ix endpoint
+        in
+        Some { vertices; edges; delay; criticality = Form.tightness delay a }
+      end
 
-let top_paths g ~forms ~arrival ~endpoint ~k =
-  match trace g ~forms ~arrival ~endpoint with
+(* In-place left fold of edge forms: the arithmetic of [Form.add],
+   element for element, into scratch arrays. *)
+type acc = {
+  mutable mean : float;
+  globals : float array;
+  pcs : float array;
+  mutable rand : float;
+}
+
+let acc_set acc (f : Form.t) =
+  acc.mean <- f.Form.mean;
+  Array.blit f.Form.globals 0 acc.globals 0 (Array.length acc.globals);
+  Array.blit f.Form.pcs 0 acc.pcs 0 (Array.length acc.pcs);
+  acc.rand <- f.Form.rand
+
+let acc_add acc (f : Form.t) =
+  acc.mean <- acc.mean +. f.Form.mean;
+  let g = acc.globals and fg = f.Form.globals in
+  for i = 0 to Array.length g - 1 do
+    Array.unsafe_set g i (Array.unsafe_get g i +. Array.unsafe_get fg i)
+  done;
+  let p = acc.pcs and fp = f.Form.pcs in
+  for i = 0 to Array.length p - 1 do
+    Array.unsafe_set p i (Array.unsafe_get p i +. Array.unsafe_get fp i)
+  done;
+  acc.rand <- sqrt ((acc.rand *. acc.rand) +. (f.Form.rand *. f.Form.rand))
+
+let acc_form acc =
+  {
+    Form.mean = acc.mean;
+    globals = Array.copy acc.globals;
+    pcs = Array.copy acc.pcs;
+    rand = acc.rand;
+  }
+
+let rec drop n = function
+  | _ :: tl when n > 0 -> drop (n - 1) tl
+  | l -> l
+
+let top_paths ix ~endpoint ~k =
+  match trace ix ~endpoint with
   | None -> []
   | Some best ->
-      let seen = Hashtbl.create 17 in
-      let key p = String.concat "," (List.map string_of_int p.edges) in
-      Hashtbl.replace seen (key best) ();
+      let g = ix.g and forms = ix.forms in
+      let a_end = Option.get (arrival ix endpoint) in
+      let d = Form.dims best.delay in
+      let acc =
+        {
+          mean = 0.0;
+          globals = Array.make d.Form.n_globals 0.0;
+          pcs = Array.make d.Form.n_pcs 0.0;
+          rand = 0.0;
+        }
+      in
       let candidates = ref [ best ] in
-      (* Branch: at each vertex of the best path, divert onto each alternate
-         fanin arc, complete the upstream side with ML tracing, and keep the
-         best path's suffix downstream.  varr.(i-1) -e(i-1)-> varr.(i). *)
+      (* Branch: at each vertex of the best path, divert onto each
+         alternate fanin arc, complete the upstream side with the ML chain,
+         and keep the best path's suffix downstream.
+         varr.(i-1) -e(i-1)-> varr.(i).  In a DAG a path enters each
+         vertex once, so distinct (vertex, arc) branches are distinct
+         paths, and none of them is the best path. *)
       let varr = Array.of_list best.vertices in
       let earr = Array.of_list best.edges in
       let n = Array.length earr in
+      let down_v = ref (drop 2 best.vertices) in
+      let down_e = ref (drop 1 best.edges) in
       for i = 1 to n do
         let v = varr.(i) in
         let chosen = earr.(i - 1) in
-        let downstream_edges = Array.to_list (Array.sub earr i (n - i)) in
-        let downstream_vertices =
-          Array.to_list (Array.sub varr (i + 1) (n - i))
-        in
-        List.iter
-          (fun e ->
-            if e <> chosen && arrival.(g.Tgraph.src.(e)) <> None then
-              match ml_prefix g ~forms ~arrival (g.Tgraph.src.(e)) with
-              | None -> ()
-              | Some (pre_vertices, pre_edges) ->
-                  let vs = pre_vertices @ (v :: downstream_vertices) in
-                  let es = pre_edges @ (e :: downstream_edges) in
-                  let p = path_of g ~forms ~arrival ~endpoint vs es in
-                  let kk = key p in
-                  if not (Hashtbl.mem seen kk) then begin
-                    Hashtbl.replace seen kk ();
-                    candidates := p :: !candidates
-                  end)
-          (fanin_edges g v)
+        for e = g.Tgraph.fanin_lo.(v) to g.Tgraph.fanin_hi.(v) - 1 do
+          let u = g.Tgraph.src.(e) in
+          if e <> chosen && Option.is_some (arrival ix u) && traceable ix u
+          then begin
+            if ix.ml.(u) = ml_source then acc_set acc forms.(e)
+            else begin
+              acc_set acc (prefix ix u);
+              acc_add acc forms.(e)
+            end;
+            for j = i to n - 1 do
+              acc_add acc forms.(earr.(j))
+            done;
+            let delay = acc_form acc in
+            let vertices, edges =
+              chain ix u ~vertices:(v :: !down_v) ~edges:(e :: !down_e)
+            in
+            candidates :=
+              { vertices; edges; delay; criticality = Form.tightness delay a_end }
+              :: !candidates
+          end
+        done;
+        down_v := drop 1 !down_v;
+        down_e := drop 1 !down_e
       done;
       let sorted =
         List.sort (fun a b -> compare b.criticality a.criticality) !candidates
       in
-      let rec take n = function
-        | [] -> []
-        | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-      in
-      take k sorted
+      List.filteri (fun i _ -> i < k) sorted
 
 let report g ~forms ~k ppf =
   let arrival = Propagate.forward_all g ~forms in
@@ -126,9 +252,10 @@ let report g ~forms ~k ppf =
   | None -> Format.fprintf ppf "no reachable output@."
   | Some (endpoint, f) ->
       Format.fprintf ppf "worst endpoint %d: arrival %a@." endpoint Form.pp f;
+      let ix = index g ~forms ~arrival:(Array.get arrival) in
       List.iteri
         (fun i p ->
           Format.fprintf ppf "#%d crit=%.3f mean=%.1f sigma=%.1f [%s]@." (i + 1)
             p.criticality p.delay.Form.mean (Form.std p.delay)
             (String.concat "->" (List.map string_of_int p.vertices)))
-        (top_paths g ~forms ~arrival ~endpoint ~k)
+        (top_paths ix ~endpoint ~k)

@@ -20,19 +20,42 @@ type path = {
           the probability the path sets the endpoint's timing *)
 }
 
-val trace :
-  Tgraph.t -> forms:Form.t array -> arrival:Form.t option array ->
-  endpoint:int -> path option
-(** Maximum-likelihood critical path into [endpoint]; [None] if the
-    endpoint is unreachable. *)
+type index
+(** Per-vertex memo over one arrival state, filled lazily: each visited
+    vertex's arrival (fetched once), its maximum-likelihood fanin edge
+    (one {!Form.tightness_of_sum} per fanin arc), and the left-fold sum
+    of the edge forms along its ML chain.  Building one is O(V) words;
+    the memo then makes a {!trace} O(depth) after its first visit and a
+    {!top_paths} O(depth) per candidate plus O(depth * dims) flops for
+    its delay.
 
-val top_paths :
-  Tgraph.t -> forms:Form.t array -> arrival:Form.t option array ->
-  endpoint:int -> k:int -> path list
+    Lifetime: an index reads [arrival] lazily, so the arrival state it
+    was built over (and [forms]) must not change while it is in use;
+    build a new one after any re-propagation.  One index serves every
+    endpoint of the same arrival state, and sharing it is what amortizes
+    the memo.  Not safe for concurrent use. *)
+
+val index :
+  Tgraph.t -> forms:Form.t array -> arrival:(int -> Form.t option) -> index
+(** [arrival v] is [v]'s arrival form, [None] where unreached; it is
+    called at most once per vertex, and only for vertices a query
+    visits. *)
+
+val trace : index -> endpoint:int -> path option
+(** Maximum-likelihood critical path into [endpoint]: walking backward,
+    at every vertex the fanin arc whose [arrival(src) + delay] is
+    tightest against the vertex's arrival (the first on ties).  [None] if
+    the endpoint is unreachable or its chain dead-ends at a reached
+    vertex with no reached fanin. *)
+
+val top_paths : index -> endpoint:int -> k:int -> path list
 (** Up to [k] distinct paths into [endpoint], ordered by decreasing
-    criticality.  Exploration is greedy (branch on the runner-up arc at
-    each vertex of the best path), which is exact for trees and a good
-    heuristic on reconvergent logic. *)
+    criticality (stable on ties, the best path last among equals).
+    Candidates are the ML path plus, at each vertex of it, one deviation
+    per alternate reached fanin arc completed upstream by that arc's ML
+    chain.  This greedy set is exact for trees and a good heuristic on
+    reconvergent logic.  Each delay is the left fold of its edge forms
+    from the input side, so the report is independent of the memo. *)
 
 val report :
   Tgraph.t -> forms:Form.t array -> k:int -> Format.formatter -> unit

@@ -400,13 +400,11 @@ let report_checks ?(k = 3) ?period lowered ~build =
             unmatched_port "set_false_path" p)
         fp.Sdc.to_ports)
     sdc.Sdc.false_paths;
-  (* For an endpoint with false -from ports, re-propagate from the
-     surviving sources: vertices fed only through excluded inputs stay
-     unreached, which excludes exactly the false paths' contribution. *)
-  let arrival_for port =
+  (* The inputs whose paths into [port] are false, in input order; [None]
+     when every path into it is. *)
+  let excluded_sources port =
     let exclude_all = ref false in
     let excluded = Array.make n_pi false in
-    let any = ref false in
     List.iter
       (fun (fp : Sdc.false_path) ->
         let applies =
@@ -418,29 +416,52 @@ let report_checks ?(k = 3) ?period lowered ~build =
             List.iter
               (fun p ->
                 match Hashtbl.find_opt pi_ix p with
-                | Some v ->
-                    excluded.(v) <- true;
-                    any := true
+                | Some v -> excluded.(v) <- true
                 | None -> ())
               fp.Sdc.from_ports)
       sdc.Sdc.false_paths;
-    if !exclude_all then Array.make (Tgraph.n_vertices g) None
-    else if not !any then base_arrival
+    if !exclude_all then None
     else
-      let sources =
-        Array.of_list
-          (List.filter
-             (fun v -> not excluded.(v))
-             (Array.to_list g.Tgraph.inputs))
-      in
-      if sources = [||] then Array.make (Tgraph.n_vertices g) None
-      else Propagate.forward g ~forms ~sources
+      Some (List.filter (fun v -> excluded.(v)) (Array.to_list g.Tgraph.inputs))
+  in
+  (* For an endpoint with false -from ports, re-propagate from the
+     surviving sources: vertices fed only through excluded inputs stay
+     unreached, which excludes exactly the false paths' contribution.
+     Each distinct excluded set is propagated once, and each resulting
+     arrival array gets one path index shared by all its endpoints. *)
+  let unreached = lazy (Array.make (Tgraph.n_vertices g) None) in
+  let analyses = Hashtbl.create 4 in
+  let analysis_for port =
+    let key = excluded_sources port in
+    match Hashtbl.find_opt analyses key with
+    | Some a -> a
+    | None ->
+        let arrival =
+          match key with
+          | Some [] -> base_arrival
+          | None -> Lazy.force unreached
+          | Some excluded -> (
+              match
+                List.filter
+                  (fun v -> not (List.mem v excluded))
+                  (Array.to_list g.Tgraph.inputs)
+              with
+              | [] -> Lazy.force unreached
+              | sources ->
+                  Propagate.forward g ~forms ~sources:(Array.of_list sources))
+        in
+        let a =
+          ( arrival,
+            lazy (Path_report.index g ~forms ~arrival:(Array.get arrival)) )
+        in
+        Hashtbl.add analyses key a;
+        a
   in
   let endpoints =
     List.mapi
       (fun i port ->
         let vertex = nl.N.outputs.(i) in
-        let arr = arrival_for port in
+        let arr, paths_index = analysis_for port in
         let required = period -. output_delay port in
         match arr.(vertex) with
         | None ->
@@ -464,8 +485,8 @@ let report_checks ?(k = 3) ?period lowered ~build =
               slack_std = Form.std f;
               p_met = Form.cdf f required;
               paths =
-                Path_report.top_paths g ~forms ~arrival:arr ~endpoint:vertex
-                  ~k;
+                Path_report.top_paths (Lazy.force paths_index)
+                  ~endpoint:vertex ~k;
             })
       lowered.design.modul.outputs
   in

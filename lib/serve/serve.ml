@@ -499,9 +499,6 @@ let op_paths t j =
       3
     end
   in
-  let arrival =
-    Array.init (Tgraph.n_vertices g) (fun v -> Propagate.ws_form s.ws v)
-  in
   let endpoint =
     match Json.find "output" j with
     | Some (Json.Num v) ->
@@ -513,13 +510,16 @@ let op_paths t j =
     | None | Some Json.Null ->
         (* Default: the worst output by mean arrival. *)
         let best = ref (-1) and best_mu = ref neg_infinity in
+        let buf = Propagate.ws_buf s.ws in
         Array.iter
           (fun o ->
-            match arrival.(o) with
-            | Some f when f.Form.mean > !best_mu ->
+            if Propagate.ws_reached s.ws o then begin
+              let mu = Form_buf.mean buf o in
+              if mu > !best_mu then begin
                 best := o;
-                best_mu := f.Form.mean
-            | _ -> ())
+                best_mu := mu
+              end
+            end)
           g.Tgraph.outputs;
         if !best < 0 then
           Robust.fail ~subsystem:"serve" ~operation "no output reachable"
@@ -528,8 +528,11 @@ let op_paths t j =
         Robust.fail ~subsystem:"serve" ~operation
           "output must be a vertex number"
   in
+  (* The index boxes only the arrivals the trace visits. *)
   let paths =
-    Path_report.top_paths g ~forms:s.forms ~arrival ~endpoint ~k
+    Path_report.top_paths
+      (Path_report.index g ~forms:s.forms ~arrival:(Propagate.ws_form s.ws))
+      ~endpoint ~k
   in
   let path_json (p : Path_report.path) =
     Json.Obj

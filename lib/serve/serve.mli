@@ -26,11 +26,17 @@
       scenario object (same schema as {!Ssta_batch.Batch.parse_scenarios}
       entries) the query is evaluated through the batch engine over the
       {e pristine} design; without, it reads the current (possibly
-      what-if-edited) arrival state.
+      what-if-edited) arrival state.  The session's batch base is built
+      on the first scenario query and keeps its worker scratch (one
+      slab per worker, see {!Ssta_batch.Batch}) for the life of the
+      session, so later scenario queries allocate no slab.
     - [{"op":"report","clock":C?,"yield":Y?}] — per-output arrival mean,
       sigma and yield-clock; with [clock], per-output slack against it.
     - [{"op":"paths","output":V?,"k":K?}] — top-[K] statistically
-      critical paths into output [V] (default: the worst output).
+      critical paths into output [V] (default: the worst output by mean
+      arrival).  Answered by a {!Hier_ssta.Path_report.index} built per
+      request over the resident arrival state, so only the vertices the
+      trace visits are unpacked from the sweep's slab.
     - [{"op":"whatif","edits":E,"mode":M?,"commit":B?}] — ECO-style
       edge-delay edit.  [E] is an array of
       [{"edge":e,"scale":a|"add":d|"set":v}] objects; [M] is

@@ -190,6 +190,62 @@ let test_screen_kept_counts () =
     nominal.Batch.kept_edges
 
 (* ------------------------------------------------------------------ *)
+(* One base, many runs                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Worker scratch outlives a run: it lives on the base.  A sequence of
+   runs on one base must equal the same runs on fresh bases, whatever the
+   earlier runs left cached - arrays reordered, with repeats, of one
+   scenario each (so consecutive runs put different scenarios at the same
+   index), differing from an earlier array only at one index, and
+   holding a structurally equal copy of an earlier scenario. *)
+let reuse_sequence () =
+  let s = Lazy.force scenarios_under_test in
+  let n = Array.length s in
+  let changed = Array.copy s in
+  changed.(2) <- { s.(2) with Batch.sigma_scale = 1.3 };
+  let copied = Array.copy s in
+  copied.(2) <- { s.(2) with Batch.label = s.(2).Batch.label };
+  [
+    s;
+    Array.init n (fun i -> s.(n - 1 - i));
+    [| s.(1) |];
+    [| s.(3) |];
+    [| s.(0); s.(0); s.(2); s.(0) |];
+    changed;
+    s;
+    copied;
+    [| s.(4) |];
+  ]
+
+let test_reused_base_equals_fresh () =
+  List.iter
+    (fun (label, b, mode, screen) ->
+      let runs = reuse_sequence () in
+      let want =
+        List.map
+          (fun a ->
+            Batch.run ~domains:1 ~mode ~screen (Batch.prepare b) a)
+          runs
+      in
+      List.iter
+        (fun d ->
+          let base = Batch.prepare b in
+          List.iteri
+            (fun i (a, w) ->
+              check_results
+                (Printf.sprintf "%s domains=%d run %d" label d i)
+                w
+                (Batch.run ~domains:d ~mode ~screen base a))
+            (List.combine runs want))
+        [ 1; 4 ])
+    [
+      ("delay", Lazy.force c1908, Batch.Delay, false);
+      ("io", small 7, Batch.Io, false);
+      ("screen", small 5, Batch.Delay, true);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Slab steady state and observability                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -219,7 +275,17 @@ let test_slab_peak_is_capacity_plan () =
   in
   Alcotest.(check int)
     "batch.slab_bytes_peak = plan" planned
-    (Obs.gauge_value (Obs.gauge "batch.slab_bytes_peak"))
+    (Obs.gauge_value (Obs.gauge "batch.slab_bytes_peak"));
+  (* Later runs on the same base draw the same workers: no new slab. *)
+  let builds () = Obs.find_counter "batch.scratch_builds" in
+  let warm = builds () in
+  for _ = 1 to 5 do
+    ignore (Batch.run ~domains:2 base (Batch.default_scenarios 6));
+    ignore (Batch.run ~domains:2 ~mode:Batch.Io ~screen:true base
+              (Batch.default_scenarios 2))
+  done;
+  Alcotest.(check bool) "at most two workers built" true (warm <= 2);
+  Alcotest.(check int) "no slab built by warm runs" warm (builds ())
 
 let test_span_granularity () =
   with_obs @@ fun () ->
@@ -420,6 +486,8 @@ let suites =
           `Quick test_nominal_matches_extract_path;
         Alcotest.test_case "screen kept counts deterministic" `Quick
           test_screen_kept_counts;
+        Alcotest.test_case "reused base = fresh bases (domains 1/4)" `Quick
+          test_reused_base_equals_fresh;
       ] );
     ( "batch.obs",
       [

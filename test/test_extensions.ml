@@ -270,7 +270,9 @@ let test_path_trace_chain () =
   in
   let forms = [| det 1.0; det 2.0 |] in
   let arrival = H.Propagate.forward_all g ~forms in
-  match H.Path_report.trace g ~forms ~arrival ~endpoint:2 with
+  match H.Path_report.trace
+      (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
+      ~endpoint:2 with
   | None -> Alcotest.fail "no path"
   | Some p ->
       Alcotest.(check (list int)) "vertices" [ 0; 1; 2 ] p.H.Path_report.vertices;
@@ -291,7 +293,9 @@ let test_path_trace_picks_dominant () =
   in
   let forms = [| noisy 10.0; noisy 1.0; noisy 10.0; noisy 1.0 |] in
   let arrival = H.Propagate.forward_all g ~forms in
-  match H.Path_report.trace g ~forms ~arrival ~endpoint:3 with
+  match H.Path_report.trace
+      (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
+      ~endpoint:3 with
   | None -> Alcotest.fail "no path"
   | Some p ->
       Alcotest.(check (list int)) "dominant path" [ 0; 1; 3 ]
@@ -305,7 +309,10 @@ let test_top_paths () =
   in
   let forms = [| noisy 10.0; noisy 9.0; noisy 10.0; noisy 9.0 |] in
   let arrival = H.Propagate.forward_all g ~forms in
-  let paths = H.Path_report.top_paths g ~forms ~arrival ~endpoint:3 ~k:3 in
+  let paths = H.Path_report.top_paths
+      (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
+      ~endpoint:3 ~k:3
+  in
   Alcotest.(check int) "two distinct paths" 2 (List.length paths);
   (match paths with
   | p1 :: p2 :: _ ->
@@ -330,8 +337,10 @@ let test_top_paths () =
   | None -> Alcotest.fail "no endpoint"
   | Some (endpoint, _) -> (
       match
-        H.Path_report.top_paths b.Build.graph ~forms:b.Build.forms
-          ~arrival:arr ~endpoint ~k:5
+        H.Path_report.top_paths
+          (H.Path_report.index b.Build.graph ~forms:b.Build.forms
+             ~arrival:(Array.get arr))
+          ~endpoint ~k:5
       with
       | [] -> Alcotest.fail "no paths on c432"
       | p :: _ ->

@@ -7,6 +7,7 @@ module Design = Ssta_frontend.Design
 module Verilog = Ssta_frontend.Verilog
 module Liberty = Ssta_frontend.Liberty
 module Sdc = Ssta_frontend.Sdc
+module Obs = Ssta_obs.Obs
 module Fuzz = Ssta_robust_inject.Fuzz
 module Netlist = Ssta_circuit.Netlist
 module Iscas = Ssta_circuit.Iscas
@@ -229,6 +230,75 @@ let test_fuzz_corpus_golden () =
     (read_file "golden/frontend_fuzz_verdicts.jsonl")
     (Fuzz.jsonl_of_verdicts verdicts)
 
+(* [hssta report-checks -k 5] on the example trios, byte for byte against
+   the committed output of the pre-index path engine. *)
+let test_report_checks_golden () =
+  List.iter
+    (fun stem ->
+      let lowered = parse_example stem in
+      let build = Build.characterize lowered.Design.netlist in
+      let checks = Design.report_checks ~k:5 lowered ~build in
+      let got = Format.asprintf "%a" (Design.pp_checks lowered) checks in
+      Alcotest.(check string)
+        (stem ^ " report_checks -k 5")
+        (read_file (Printf.sprintf "golden/report_checks_%s_k5.txt" stem))
+        got)
+    [ "c17"; "c432" ]
+
+(* Endpoints whose false paths exclude the same inputs share one
+   re-propagation: here all seven c432 endpoints exclude {n0, n1} and
+   n147 also n5, so two sweeps join the base one. *)
+let test_report_checks_false_path_memo () =
+  let lowered = parse_example "c432" in
+  let sdc = lowered.Design.design.Design.sdc in
+  let fp from_ports to_ports = { Sdc.from_ports; to_ports } in
+  let lowered =
+    {
+      lowered with
+      Design.design =
+        {
+          lowered.Design.design with
+          Design.sdc =
+            {
+              sdc with
+              Sdc.false_paths =
+                [
+                  fp [ "n0"; "n1" ] [];
+                  fp [ "n1"; "n0" ] [ "n139" ];
+                  fp [ "n5" ] [ "n147" ];
+                ];
+            };
+        };
+    }
+  in
+  let build = Build.characterize lowered.Design.netlist in
+  let saved = Obs.enabled () in
+  Obs.reset ();
+  Obs.enable ();
+  let checks =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled saved)
+      (fun () -> Design.report_checks ~k:5 lowered ~build)
+  in
+  let sweeps = Obs.find_counter "propagate.forward_sweeps" in
+  Obs.reset ();
+  Alcotest.(check int) "forward sweeps" 3 sweeps;
+  let excluded port =
+    if port = "n147" then [ "n0"; "n1"; "n5" ] else [ "n0"; "n1" ]
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun p ->
+          match p.Hier_ssta.Path_report.vertices with
+          | first :: _ ->
+              if List.mem lowered.Design.net_names.(first) (excluded e.Design.port)
+              then
+                Alcotest.failf "%s: path from excluded %s" e.Design.port
+                  lowered.Design.net_names.(first)
+          | [] -> Alcotest.fail "empty path")
+        e.Design.paths)
+    checks.Design.endpoints
+
 let test_malformed_inputs () =
   let fails fmt parse src =
     match parse src with
@@ -263,6 +333,10 @@ let suites =
       [
         Alcotest.test_case "report_checks excludes false path" `Quick
           test_report_checks_false_path;
+        Alcotest.test_case "report_checks -k 5 = golden (c17, c432)" `Quick
+          test_report_checks_golden;
+        Alcotest.test_case "false-path re-propagation memoized" `Quick
+          test_report_checks_false_path_memo;
         Alcotest.test_case "malformed inputs fail structurally" `Quick
           test_malformed_inputs;
       ] );

@@ -21,6 +21,7 @@ let () =
          Test_diagnostics.suites;
          Test_obs.suites;
          Test_extensions.suites;
+         Test_path_report.suites;
          Test_property.suites;
          Test_kernels.suites;
          Test_batch.suites;

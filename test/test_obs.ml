@@ -409,6 +409,33 @@ let test_trace_jsonl_wellformed () =
     balance;
   Alcotest.(check bool) "close_trace flushed counter totals" true !saw_counter
 
+(* A serve session builds its batch base once, and the base keeps its
+   worker scratch: 20 scenario quantiles in a row, each a fresh scenario
+   record, build one slab between them. *)
+let test_serve_scratch_builds () =
+  with_obs @@ fun () ->
+  Obs.enable ();
+  Par.with_domains 1 @@ fun () ->
+  let t = Ssta_serve.Serve.create () in
+  let ok line =
+    let r = Ssta_serve.Serve.handle_line t line in
+    match Ssta_json.Json.parse r with
+    | Ok j when Ssta_json.Json.bool_field "ok" j = Ok true -> ()
+    | _ -> Alcotest.failf "request %s failed: %s" line r
+  in
+  ok {|{"op":"load","design":"c432"}|};
+  for i = 1 to 20 do
+    ok
+      (Printf.sprintf
+         {|{"op":"quantile","yield":0.99,"scenario":{"corner":"%s","delay_scale":%g}}|}
+         (if i mod 2 = 0 then "slow" else "fast")
+         (1.0 +. (0.01 *. float_of_int i)))
+  done;
+  Alcotest.(check int) "batch.scenarios" 20
+    (Obs.find_counter "batch.scenarios");
+  Alcotest.(check int) "batch.scratch_builds" 1
+    (Obs.find_counter "batch.scratch_builds")
+
 (* ------------------------------------------------------------------ *)
 (* Disabled-mode identity                                              *)
 (* ------------------------------------------------------------------ *)
@@ -456,6 +483,8 @@ let suites =
           test_fig7_jacobi_counters;
         Alcotest.test_case "c1908 screen counters pinned" `Quick
           test_c1908_screen_counters;
+        Alcotest.test_case "serve quantiles build one batch slab" `Quick
+          test_serve_scratch_builds;
       ] );
     ( "obs.trace",
       [

@@ -284,6 +284,26 @@ let scenario_quantile ?(id = 0) corner scale =
           [ ("corner", Json.Str corner); ("delay_scale", Json.Num scale) ] );
     ]
 
+(* The CI serve corpus (every op, malformed lines included), replayed
+   in-process against the response stream committed before the path
+   index and the per-base batch scratch: both must be invisible in the
+   bytes.  The corpus names its frontend files relative to the
+   repository root. *)
+let test_corpus_golden () =
+  let lines path = In_channel.with_open_text path In_channel.input_lines in
+  let want = lines "golden/serve_corpus_c1908.responses.jsonl" in
+  let cwd = Sys.getcwd () in
+  Sys.chdir "..";
+  let got =
+    Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+    let t = Serve.create () in
+    List.map (Serve.handle_line t) (lines "bench/serve_corpus_c1908.jsonl")
+  in
+  Alcotest.(check int) "responses" (List.length want) (List.length got);
+  List.iteri
+    (fun i (w, g) -> Alcotest.(check string) (Printf.sprintf "line %d" (i + 1)) w g)
+    (List.combine want got)
+
 let grouping_corpus =
   [
     req [ ("id", Json.Num 1.0); ("op", Json.Str "load"); ("design", Json.Str "c432") ];
@@ -989,6 +1009,8 @@ let suites =
         Alcotest.test_case "errors degrade, daemon survives" `Quick
           test_errors_do_not_kill_engine;
         Alcotest.test_case "bad what-if edits" `Quick test_whatif_bad_edits;
+        Alcotest.test_case "c1908 corpus = golden stream" `Quick
+          test_corpus_golden;
         Alcotest.test_case "grouping == sequential" `Quick
           test_grouping_equals_sequential;
         Alcotest.test_case "byte-identical across domains" `Quick
