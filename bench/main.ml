@@ -15,7 +15,6 @@
 
 module H = Hier_ssta
 module Form = Ssta_canonical.Form
-module Form_buf = Ssta_canonical.Form_buf
 module Build = Ssta_timing.Build
 module Stats = Ssta_gauss.Stats
 module Iscas = Ssta_circuit.Iscas
@@ -196,12 +195,7 @@ let run_ablation_delta () =
      input through a single reused workspace (the same kernel path the
      extraction itself runs on). *)
   let reference =
-    let forms = b.Build.forms in
-    let dims =
-      if Array.length forms = 0 then { Form.n_globals = 0; n_pcs = 0 }
-      else Form.dims forms.(0)
-    in
-    let fbuf = Form_buf.of_forms dims forms in
+    let fbuf = H.Propagate.pack b.Build.forms in
     let ws = H.Propagate.create_workspace () in
     let source1 = [| 0 |] in
     Array.map

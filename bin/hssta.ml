@@ -163,8 +163,7 @@ let sta_cmd =
     let nominal =
       Ssta_timing.Sta.design_delay g ~weights:(Build.nominal_weights b)
     in
-    let arr = H.Propagate.forward_all g ~forms:b.Build.forms in
-    match H.Propagate.max_over arr g.Ssta_timing.Tgraph.outputs with
+    match H.Propagate.circuit_delay g ~forms:b.Build.forms with
     | None -> prerr_endline "no output reachable"; exit 1
     | Some f ->
         Printf.printf "circuit:          %s\n" name;

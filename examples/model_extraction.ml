@@ -53,27 +53,22 @@ let () =
      canonical SSTA, isolating extraction error from MC noise). *)
   let io = H.Timing_model.io_delays model in
   let g = b.Build.graph in
-  let worst_mean = ref 0.0 and worst_std = ref 0.0 and pairs = ref 0 in
-  Array.iteri
-    (fun i input ->
-      let arr =
-        H.Propagate.forward g ~forms:b.Build.forms ~sources:[| input |]
-      in
-      Array.iteri
-        (fun j out ->
-          match (io.(i).(j), arr.(out)) with
-          | Some fm, Some fo ->
-              incr pairs;
-              worst_mean :=
-                Float.max !worst_mean
-                  (abs_float (fm.Form.mean -. fo.Form.mean) /. fo.Form.mean);
-              worst_std :=
-                Float.max !worst_std
-                  (abs_float (Form.std fm -. Form.std fo) /. Form.std fo)
-          | _ -> ())
-        g.Tgraph.outputs)
-    g.Tgraph.inputs;
+  let fbuf = H.Propagate.pack b.Build.forms in
+  let ws = H.Propagate.create_workspace () in
+  let original =
+    Array.map
+      (fun input ->
+        H.Propagate.forward_into ws g ~forms:fbuf ~sources:[| input |];
+        Array.map (H.Propagate.ws_form ws) g.Tgraph.outputs)
+      g.Tgraph.inputs
+  in
+  let acc =
+    H.Timing_model.io_accuracy io ~reference:(fun i j ->
+        Option.map (fun f -> (f.Form.mean, Form.std f)) original.(i).(j))
+  in
   Printf.printf
     "model vs original SSTA over %d IO pairs: worst mean err %.3f%%, worst \
      sigma err %.3f%%\n"
-    !pairs (100. *. !worst_mean) (100. *. !worst_std)
+    acc.H.Timing_model.pairs
+    (100. *. acc.H.Timing_model.mean_err)
+    (100. *. acc.H.Timing_model.sigma_err)

@@ -30,11 +30,8 @@ let () =
   Printf.printf "corner STA:   %8.1f ps (nominal)\n" nominal;
 
   (* 4. Canonical SSTA: one block-based pass, a full distribution. *)
-  let arr = H.Propagate.forward_all b.Build.graph ~forms:b.Build.forms in
   let delay =
-    match
-      H.Propagate.max_over arr b.Build.graph.Ssta_timing.Tgraph.outputs
-    with
+    match H.Propagate.circuit_delay b.Build.graph ~forms:b.Build.forms with
     | Some f -> f
     | None -> failwith "no output reachable"
   in

@@ -15,11 +15,8 @@ let analyze name netlist =
     Ssta_timing.Sta.design_delay b.Build.graph
       ~weights:(Build.nominal_weights b)
   in
-  let arr = H.Propagate.forward_all b.Build.graph ~forms:b.Build.forms in
   let delay =
-    match
-      H.Propagate.max_over arr b.Build.graph.Ssta_timing.Tgraph.outputs
-    with
+    match H.Propagate.circuit_delay b.Build.graph ~forms:b.Build.forms with
     | Some f -> f
     | None -> failwith "unreachable outputs"
   in

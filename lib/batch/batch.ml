@@ -205,22 +205,9 @@ let set_scenario base scr (s : scenario) =
   end
 
 let summarize_outputs scr outputs =
-  let no = Array.length outputs in
-  let out_mu = Array.make no nan and out_sigma = Array.make no nan in
-  let delay = ref None in
-  Array.iteri
-    (fun j out ->
-      match Propagate.ws_form scr.ws out with
-      | None -> ()
-      | Some f ->
-          out_mu.(j) <- f.Form.mean;
-          out_sigma.(j) <- Form.std f;
-          delay :=
-            (match !delay with
-            | None -> Some f
-            | Some acc -> Some (Form.max2 acc f)))
-    outputs;
-  (!delay, out_mu, out_sigma)
+  let po = Array.map (Propagate.ws_form scr.ws) outputs in
+  let stat f = Array.map (function Some x -> f x | None -> nan) po in
+  (Propagate.max_reached po, stat (fun x -> x.Form.mean), stat Form.std)
 
 let input_chunk ni = max 1 ((ni + 31) / 32)
 

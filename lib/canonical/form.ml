@@ -53,8 +53,6 @@ let scale alpha a =
     rand = abs_float alpha *. a.rand;
   }
 
-let neg a = scale (-1.0) a
-
 let clark a b =
   Normal.clark_max ~mean_a:a.mean ~var_a:(variance a) ~mean_b:b.mean
     ~var_b:(variance b) ~cov:(covariance a b)
@@ -100,8 +98,6 @@ let max2 a b =
     let rand = sqrt (Float.max 0.0 (target_var -. linear_var)) in
     { mean; globals; pcs; rand }
   end
-
-let min2 a b = neg (max2 (neg a) (neg b))
 
 let max_list = function
   | [] -> invalid_arg "Form.max_list: empty list"

@@ -50,8 +50,6 @@ val add_const : t -> float -> t
 val scale : float -> t -> t
 (** Scales mean and all coefficients ([rand] keeps its canonical sign). *)
 
-val neg : t -> t
-
 val tightness : t -> t -> float
 (** [tightness a b] is the probability P(a >= b), paper eq. (6). *)
 
@@ -66,9 +64,6 @@ val max2 : t -> t -> t
     exact (Clark), linear coefficients are tightness-blended, and the random
     coefficient is set to match Clark's variance (clamped at zero when the
     blended linear part already over-covers it). *)
-
-val min2 : t -> t -> t
-(** Statistical minimum via [-max(-a, -b)] (for hold-style analysis). *)
 
 val max_list : t list -> t
 (** Left fold of {!max2}; raises [Invalid_argument] on the empty list. *)

@@ -64,11 +64,8 @@ let pessimism (b : Build.t) =
   let nominal = corner_delay b Nominal in
   let slow3 = corner_delay b (Slow 3.0) in
   let global_slow3 = corner_delay b (Global_slow 3.0) in
-  let arr = Propagate.forward_all b.Build.graph ~forms:b.Build.forms in
   let delay =
-    match
-      Propagate.max_over arr b.Build.graph.Ssta_timing.Tgraph.outputs
-    with
+    match Propagate.circuit_delay b.Build.graph ~forms:b.Build.forms with
     | Some f -> f
     | None -> failwith "Corners.pessimism: no reachable output"
   in

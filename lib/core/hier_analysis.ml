@@ -32,15 +32,8 @@ let sweep_outputs ws graph forms =
   Propagate.forward_into ws graph ~forms ~sources:graph.Tgraph.inputs;
   Array.map (Propagate.ws_form ws) graph.Tgraph.outputs
 
-(* Left fold of [Form.max2] over the reached outputs in output order: the
-   bits [Propagate.max_over] gives on the full arrival array. *)
 let max_delay ~operation po =
-  let fold acc x =
-    match (acc, x) with
-    | None, x | x, None -> x
-    | Some a, Some b -> Some (Form.max2 a b)
-  in
-  match Array.fold_left fold None po with
+  match Propagate.max_reached po with
   | Some d -> d
   | None ->
       Ssta_robust.Robust.fail ~subsystem:"hier_analysis" ~operation

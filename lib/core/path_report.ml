@@ -238,21 +238,15 @@ let top_paths ix ~endpoint ~k =
       List.filteri (fun i _ -> i < k) sorted
 
 let report g ~forms ~k ppf =
-  let arrival = Propagate.forward_all g ~forms in
-  let worst =
-    Array.fold_left
-      (fun acc v ->
-        match (acc, arrival.(v)) with
-        | None, Some f -> Some (v, f)
-        | Some (_, fb), Some f when f.Form.mean > fb.Form.mean -> Some (v, f)
-        | acc, _ -> acc)
-      None g.Tgraph.outputs
-  in
-  match worst with
+  let ws = Propagate.create_workspace () in
+  Propagate.forward_into ws g ~forms:(Propagate.pack forms)
+    ~sources:g.Tgraph.inputs;
+  match Propagate.ws_worst ws g.Tgraph.outputs with
   | None -> Format.fprintf ppf "no reachable output@."
-  | Some (endpoint, f) ->
-      Format.fprintf ppf "worst endpoint %d: arrival %a@." endpoint Form.pp f;
-      let ix = index g ~forms ~arrival:(Array.get arrival) in
+  | Some endpoint ->
+      let ix = index g ~forms ~arrival:(Propagate.ws_form ws) in
+      Format.fprintf ppf "worst endpoint %d: arrival %a@." endpoint Form.pp
+        (Option.get (Propagate.ws_form ws endpoint));
       List.iteri
         (fun i p ->
           Format.fprintf ppf "#%d crit=%.3f mean=%.1f sigma=%.1f [%s]@." (i + 1)

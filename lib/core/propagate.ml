@@ -317,50 +317,50 @@ let scalar_stats_into ws ~n ~into =
     end
   done
 
-(* Pure wrappers: pack the forms, run the kernel sweep, unpack the result.
-   They reproduce the original per-op implementation bit for bit (the
-   kernels replicate Form.add/Form.max2's accumulation order exactly). *)
+(* Boxed edges: pack a [Form.t array] into one slab, then sweep with the
+   kernels and box only the vertices a caller reads. *)
 
-let form_dims forms =
-  if Array.length forms = 0 then { Form.n_globals = 0; n_pcs = 0 }
-  else Form.dims forms.(0)
+let pack forms =
+  let dims =
+    if Array.length forms = 0 then { Form.n_globals = 0; n_pcs = 0 }
+    else Form.dims forms.(0)
+  in
+  Form_buf.of_forms dims forms
 
-let unpack ws n = Array.init n (fun v -> ws_form ws v)
+let max_reached po =
+  Array.fold_left
+    (fun acc x ->
+      match (acc, x) with
+      | None, x | x, None -> x
+      | Some a, Some b -> Some (Form.max2 a b))
+    None po
+
+let ws_max_over ws vertices = max_reached (Array.map (ws_form ws) vertices)
+
+let ws_worst ws vertices =
+  let best = ref (-1) and best_mu = ref nan in
+  Array.iter
+    (fun v ->
+      if ws_reached ws v then begin
+        let mu = Form_buf.mean ws.buf v in
+        if !best < 0 || mu > !best_mu then begin
+          best := v;
+          best_mu := mu
+        end
+      end)
+    vertices;
+  if !best < 0 then None else Some !best
+
+let circuit_delay g ~forms =
+  check g forms;
+  let ws = create_workspace () in
+  forward_into ws g ~forms:(pack forms) ~sources:g.Tgraph.inputs;
+  ws_max_over ws g.Tgraph.outputs
 
 let forward g ~forms ~sources =
   check g forms;
-  let fbuf = Form_buf.of_forms (form_dims forms) forms in
   let ws = create_workspace () in
-  forward_into ws g ~forms:fbuf ~sources;
-  unpack ws (Tgraph.n_vertices g)
+  forward_into ws g ~forms:(pack forms) ~sources;
+  Array.init (Tgraph.n_vertices g) (ws_form ws)
 
-let forward_all g ~forms = forward g ~forms ~sources:g.Tgraph.inputs
-
-let backward_to g ~forms out =
-  check g forms;
-  let fbuf = Form_buf.of_forms (form_dims forms) forms in
-  let ws = create_workspace () in
-  backward_to_into ws g ~forms:fbuf out;
-  unpack ws (Tgraph.n_vertices g)
-
-let max_over arr vertices =
-  Array.fold_left
-    (fun acc v ->
-      match (acc, arr.(v)) with
-      | None, x -> x
-      | x, None -> x
-      | Some a, Some b -> Some (Form.max2 a b))
-    None vertices
-
-let scalar_summaries arr =
-  let n = Array.length arr in
-  let mu = Array.make n nan and sigma = Array.make n nan in
-  Array.iteri
-    (fun v form ->
-      match form with
-      | None -> ()
-      | Some f ->
-          mu.(v) <- f.Form.mean;
-          sigma.(v) <- Form.std f)
-    arr;
-  (mu, sigma)
+let max_over arr vertices = max_reached (Array.map (Array.get arr) vertices)

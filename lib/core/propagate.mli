@@ -2,16 +2,13 @@
     a single PERT-like sweep over the timing graph computing, per vertex,
     the statistical maximum over fanin edges of [arrival(src) + delay].
 
-    Two tiers share one sweep implementation:
-
-    + the allocation-free tier ({!forward_into} / {!backward_to_into})
-      propagates through a caller-owned {!workspace} over a packed
-      {!Form_buf.t} of edge forms, allocating nothing per call — the hot
-      path of criticality analysis, which performs one forward sweep per
-      input and one backward sweep per output on the same graph;
-    + the pure tier ({!forward} / {!backward_to}) keeps the original
-      [Form.t option array] API as a thin wrapper over the kernels (it
-      packs the forms and unpacks the result, so it still allocates). *)
+    One engine: {!forward_into} / {!backward_to_into} propagate through a
+    caller-owned {!workspace} over a packed {!Form_buf.t} of edge forms,
+    allocating nothing per call — criticality analysis runs one forward
+    sweep per input and one backward sweep per output on the same graph.
+    Callers box only the vertices they read, through {!ws_form}; the
+    per-operation boxed sweep the kernels are checked against lives in
+    [test/sweep_oracle.ml]. *)
 
 module Form = Ssta_canonical.Form
 module Form_buf = Ssta_canonical.Form_buf
@@ -59,8 +56,7 @@ val forward_into :
 (** Arrival forms with arrival 0 at every vertex of [sources], left in the
     workspace; unreachable vertices are marked unreached.  [sources] will
     usually be the graph's inputs (block-based SSTA) or one input (the
-    exclusive arrival times of paper eq. (15)).  Bit-identical to
-    {!forward}. *)
+    exclusive arrival times of paper eq. (15)). *)
 
 val forward_update_into :
   workspace ->
@@ -90,8 +86,8 @@ val forward_update_into :
 val backward_to_into :
   workspace -> Tgraph.t -> forms:Form_buf.t -> int -> unit
 (** Per vertex, the canonical maximum path delay from the vertex to the
-    given output, left in the workspace.  Bit-identical to
-    {!backward_to}. *)
+    given output, left in the workspace - the negated required time with
+    required time 0 at the output (paper eq. (15)'s [r_e]). *)
 
 val backward_block_into :
   workspace array ->
@@ -142,24 +138,32 @@ val scalar_stats_into : workspace -> n:int -> into:Form_buf.data -> unit
     exactly as {!Form_buf.std} computes it, so every row value is
     bit-identical to the corresponding probe. *)
 
+val pack : Form.t array -> Form_buf.t
+(** The edge forms as one slab, at the first form's dimensions. *)
+
+val max_reached : Form.t option array -> Form.t option
+(** Statistical max of the reached ([Some]) entries: the left fold of
+    {!Form.max2} in array order, [None] if none is reached - e.g. the
+    circuit delay as the max over the outputs' arrivals. *)
+
+val ws_max_over : workspace -> int array -> Form.t option
+(** {!max_reached} over the last sweep's forms at the given vertices,
+    boxing only those. *)
+
+val ws_worst : workspace -> int array -> int option
+(** The reached vertex among the given ones with the greatest mean in the
+    last sweep, the first on ties; [None] if none is reached. *)
+
+val circuit_delay : Tgraph.t -> forms:Form.t array -> Form.t option
+(** Pack the edge forms, sweep from every input and take {!ws_max_over}
+    the outputs: block-based SSTA's circuit delay. *)
+
 val forward :
   Tgraph.t -> forms:Form.t array -> sources:int array -> Form.t option array
-(** Arrival forms with arrival 0 at every vertex of [sources]; [None] where
-    unreachable. *)
-
-val forward_all : Tgraph.t -> forms:Form.t array -> Form.t option array
-(** [forward] from all primary inputs. *)
-
-val backward_to :
-  Tgraph.t -> forms:Form.t array -> int -> Form.t option array
-(** Per vertex, the canonical maximum path delay from the vertex to the
-    given output - the negated required time with required time 0 at the
-    output (paper eq. (15)'s [r_e]). *)
+(** {!forward_into} from [sources], every vertex boxed ([None] where
+    unreachable).  Kept only for the frozen benchmark ledger
+    ([bench/ledger/w_extract.ml]); new code sweeps a workspace. *)
 
 val max_over : Form.t option array -> int array -> Form.t option
-(** Statistical max of the forms at the given vertices ([None] if none are
-    reachable); e.g. the circuit delay as the max over outputs. *)
-
-val scalar_summaries : Form.t option array -> float array * float array
-(** Per-vertex (mean, sigma) with [nan] at unreachable vertices - the
-    compact tables the criticality screening works from. *)
+(** {!max_reached} over the given vertices of a boxed arrival array.  Kept
+    only for the frozen benchmark ledger, like {!forward}. *)

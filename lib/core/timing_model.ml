@@ -1,5 +1,4 @@
 module Form = Ssta_canonical.Form
-module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type stats = {
@@ -34,11 +33,7 @@ let io_delays ?domains t =
          workspace per pool domain; only the |I| x |O| result forms are
          materialized.  Each sweep is an independent task, so the rows
          come back in input order no matter how many domains ran them. *)
-      let dims =
-        if Array.length t.forms = 0 then { Form.n_globals = 0; n_pcs = 0 }
-        else Form.dims t.forms.(0)
-      in
-      let fbuf = Form_buf.of_forms dims t.forms in
+      let fbuf = Propagate.pack t.forms in
       Ssta_par.Par.map_tasks ?domains
         ~init:(fun () -> (Propagate.create_workspace (), [| 0 |]))
         (Array.length inputs)

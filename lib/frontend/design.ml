@@ -370,7 +370,7 @@ let report_checks ?(k = 3) ?period lowered ~build =
           | None -> unmatched_port "set_input_delay" p)
         d.Sdc.ports)
     sdc.Sdc.input_delays;
-  let base_arrival = Propagate.forward g ~forms ~sources:g.Tgraph.inputs in
+  let fbuf = Propagate.pack forms in
   let output_delay port =
     List.fold_left
       (fun acc (d : Sdc.io_delay) ->
@@ -427,33 +427,32 @@ let report_checks ?(k = 3) ?period lowered ~build =
   (* For an endpoint with false -from ports, re-propagate from the
      surviving sources: vertices fed only through excluded inputs stay
      unreached, which excludes exactly the false paths' contribution.
-     Each distinct excluded set is propagated once, and each resulting
-     arrival array gets one path index shared by all its endpoints. *)
-  let unreached = lazy (Array.make (Tgraph.n_vertices g) None) in
+     Each distinct excluded set is swept once into its own workspace, and
+     each arrival state gets one path index shared by all its endpoints. *)
   let analyses = Hashtbl.create 4 in
   let analysis_for port =
     let key = excluded_sources port in
     match Hashtbl.find_opt analyses key with
     | Some a -> a
     | None ->
-        let arrival =
+        let sources =
           match key with
-          | Some [] -> base_arrival
-          | None -> Lazy.force unreached
-          | Some excluded -> (
-              match
-                List.filter
-                  (fun v -> not (List.mem v excluded))
-                  (Array.to_list g.Tgraph.inputs)
-              with
-              | [] -> Lazy.force unreached
-              | sources ->
-                  Propagate.forward g ~forms ~sources:(Array.of_list sources))
+          | None -> [||]
+          | Some excluded ->
+              Array.of_list
+                (List.filter
+                   (fun v -> not (List.mem v excluded))
+                   (Array.to_list g.Tgraph.inputs))
         in
-        let a =
-          ( arrival,
-            lazy (Path_report.index g ~forms ~arrival:(Array.get arrival)) )
+        let arrival =
+          if sources = [||] then fun _ -> None
+          else begin
+            let ws = Propagate.create_workspace () in
+            Propagate.forward_into ws g ~forms:fbuf ~sources;
+            Propagate.ws_form ws
+          end
         in
+        let a = (arrival, lazy (Path_report.index g ~forms ~arrival)) in
         Hashtbl.add analyses key a;
         a
   in
@@ -461,9 +460,9 @@ let report_checks ?(k = 3) ?period lowered ~build =
     List.mapi
       (fun i port ->
         let vertex = nl.N.outputs.(i) in
-        let arr, paths_index = analysis_for port in
+        let arrival, paths_index = analysis_for port in
         let required = period -. output_delay port in
-        match arr.(vertex) with
+        match arrival vertex with
         | None ->
             {
               port;

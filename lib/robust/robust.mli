@@ -1,8 +1,8 @@
 (** Graceful-degradation layer: structured numerical errors and a global
     repair policy.
 
-    Every numerically fragile step of the flow (grid-covariance PCA and
-    Cholesky, Clark-max moment matching, the A^-1 B_n replacement, model
+    Every numerically fragile step of the flow (grid-covariance PCA,
+    Clark-max moment matching, the A^-1 B_n replacement, model
     deserialisation) funnels its degenerate cases through this module.  A
     site that detects a degenerate input calls {!repair}: under [Strict]
     the call raises {!Error} with full context (subsystem, operation,
@@ -24,7 +24,7 @@ type pos = { line : int; col : int }
     locations render uniformly. *)
 
 type context = {
-  subsystem : string;  (** e.g. ["linalg.cholesky"] *)
+  subsystem : string;  (** e.g. ["linalg.sym_eig"] *)
   operation : string;  (** e.g. ["factor"] *)
   indices : int list;  (** offending positions: pivot, edge, line, ... *)
   values : float list;  (** offending values, parallel to the message *)
@@ -83,7 +83,7 @@ val repair : counter -> context -> unit
 
 val count : counter -> context -> unit
 (** Increment without consulting the policy - for events that are part of
-    today's normal behaviour (e.g. Cholesky jitter retries) and must not
+    today's normal behaviour (e.g. NaN inputs sanitized inside the Clark max) and must not
     raise under [Strict]. *)
 
 val value : counter -> int

@@ -315,14 +315,7 @@ let batch_base s =
 (* Design delay of the current arrival state: statistical max over the
    outputs the sweep reached. *)
 let design_delay_form s =
-  let g = s.build.Build.graph in
-  Array.fold_left
-    (fun acc o ->
-      match (acc, Propagate.ws_form s.ws o) with
-      | None, f -> f
-      | acc, None -> acc
-      | Some a, Some b -> Some (Form.max2 a b))
-    None g.Tgraph.outputs
+  Propagate.ws_max_over s.ws s.build.Build.graph.Tgraph.outputs
 
 let delay_fields f ~yield =
   [
@@ -507,23 +500,11 @@ let op_paths t j =
         else
           Robust.fail ~subsystem:"serve" ~operation ~indices:[ v ]
             "output is not a primary-output vertex of the current design"
-    | None | Some Json.Null ->
+    | None | Some Json.Null -> (
         (* Default: the worst output by mean arrival. *)
-        let best = ref (-1) and best_mu = ref neg_infinity in
-        let buf = Propagate.ws_buf s.ws in
-        Array.iter
-          (fun o ->
-            if Propagate.ws_reached s.ws o then begin
-              let mu = Form_buf.mean buf o in
-              if mu > !best_mu then begin
-                best := o;
-                best_mu := mu
-              end
-            end)
-          g.Tgraph.outputs;
-        if !best < 0 then
-          Robust.fail ~subsystem:"serve" ~operation "no output reachable"
-        else !best
+        match Propagate.ws_worst s.ws g.Tgraph.outputs with
+        | Some o -> o
+        | None -> Robust.fail ~subsystem:"serve" ~operation "no output reachable")
     | Some _ ->
         Robust.fail ~subsystem:"serve" ~operation
           "output must be a vertex number"

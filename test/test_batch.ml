@@ -121,11 +121,11 @@ let test_io_matches_per_input_forward () =
   let g = b.Build.graph in
   Array.iteri
     (fun i input ->
-      let arr = H.Propagate.forward g ~forms:b.Build.forms ~sources:[| input |] in
+      let arr = Sweep_oracle.forward g ~forms:b.Build.forms ~sources:[| input |] in
       Array.iteri
         (fun j out ->
           if not (opt_equal r.Batch.io.(i).(j) arr.(out)) then
-            Alcotest.failf "io(%d,%d) disagrees with forward_into" i j)
+            Alcotest.failf "io(%d,%d) disagrees with the oracle sweep" i j)
         g.Tgraph.outputs)
     g.Tgraph.inputs
 
@@ -150,8 +150,7 @@ let test_nominal_matches_extract_path () =
   let base = Batch.prepare b in
   let r = Batch.run_one ~domains:1 base (Batch.nominal ()) in
   let g = b.Build.graph in
-  let arr = H.Propagate.forward_all g ~forms:b.Build.forms in
-  let want = H.Propagate.max_over arr g.Tgraph.outputs in
+  let want = Sweep_oracle.circuit_delay g ~forms:b.Build.forms in
   if not (opt_equal r.Batch.delay want) then
     Alcotest.fail "nominal scenario delay differs from the direct sweep"
 

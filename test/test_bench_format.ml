@@ -96,13 +96,9 @@ let test_roundtrip_preserves_timing () =
   let nl' = BF.parse ~name:"c432" (BF.to_string nl) in
   let delay n =
     let b = Ssta_timing.Build.characterize n in
-    let arr =
-      Hier_ssta.Propagate.forward_all b.Ssta_timing.Build.graph
-        ~forms:b.Ssta_timing.Build.forms
-    in
     match
-      Hier_ssta.Propagate.max_over arr
-        b.Ssta_timing.Build.graph.Ssta_timing.Tgraph.outputs
+      Hier_ssta.Propagate.circuit_delay b.Ssta_timing.Build.graph
+        ~forms:b.Ssta_timing.Build.forms
     with
     | Some f -> (f.Ssta_canonical.Form.mean, Ssta_canonical.Form.std f)
     | None -> Alcotest.fail "unreachable"

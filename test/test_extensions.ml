@@ -120,10 +120,7 @@ let test_model_io_loaded_model_analyzes () =
 
 let test_diagnostics_sums () =
   let b = Lazy.force build in
-  let arr = H.Propagate.forward_all b.Build.graph ~forms:b.Build.forms in
-  match
-    H.Propagate.max_over arr b.Build.graph.Ssta_timing.Tgraph.outputs
-  with
+  match H.Propagate.circuit_delay b.Build.graph ~forms:b.Build.forms with
   | None -> Alcotest.fail "unreachable"
   | Some f ->
       let budget = H.Diagnostics.budget ~n_params:3 f in
@@ -147,87 +144,6 @@ let test_diagnostics_pure_random () =
   let b = H.Diagnostics.budget ~n_params:1 f in
   close "all random" 1.0 (H.Diagnostics.fraction_random b);
   close "variance" 4.0 b.H.Diagnostics.total_variance
-
-(* ------------------------------------------------------------------ *)
-(* Min analysis                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let dims = { Form.n_globals = 1; n_pcs = 1 }
-let det v = Form.constant dims v
-
-let test_min_deterministic () =
-  let g =
-    Tgraph.make ~n_vertices:4
-      ~edges:[| (0, 2); (1, 2); (2, 3) |]
-      ~inputs:[| 0; 1 |] ~outputs:[| 3 |]
-  in
-  let forms = [| det 5.0; det 2.0; det 1.0 |] in
-  let arr = H.Min_analysis.forward_min_all g ~forms in
-  (match arr.(3) with
-  | Some f -> close "min arrival" 3.0 f.Form.mean
-  | None -> Alcotest.fail "unreachable");
-  (* Late analysis on the same graph gives 6. *)
-  let late = H.Propagate.forward_all g ~forms in
-  match late.(3) with
-  | Some f -> close "max arrival" 6.0 f.Form.mean
-  | None -> Alcotest.fail "unreachable"
-
-let test_min_leq_max () =
-  let b = Lazy.force build in
-  let g = b.Build.graph in
-  let early = H.Min_analysis.forward_min_all g ~forms:b.Build.forms in
-  let late = H.Propagate.forward_all g ~forms:b.Build.forms in
-  Array.iteri
-    (fun v e ->
-      match (e, late.(v)) with
-      | Some fe, Some fl ->
-          if fe.Form.mean > fl.Form.mean +. 1e-6 then
-            Alcotest.fail
-              (Printf.sprintf "vertex %d: early %g > late %g" v fe.Form.mean
-                 fl.Form.mean)
-      | None, Some _ | Some _, None ->
-          Alcotest.fail "early/late reachability disagrees"
-      | None, None -> ())
-    early
-
-let test_min_vs_mc () =
-  (* Early arrival at an output vs sampled minimum. *)
-  let nl = Ssta_circuit.Adder.ripple ~bits:4 () in
-  let b = Build.characterize nl in
-  let g = b.Build.graph in
-  let early = H.Min_analysis.forward_min_all g ~forms:b.Build.forms in
-  let out = g.Tgraph.outputs.(0) in
-  let rng = Ssta_gauss.Rng.create ~seed:9 in
-  let ctx = Ssta_mc.Sampler.ctx_of_build b in
-  let weights = Array.make (Tgraph.n_edges g) 0.0 in
-  let acc = Ssta_gauss.Stats.Welford.create () in
-  for _ = 1 to 3000 do
-    let s = Ssta_mc.Sampler.draw b.Build.basis rng in
-    Ssta_mc.Sampler.fill_weights ctx s rng weights;
-    (* Deterministic shortest path from all inputs. *)
-    let n = Tgraph.n_vertices g in
-    let dist = Array.make n infinity in
-    Array.iter (fun v -> dist.(v) <- 0.0) g.Tgraph.inputs;
-    Array.iteri
-      (fun e s_ ->
-        if dist.(s_) < infinity then begin
-          let d = g.Tgraph.dst.(e) in
-          let t = dist.(s_) +. weights.(e) in
-          if t < dist.(d) then dist.(d) <- t
-        end)
-      g.Tgraph.src;
-    Ssta_gauss.Stats.Welford.add acc dist.(out)
-  done;
-  match early.(out) with
-  | None -> Alcotest.fail "unreachable"
-  | Some f ->
-      let mc_mean = Ssta_gauss.Stats.Welford.mean acc in
-      close ~tol:(0.05 *. mc_mean) "early mean vs mc" mc_mean f.Form.mean
-
-let test_hold_slack () =
-  let f = det 10.0 in
-  let slack = H.Min_analysis.hold_slack ~early:f ~hold_time:4.0 in
-  close "slack mean" 6.0 slack.Form.mean
 
 (* ------------------------------------------------------------------ *)
 (* Corners                                                             *)
@@ -262,6 +178,9 @@ let test_corner_pessimism () =
 (* Path report                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let dims = { Form.n_globals = 1; n_pcs = 1 }
+let det v = Form.constant dims v
+
 let test_path_trace_chain () =
   let g =
     Tgraph.make ~n_vertices:3
@@ -269,7 +188,7 @@ let test_path_trace_chain () =
       ~inputs:[| 0 |] ~outputs:[| 2 |]
   in
   let forms = [| det 1.0; det 2.0 |] in
-  let arrival = H.Propagate.forward_all g ~forms in
+  let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   match H.Path_report.trace
       (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
       ~endpoint:2 with
@@ -292,7 +211,7 @@ let test_path_trace_picks_dominant () =
       ~inputs:[| 0 |] ~outputs:[| 3 |]
   in
   let forms = [| noisy 10.0; noisy 1.0; noisy 10.0; noisy 1.0 |] in
-  let arrival = H.Propagate.forward_all g ~forms in
+  let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   match H.Path_report.trace
       (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
       ~endpoint:3 with
@@ -308,7 +227,7 @@ let test_top_paths () =
       ~inputs:[| 0 |] ~outputs:[| 3 |]
   in
   let forms = [| noisy 10.0; noisy 9.0; noisy 10.0; noisy 9.0 |] in
-  let arrival = H.Propagate.forward_all g ~forms in
+  let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   let paths = H.Path_report.top_paths
       (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
       ~endpoint:3 ~k:3
@@ -323,23 +242,17 @@ let test_top_paths () =
   (* On a c432-scale circuit the top path of the worst endpoint should have
      substantial criticality. *)
   let b = Lazy.force build in
-  let arr = H.Propagate.forward_all b.Build.graph ~forms:b.Build.forms in
-  let worst =
-    Array.fold_left
-      (fun acc v ->
-        match (acc, arr.(v)) with
-        | None, Some f -> Some (v, f.Form.mean)
-        | Some (_, m), Some f when f.Form.mean > m -> Some (v, f.Form.mean)
-        | acc, _ -> acc)
-      None b.Build.graph.Tgraph.outputs
-  in
-  match worst with
+  let ws = H.Propagate.create_workspace () in
+  H.Propagate.forward_into ws b.Build.graph
+    ~forms:(H.Propagate.pack b.Build.forms)
+    ~sources:b.Build.graph.Tgraph.inputs;
+  match H.Propagate.ws_worst ws b.Build.graph.Tgraph.outputs with
   | None -> Alcotest.fail "no endpoint"
-  | Some (endpoint, _) -> (
+  | Some endpoint -> (
       match
         H.Path_report.top_paths
           (H.Path_report.index b.Build.graph ~forms:b.Build.forms
-             ~arrival:(Array.get arr))
+             ~arrival:(H.Propagate.ws_form ws))
           ~endpoint ~k:5
       with
       | [] -> Alcotest.fail "no paths on c432"
@@ -518,13 +431,6 @@ let suites =
       [
         Alcotest.test_case "budget sums" `Quick test_diagnostics_sums;
         Alcotest.test_case "pure random" `Quick test_diagnostics_pure_random;
-      ] );
-    ( "ext.min_analysis",
-      [
-        Alcotest.test_case "deterministic min" `Quick test_min_deterministic;
-        Alcotest.test_case "early <= late" `Quick test_min_leq_max;
-        Alcotest.test_case "early vs MC" `Slow test_min_vs_mc;
-        Alcotest.test_case "hold slack" `Quick test_hold_slack;
       ] );
     ( "ext.corners",
       [

@@ -2,8 +2,8 @@
    the boxed flow it replaced, kept here as a bitwise oracle: every
    instance edge form rewritten by an [Array.sub] + [Mat.tmul_vec] per
    parameter block, both edge lists built and permuted, the boxed forms
-   swept, every vertex boxed back and the outputs folded with
-   [Propagate.max_over].  The slab flow must give the same bits for every
+   swept by the per-operation boxed sweep of [Sweep_oracle] and the
+   outputs folded with its [max_over].  The slab flow must give the same bits for every
    design PO and the design delay, in both replacement modes and at every
    domain count.  Also pinned here: [flat_form]'s bits, the design-model
    bytes of [Extract.extract_design], and the Repair path of a non-finite
@@ -130,11 +130,9 @@ let oracle_analyze (fp : Fp.t) (dg : H.Design_grid.t) ~mode =
     Tgraph.make_sorted ~n_vertices:!n_vertices ~edges ~inputs ~outputs
   in
   let forms = Array.map (fun i -> weights.(i)) perm in
-  let arrival =
-    H.Propagate.forward graph ~forms ~sources:graph.Tgraph.inputs
-  in
+  let arrival = Sweep_oracle.forward_all graph ~forms in
   ( Array.map (fun v -> arrival.(v)) graph.Tgraph.outputs,
-    Option.get (H.Propagate.max_over arrival graph.Tgraph.outputs) )
+    Option.get (Sweep_oracle.max_over arrival graph.Tgraph.outputs) )
 
 (* ------------------------------------------------------------------ *)
 (* Designs                                                             *)
@@ -263,8 +261,8 @@ let test_chain2 () = check_design "chain2" (chain2 ())
 (* Pins                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Recorded from the boxed flat-SSTA sweep (every vertex boxed, folded
-   with [Propagate.max_over]) before it moved onto one slab. *)
+(* Recorded from the boxed flat-SSTA sweep (every vertex boxed, outputs
+   folded with [Form.max2]) before it moved onto one slab. *)
 let test_flat_form_pinned () =
   let fp = quad () in
   let f = H.Hier_analysis.flat_form fp (H.Design_grid.build fp) in

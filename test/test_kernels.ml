@@ -1,6 +1,7 @@
 (* Property tests for the allocation-free canonical-form kernels
-   (Ssta_canonical.Form_buf) and the workspace-reusing propagation tier:
-   every kernel must agree with the pure Form/Propagate implementation -
+   (Ssta_canonical.Form_buf) and the workspace-reusing propagation engine:
+   every kernel must agree with the pure Form operations and every sweep
+   with the per-operation boxed sweep of [Sweep_oracle] -
    bit for bit, which is stronger than the 1e-12 the extraction accuracy
    argument needs - over randomized dimensions, including degenerate
    [n_pcs = 0] / [n_globals = 0] layouts and the tightness 0/1 branches of
@@ -280,7 +281,7 @@ let prop_workspace_reuse seed =
       let n = Tgraph.n_vertices g in
       Array.iter
         (fun i ->
-          let reference = H.Propagate.forward g ~forms ~sources:[| i |] in
+          let reference = Sweep_oracle.forward g ~forms ~sources:[| i |] in
           (* Twice through the same (dirty) workspace: both calls must
              reproduce the pure pass exactly. *)
           H.Propagate.forward_into ws g ~forms:fbuf ~sources:[| i |];
@@ -290,7 +291,7 @@ let prop_workspace_reuse seed =
         g.Tgraph.inputs;
       Array.iter
         (fun o ->
-          let reference = H.Propagate.backward_to g ~forms o in
+          let reference = Sweep_oracle.backward_to g ~forms o in
           H.Propagate.backward_to_into ws g ~forms:fbuf o;
           if not (sweep_equal n ws reference) then ok := false)
         g.Tgraph.outputs)
@@ -344,7 +345,23 @@ let prop_forward_all_matches seed =
   H.Propagate.forward_into ws g
     ~forms:(Form_buf.of_forms dims forms)
     ~sources:g.Tgraph.inputs;
-  sweep_equal (Tgraph.n_vertices g) ws (H.Propagate.forward_all g ~forms)
+  sweep_equal (Tgraph.n_vertices g) ws (Sweep_oracle.forward_all g ~forms)
+
+(* The one circuit-delay fold: pack, sweep from every input, max over the
+   reached outputs - the oracle's boxed sweep and fold, bit for bit, over
+   every dimension layout. *)
+let prop_circuit_delay seed =
+  List.for_all
+    (fun dims ->
+      let g, forms = random_dag seed dims in
+      match
+        ( H.Propagate.circuit_delay g ~forms,
+          Sweep_oracle.circuit_delay g ~forms )
+      with
+      | None, None -> true
+      | Some a, Some b -> exactly_equal a b
+      | _ -> false)
+    dim_cases
 
 (* Slab-carved buffers must be indistinguishable from freshly allocated
    ones: same kernel results bit for bit, at arbitrary carve offsets,
@@ -550,6 +567,7 @@ let suites =
         test prop_workspace_reuse
           "reused workspace reproduces pure forward/backward exactly";
         test prop_forward_all_matches "forward_into from all inputs";
+        test prop_circuit_delay "circuit_delay = oracle sweep and fold";
         test prop_backward_block
           "blocked backward = per-output sweeps at every block size";
         Alcotest.test_case "c432 sweeps allocation-free after warm-up" `Quick

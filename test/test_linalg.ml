@@ -3,7 +3,6 @@
 
 module Vec = Ssta_linalg.Vec
 module Mat = Ssta_linalg.Mat
-module Cholesky = Ssta_linalg.Cholesky
 module Sym_eig = Ssta_linalg.Sym_eig
 module Pca = Ssta_linalg.Pca
 module Rng = Ssta_gauss.Rng
@@ -64,34 +63,6 @@ let test_mat_vec () =
   let z1 = Mat.tmul_vec a (Array.init 5 (fun i -> float_of_int i)) in
   let z2 = Mat.mul_vec (Mat.transpose a) (Array.init 5 (fun i -> float_of_int i)) in
   Array.iteri (fun i v -> close ~tol:1e-12 "tmul_vec" z2.(i) v) z1
-
-let test_cholesky_roundtrip () =
-  let rng = Rng.create ~seed:3 in
-  let c = random_spd rng 8 in
-  let l = Cholesky.factor c in
-  close ~tol:1e-8 "l l^T = c" 0.0
-    (Mat.max_abs_diff (Mat.mul l (Mat.transpose l)) c)
-
-let test_cholesky_solve () =
-  let l = Mat.of_arrays [| [| 2.0; 0.0 |]; [| 1.0; 3.0 |] |] in
-  let x = Cholesky.solve_lower l [| 4.0; 11.0 |] in
-  close "x0" 2.0 x.(0);
-  close "x1" 3.0 x.(1)
-
-let test_cholesky_rejects_indefinite () =
-  let c = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 2.0; 1.0 |] |] in
-  (* Eigenvalues 3 and -1: not repairable by tiny jitter.  The structured
-     error names the failing pivot (index 1 here: the first pivot is the
-     positive diagonal). *)
-  Alcotest.(check bool)
-    "indefinite rejected with pivot context" true
-    (try
-       ignore (Cholesky.factor ~jitter:1e-12 c);
-       false
-     with Ssta_robust.Robust.Error ctx ->
-       ctx.Ssta_robust.Robust.subsystem = "linalg.cholesky"
-       && ctx.Ssta_robust.Robust.indices <> []
-       && List.hd ctx.Ssta_robust.Robust.indices = 1)
 
 let test_eig_diagonal () =
   let c = Mat.of_arrays [| [| 3.0; 0.0 |]; [| 0.0; 1.0 |] |] in
@@ -478,10 +449,6 @@ let suites =
         Alcotest.test_case "matrix multiply" `Quick test_mat_mul;
         Alcotest.test_case "transpose involution" `Quick test_mat_transpose;
         Alcotest.test_case "matrix-vector" `Quick test_mat_vec;
-        Alcotest.test_case "cholesky roundtrip" `Quick test_cholesky_roundtrip;
-        Alcotest.test_case "cholesky solve" `Quick test_cholesky_solve;
-        Alcotest.test_case "cholesky indefinite" `Quick
-          test_cholesky_rejects_indefinite;
         Alcotest.test_case "eig diagonal" `Quick test_eig_diagonal;
         Alcotest.test_case "eig known 2x2" `Quick test_eig_known_2x2;
         Alcotest.test_case "eig reconstruct" `Quick test_eig_reconstruct;

@@ -45,12 +45,7 @@ let test_flat_mc_matches_ssta_moments () =
   let b = small_build () in
   let ctx = Sampler.ctx_of_build b in
   let r = Flat_mc.run ~iterations:4_000 ~seed:11 ctx in
-  let arr =
-    Hier_ssta.Propagate.forward_all b.Build.graph ~forms:b.Build.forms
-  in
-  match
-    Hier_ssta.Propagate.max_over arr b.Build.graph.Tgraph.outputs
-  with
+  match Hier_ssta.Propagate.circuit_delay b.Build.graph ~forms:b.Build.forms with
   | None -> Alcotest.fail "no output reachable"
   | Some f ->
       let mean = Stats.mean r.Flat_mc.delays in

@@ -39,7 +39,7 @@ let test_propagate_deterministic_matches_sta () =
   let g, forms =
     diamond [| det 1.0; det 10.0; det 2.0; det 5.0; det 1.0 |]
   in
-  let arr = Propagate.forward_all g ~forms in
+  let arr = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   (match arr.(4) with
   | Some f -> close "deterministic arrival" 11.0 f.Form.mean
   | None -> Alcotest.fail "output unreachable");
@@ -51,7 +51,7 @@ let test_propagate_exclusive_sources () =
   let g, forms =
     diamond [| det 1.0; det 10.0; det 2.0; det 5.0; det 1.0 |]
   in
-  let arr = Propagate.forward g ~forms ~sources:[| 1 |] in
+  let arr = Sweep_oracle.kernel_forward g ~forms ~sources:[| 1 |] in
   Alcotest.(check bool) "2 unreachable" true (arr.(2) = None);
   match arr.(4) with
   | Some f -> close "arrival from input 1" 3.0 f.Form.mean
@@ -61,7 +61,7 @@ let test_propagate_backward () =
   let g, forms =
     diamond [| det 1.0; det 10.0; det 2.0; det 5.0; det 1.0 |]
   in
-  let req = Propagate.backward_to g ~forms 4 in
+  let req = Sweep_oracle.kernel_backward_to g ~forms 4 in
   (match req.(0) with
   | Some f -> close "required at 0" 11.0 f.Form.mean
   | None -> Alcotest.fail "0 cannot reach output");
@@ -75,7 +75,7 @@ let test_propagate_max_includes_variance () =
   let g, forms =
     diamond [| noisy 5.0; noisy 4.0; noisy 2.0; noisy 5.0; noisy 6.0 |]
   in
-  let arr = Propagate.forward_all g ~forms in
+  let arr = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   match arr.(4) with
   | Some f ->
       Alcotest.(check bool) "mean above deterministic" true (f.Form.mean > 10.0);
@@ -86,11 +86,23 @@ let test_scalar_summaries () =
   let g, forms =
     diamond [| det 1.0; det 10.0; det 2.0; det 5.0; det 1.0 |]
   in
-  let arr = Propagate.forward g ~forms ~sources:[| 1 |] in
-  let mu, sigma = Propagate.scalar_summaries arr in
+  let n = Tgraph.n_vertices g in
+  let ws = Propagate.create_workspace () in
+  Propagate.forward_into ws g ~forms:(Propagate.pack forms) ~sources:[| 1 |];
+  let mu = Array.make n 0.0 and sigma = Array.make n 0.0 in
+  Propagate.scalar_summaries_into ws ~n ~mu ~sigma;
   Alcotest.(check bool) "unreachable is nan" true (Float.is_nan mu.(2));
   close "mu at 4" 3.0 mu.(4);
-  close "sigma deterministic" 0.0 sigma.(4)
+  close "sigma deterministic" 0.0 sigma.(4);
+  let want_mu, want_sigma =
+    Sweep_oracle.scalar_summaries
+      (Sweep_oracle.forward g ~forms ~sources:[| 1 |])
+  in
+  Alcotest.(check bool)
+    "= oracle" true
+    (Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+       (Array.append mu sigma)
+       (Array.append want_mu want_sigma))
 
 (* ------------------------------------------------------------------ *)
 (* Criticality                                                         *)
@@ -256,8 +268,10 @@ let test_reduce_preserves_io_delays () =
     "reduction shrinks graph" true
     (Tgraph.n_edges rg < Tgraph.n_edges g);
   (* Compare a few IO delays. *)
-  let orig_arr i = Propagate.forward g ~forms:b.Build.forms ~sources:[| i |] in
-  let red_arr i = Propagate.forward rg ~forms:rforms ~sources:[| rg.Tgraph.inputs.(i) |] in
+  let orig_arr i = Sweep_oracle.forward g ~forms:b.Build.forms ~sources:[| i |] in
+  let red_arr i =
+    Sweep_oracle.forward rg ~forms:rforms ~sources:[| rg.Tgraph.inputs.(i) |]
+  in
   List.iter
     (fun i ->
       let ao = orig_arr g.Tgraph.inputs.(i) and ar = red_arr i in
@@ -304,7 +318,7 @@ let test_extract_io_accuracy_vs_full_ssta () =
   let worst_mean = ref 0.0 and worst_std = ref 0.0 in
   Array.iteri
     (fun i input ->
-      let arr = Propagate.forward g ~forms:b.Build.forms ~sources:[| input |] in
+      let arr = Sweep_oracle.forward g ~forms:b.Build.forms ~sources:[| input |] in
       Array.iteri
         (fun j out ->
           match (io.(i).(j), arr.(out)) with

@@ -221,7 +221,7 @@ let random_case seed =
     | l -> l
   in
   let arrival =
-    H.Propagate.forward g ~forms ~sources:(Array.of_list sources)
+    Sweep_oracle.forward g ~forms ~sources:(Array.of_list sources)
   in
   for v = 0 to n - 1 do
     if Rng.int rng 10 = 0 then arrival.(v) <- None
@@ -257,7 +257,7 @@ let test_iscas_outputs () =
     (fun name ->
       let b = Build.characterize (Ssta_circuit.Iscas.build name) in
       let g = b.Build.graph and forms = b.Build.forms in
-      let arrival = H.Propagate.forward_all g ~forms in
+      let arrival = Sweep_oracle.forward_all g ~forms in
       (* One index shared by every output, as the callers use it. *)
       let ix = H.Path_report.index g ~forms ~arrival:(Array.get arrival) in
       Array.iter

@@ -57,7 +57,7 @@ let random_dag seed =
 let io_delays g forms =
   Array.map
     (fun i ->
-      let arr = H.Propagate.forward g ~forms ~sources:[| i |] in
+      let arr = Sweep_oracle.forward g ~forms ~sources:[| i |] in
       Array.map (fun o -> arr.(o)) g.Tgraph.outputs)
     g.Tgraph.inputs
 
@@ -109,10 +109,10 @@ let prop_forward_backward_consistent seed =
   let ok = ref true in
   Array.iter
     (fun i ->
-      let arr = H.Propagate.forward g ~forms ~sources:[| i |] in
+      let arr = Sweep_oracle.forward g ~forms ~sources:[| i |] in
       Array.iter
         (fun o ->
-          let req = H.Propagate.backward_to g ~forms o in
+          let req = Sweep_oracle.backward_to g ~forms o in
           match (arr.(o), req.(i)) with
           | None, None -> ()
           | Some a, Some b ->
@@ -123,21 +123,6 @@ let prop_forward_backward_consistent seed =
           | Some _, None | None, Some _ -> ok := false)
         g.Tgraph.outputs)
     g.Tgraph.inputs;
-  !ok
-
-let prop_min_leq_max seed =
-  let g, forms = random_dag seed in
-  let early = H.Min_analysis.forward_min_all g ~forms in
-  let late = H.Propagate.forward_all g ~forms in
-  let ok = ref true in
-  Array.iteri
-    (fun v e ->
-      match (e, late.(v)) with
-      | Some fe, Some fl ->
-          if fe.Form.mean > fl.Form.mean +. 1e-9 then ok := false
-      | None, None -> ()
-      | _ -> ok := false)
-    early;
   !ok
 
 let prop_criticality_bounds seed =
@@ -182,7 +167,6 @@ let suites =
         test prop_reduce_monotone "reduction shrinks and is idempotent";
         test prop_forward_backward_consistent
           "forward/backward passes agree on IO delays";
-        test prop_min_leq_max "early arrival <= late arrival";
         test prop_criticality_bounds "criticality in [0,1], keep => >= delta";
         test prop_every_output_covered "reduction preserves reachability";
       ] );

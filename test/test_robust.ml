@@ -11,7 +11,6 @@ module Rng = Ssta_gauss.Rng
 module Form = Ssta_canonical.Form
 module Form_buf = Ssta_canonical.Form_buf
 module Mat = Ssta_linalg.Mat
-module Cholesky = Ssta_linalg.Cholesky
 module Sym_eig = Ssta_linalg.Sym_eig
 module Pca = Ssta_linalg.Pca
 module Build = Ssta_timing.Build
@@ -281,23 +280,6 @@ let test_stats_nan_rejected () =
 (* Linalg boundaries                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_cholesky_jitter_policy () =
-  (* Slightly indefinite: the jitter ladder repairs it; strict refuses. *)
-  let c = Mat.init 2 2 (fun i j -> if i = j && i = 1 then 1.0 -. 1e-12 else 1.0) in
-  with_policy Robust.Strict (fun () ->
-      match Cholesky.factor c with
-      | _ -> Alcotest.fail "strict factored an indefinite matrix"
-      | exception Robust.Error c' ->
-          Alcotest.(check string) "subsystem" "linalg.cholesky"
-            c'.Robust.subsystem);
-  with_policy Robust.Repair (fun () ->
-      Robust.reset ();
-      let l = Cholesky.factor c in
-      Alcotest.(check bool) "finite factor" true
-        (Robust.is_finite (Mat.get l 1 1));
-      Alcotest.(check bool) "retry counted" true
-        (cval "robust.chol_jitter_retries" > 0))
-
 let test_sym_eig_nonfinite_rejected () =
   let c = Mat.init 2 2 (fun i j -> if i = 0 && j = 1 then Float.nan else 1.0) in
   with_policy Robust.Repair (fun () ->
@@ -494,8 +476,6 @@ let suites =
         Alcotest.test_case "histogram dropped count" `Quick
           test_histogram_dropped;
         Alcotest.test_case "stats reject NaN" `Quick test_stats_nan_rejected;
-        Alcotest.test_case "cholesky jitter policy" `Quick
-          test_cholesky_jitter_policy;
         Alcotest.test_case "sym_eig rejects non-finite" `Quick
           test_sym_eig_nonfinite_rejected;
         Alcotest.test_case "pca psd policy" `Quick test_pca_psd_policy;

@@ -89,9 +89,7 @@ let prop_incremental_equals_full n_domains seed =
         in
         if n_dirty <= 0 then ok := false;
         (* Reference: an independent full sweep over the current forms. *)
-        let reference =
-          H.Propagate.forward g ~forms ~sources:g.Tgraph.inputs
-        in
+        let reference = Sweep_oracle.forward_all g ~forms in
         if not (sweep_equal n ws reference) then ok := false
       done;
       !ok)
