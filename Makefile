@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test bench bench-smoke chaos check ci fmt fmt-check clean
+.PHONY: all build test test-domains bench bench-smoke chaos check ci fmt fmt-check clean
 
 all: build
 
@@ -9,6 +9,12 @@ build:
 
 test: build
 	$(DUNE) runtest
+
+# The suite at both domain counts CI tests: the sequential path and a
+# parallel one must pass the same pins.
+test-domains: build
+	PAR_DOMAINS=1 $(DUNE) runtest --force
+	PAR_DOMAINS=4 $(DUNE) runtest --force
 
 # The paper's evaluation (Table I, Fig. 6/7, ablations) and the ~1M-gate
 # scale run; slow, print-only.  Performance is measured by the ledger
@@ -35,8 +41,9 @@ chaos: build
 
 check: build test bench-smoke
 
-# What CI runs: build, tests, the ledger smoke pass, format check.
-ci: build test bench-smoke fmt-check
+# What CI runs: build, tests at PAR_DOMAINS=1 and 4, the ledger smoke
+# pass, format check.
+ci: build test-domains bench-smoke fmt-check
 
 fmt:
 	$(DUNE) build @fmt --auto-promote

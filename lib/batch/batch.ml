@@ -211,7 +211,7 @@ let summarize_outputs scr outputs =
 
 let input_chunk ni = max 1 ((ni + 31) / 32)
 
-let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
+let run ?(mode = Delay) ?(screen = false) base scenarios =
   Obs.with_span "batch.run" @@ fun () ->
   let s_n = Array.length scenarios in
   let g = base.build.Build.graph in
@@ -223,7 +223,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
   | Delay ->
       (* One task per scenario: forms, one all-PI forward sweep, output
          summaries. *)
-      Par.run_tasks_pool ?domains ~n_tasks:s_n ~pool
+      Par.run_tasks_pool ~n_tasks:s_n ~pool
         ~task:(fun scr k ->
           Obs.with_span "batch.scenario" @@ fun () ->
           (* Cooperative cancellation point: a serve request deadline
@@ -254,7 +254,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
       let io =
         Array.init s_n (fun _ -> Array.make ni ([||] : Form.t option array))
       in
-      Par.run_tasks_pool ?domains ~n_tasks:(s_n * n_ichunks) ~pool
+      Par.run_tasks_pool ~n_tasks:(s_n * n_ichunks) ~pool
         ~task:(fun scr t ->
           Ssta_robust.Deadline.check ~operation:"batch.io";
           let k = t / n_ichunks and c = t mod n_ichunks in
@@ -303,9 +303,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
           let forms =
             Array.init base.m (fun e -> Form_buf.get scr.sforms e)
           in
-          let crit =
-            Criticality.compute ?domains ~delta:r.scenario.delta g ~forms
-          in
+          let crit = Criticality.compute ~delta:r.scenario.delta g ~forms in
           let kept =
             Array.fold_left
               (fun n keep -> if keep then n + 1 else n)
@@ -321,8 +319,7 @@ let run ?domains ?(mode = Delay) ?(screen = false) base scenarios =
       (Par.pool_members pool);
   results
 
-let run_one ?domains ?mode ?screen base s =
-  (run ?domains ?mode ?screen base [| s |]).(0)
+let run_one ?mode ?screen base s = (run ?mode ?screen base [| s |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario-spec JSON                                                  *)

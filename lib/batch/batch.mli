@@ -19,17 +19,17 @@
     the same pool, so repeated runs allocate no new slab once the pool
     holds as many workers as the widest run needed (counter
     [batch.scratch_builds] counts the slabs built).  A base therefore
-    keeps [domains * (edges + vertices) * stride] floats of scratch
+    keeps [Par.domains () * (edges + vertices) * stride] floats of scratch
     resident for its lifetime, where [stride] is the packed form width
     ({!Ssta_canonical.Form_buf.floats_needed}); drop the base to free
     them.
 
     Determinism contract: the task grid is a pure function of the batch
-    size and the input count — never of the domain count — every task
-    writes only its own result slot, and worker scratch is fully
-    re-derived per scenario.  A batch of S scenarios is therefore
-    bit-identical at every domain count, and bit-identical to S
-    independent {!run_one} calls; [test/test_batch.ml] pins both. *)
+    size and the input count (so {!Ssta_par.Par}'s domain-count guarantee
+    holds), every task writes only its own result slot, and worker
+    scratch is fully re-derived per scenario.  A batch of S scenarios is
+    therefore bit-identical to S independent {!run_one} calls;
+    [test/test_batch.ml] pins both. *)
 
 module Form = Ssta_canonical.Form
 module Build = Ssta_timing.Build
@@ -91,13 +91,7 @@ val prepare : Build.t -> base
 (** Pack the base design's edge forms and grid geometry once.  Worker
     scratch is built lazily, on the first run that needs it. *)
 
-val run :
-  ?domains:int ->
-  ?mode:mode ->
-  ?screen:bool ->
-  base ->
-  scenario array ->
-  result array
+val run : ?mode:mode -> ?screen:bool -> base -> scenario array -> result array
 (** Evaluate the batch, scheduled over scenarios (times input chunks in
     {!Io} mode) on the deterministic domain pool.  [screen] additionally
     runs the criticality screen per scenario (sequentially — the screen
@@ -105,8 +99,7 @@ val run :
     scenario forms from the base's pool too.  Results never depend on
     what earlier runs left in the scratch. *)
 
-val run_one :
-  ?domains:int -> ?mode:mode -> ?screen:bool -> base -> scenario -> result
+val run_one : ?mode:mode -> ?screen:bool -> base -> scenario -> result
 (** A batch of one — the reference point for the bit-identity contract. *)
 
 val scenario_of_json : int -> Ssta_json.Json.t -> scenario

@@ -177,7 +177,7 @@ type scratch = {
   slab : Form_buf.slab;
 }
 
-let compute ?(exact = false) ?domains ?tile ~delta g ~forms =
+let compute ?(exact = false) ?tile ~delta g ~forms =
   if not (delta > 0.0 && delta < 1.0) then
     invalid_arg "Criticality.compute: delta must lie in (0, 1)";
   let m = Tgraph.n_edges g in
@@ -609,7 +609,7 @@ let compute ?(exact = false) ?domains ?tile ~delta g ~forms =
         ~mask:omasks.(k) ~into:cov_er.(k)
     in
     Obs.with_span "criticality.backward" (fun () ->
-        Par.run_blocks ?domains ~block:bblock ~n:tn
+        Par.run_blocks ~block:bblock ~n:tn
           ~task:(fun lo hi ->
             Propagate.backward_block_into tile_ws g ~forms:fbuf ~outs:touts
               ~lo ~hi;
@@ -618,7 +618,7 @@ let compute ?(exact = false) ?domains ?tile ~delta g ~forms =
             done)
           ());
     Obs.with_span "criticality.screen" (fun () ->
-        Par.run_tasks_pool ?domains ~n_tasks:n_chunks ~pool
+        Par.run_tasks_pool ~n_tasks:n_chunks ~pool
           ~task:(fun scratch c ->
             let lo, hi = Par.chunk_bounds ~chunk:input_chunk ~n:ni c in
             screen_tile_chunk states.(c) scratch ~t_lo ~tn ~lo ~hi)

@@ -71,7 +71,6 @@ val auto_tile :
 
 val compute :
   ?exact:bool ->
-  ?domains:int ->
   ?tile:int ->
   delta:float ->
   Tgraph.t ->
@@ -82,10 +81,9 @@ val compute :
     more exact evaluations; criticalities whose screen bound is below
     [1e-3] are reported as 0.
 
-    [domains] (default {!Ssta_par.Par.domains}) fans the backward blocks
-    and the chunked per-input screening over a fixed-size domain pool.  The chunk layout is a function of the port counts only,
-    so [keep], [cm], and both counters are bit-identical for every domain
-    count (including the never-spawning sequential path at 1).
+    The backward blocks and the chunked per-input screening run as
+    {!Ssta_par.Par} regions over a chunk layout that depends on the port
+    counts only.
 
     [tile] bounds how many retained backward output slots (workspace +
     scalar rows + covariance table, all on one capacity-planned slab) are

@@ -51,10 +51,10 @@ let output_load_increments ?forms (b : Build.t) =
    screen, the merge fixpoint, and the freeze back into a sorted graph.
    The ledger benchmark (bench/ledger) reports its extract.* layer shares
    from these spans. *)
-let reduce_and_stats ?(exact = false) ?domains ~delta ~t0 g forms =
+let reduce_and_stats ?(exact = false) ~delta ~t0 g forms =
   let crit =
     Obs.with_span "extract.criticality" (fun () ->
-        Criticality.compute ~exact ?domains ~delta g ~forms)
+        Criticality.compute ~exact ~delta g ~forms)
   in
   let work =
     Obs.with_span "extract.reduce" (fun () ->
@@ -83,8 +83,7 @@ let reduce_and_stats ?(exact = false) ?domains ~delta ~t0 g forms =
   in
   (crit, graph, rforms, stats)
 
-let extract_with_criticality ?(exact = false) ?domains ?(delta = 0.05)
-    (b : Build.t) =
+let extract_with_criticality ?(exact = false) ?(delta = 0.05) (b : Build.t) =
   let t0 = Unix.gettimeofday () in
   let g = b.Build.graph in
   (* Validated boundary: characterized forms enter the extraction pipeline
@@ -95,7 +94,7 @@ let extract_with_criticality ?(exact = false) ?domains ?(delta = 0.05)
       b.Build.forms
   in
   let crit, graph, forms, stats =
-    reduce_and_stats ~exact ?domains ~delta ~t0 g in_forms
+    reduce_and_stats ~exact ~delta ~t0 g in_forms
   in
   let output_load =
     Obs.with_span "extract.output_load" (fun () ->
@@ -115,10 +114,9 @@ let extract_with_criticality ?(exact = false) ?domains ?(delta = 0.05)
   in
   (model, crit)
 
-let extract ?domains ?delta b =
-  fst (extract_with_criticality ?domains ?delta b)
+let extract ?delta b = fst (extract_with_criticality ?delta b)
 
-let extract_design ?domains ?(delta = 0.05) ~name (fp : Floorplan.t)
+let extract_design ?(delta = 0.05) ~name (fp : Floorplan.t)
     (dg : Design_grid.t) (res : Hier_analysis.result) =
   let module Form_buf = Ssta_canonical.Form_buf in
   let t0 = Unix.gettimeofday () in
@@ -128,9 +126,7 @@ let extract_design ?domains ?(delta = 0.05) ~name (fp : Floorplan.t)
     CForm.sanitize_forms ~subsystem:"extract" ~operation:"extract_design"
       (Array.init (Form_buf.length slab) (Form_buf.get slab))
   in
-  let _crit, graph, rforms, stats =
-    reduce_and_stats ?domains ~delta ~t0 g forms
-  in
+  let _crit, graph, rforms, stats = reduce_and_stats ~delta ~t0 g forms in
   (* Each design output is an instance output port; its load increment is
      the instance's, rewritten over the design basis by the replacement
      kernel - one matrix per driving instance, built when the instance

@@ -9,17 +9,13 @@
     paper reports ~80 % fewer edges on the ISCAS85 suite with
     [delta = 0.05]. *)
 
-val extract :
-  ?domains:int -> ?delta:float -> Ssta_timing.Build.t -> Timing_model.t
+val extract : ?delta:float -> Ssta_timing.Build.t -> Timing_model.t
 (** [delta] defaults to the paper's 0.05.  The returned model shares the
-    characterization basis/grid of the build context.  [domains] (default
-    {!Ssta_par.Par.domains}) parallelizes the criticality analysis inside
-    the extraction; the extracted model is bit-identical for every domain
-    count. *)
+    characterization basis/grid of the build context.  The criticality
+    analysis inside runs on the {!Ssta_par.Par} pool. *)
 
 val extract_with_criticality :
   ?exact:bool ->
-  ?domains:int ->
   ?delta:float ->
   Ssta_timing.Build.t ->
   Timing_model.t * Criticality.result
@@ -27,7 +23,6 @@ val extract_with_criticality :
     criticalities when [exact] - e.g. for the paper's Fig. 6 histogram). *)
 
 val extract_design :
-  ?domains:int ->
   ?delta:float ->
   name:string ->
   Floorplan.t ->

@@ -40,7 +40,7 @@ let max_delay ~operation po =
         ~indices:[ Array.length po ]
         "no design output is reachable from any design input"
 
-let analyze ?workspace (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
+let analyze (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
   let sp_setup = Obs.span_begin "hier.setup" in
   let t0 = Unix.gettimeofday () in
   let instances = fp.Floorplan.instances in
@@ -159,12 +159,8 @@ let analyze ?workspace (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
   let t1 = Unix.gettimeofday () in
   Obs.span_end sp_setup;
   let sp_prop = Obs.span_begin "hier.propagate" in
-  (* Kernel-tier sweep of the slab through a (possibly caller-owned,
-     reused) workspace; only the design outputs are boxed. *)
-  let ws =
-    match workspace with Some ws -> ws | None -> Propagate.create_workspace ()
-  in
-  let po_delays = sweep_outputs ws graph forms in
+  (* Kernel-tier sweep of the slab; only the design outputs are boxed. *)
+  let po_delays = sweep_outputs (Propagate.create_workspace ()) graph forms in
   let delay = max_delay ~operation:"analyze" po_delays in
   let t2 = Unix.gettimeofday () in
   Obs.span_end sp_prop;

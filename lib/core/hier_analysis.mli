@@ -34,22 +34,15 @@ type result = {
   wall_seconds : float;  (** setup + propagation *)
 }
 
-val analyze :
-  ?workspace:Propagate.workspace ->
-  Floorplan.t ->
-  Design_grid.t ->
-  mode:Replace.mode ->
-  result
+val analyze : Floorplan.t -> Design_grid.t -> mode:Replace.mode -> result
 (** Stitches the instance graphs into [graph], writes each instance's
     replaced edge forms into the [forms] slab (replacement matrices in the
-    calling domain, the slot kernel spread over {!Ssta_par.Par}'s domains;
-    the slots are disjoint, so the result is bit-identical at every domain
-    count), sweeps the slab and boxes only the outputs.
+    calling domain, the slot kernel as one {!Ssta_par.Par} region over
+    disjoint slots), sweeps the slab and boxes only the outputs.
 
-    Raises [Failure] if no design output is reachable.  [workspace] lets a
-    caller running many analyses (what-if sweeps, incremental re-analysis)
-    reuse one propagation workspace across calls instead of allocating a
-    fresh one per analysis. *)
+    Raises {!Ssta_robust.Robust.Error} (subsystem ["hier_analysis"],
+    operation ["analyze"]) if no design output is reachable from a design
+    input. *)
 
 val flatten :
   Floorplan.t -> Design_grid.t -> Ssta_mc.Sampler.ctx
@@ -63,4 +56,6 @@ val flat_form :
 (** Canonical SSTA on the flattened design over the design basis (no model
     extraction involved) - the "flat SSTA" reference separating model
     compression error from hierarchical propagation error.  Like
-    {!analyze}, it sweeps one edge slab and boxes only the outputs. *)
+    {!analyze}, it sweeps one edge slab and boxes only the outputs, and
+    raises the same error (operation ["flat_form"]) if no design output
+    is reachable. *)

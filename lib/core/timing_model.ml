@@ -25,7 +25,7 @@ type t = {
 let n_inputs t = Array.length t.graph.Tgraph.inputs
 let n_outputs t = Array.length t.graph.Tgraph.outputs
 
-let io_delays ?domains t =
+let io_delays t =
   Ssta_obs.Obs.with_span "timing_model.io_delays" (fun () ->
       let inputs = t.graph.Tgraph.inputs in
       let outputs = t.graph.Tgraph.outputs in
@@ -34,7 +34,7 @@ let io_delays ?domains t =
          materialized.  Each sweep is an independent task, so the rows
          come back in input order no matter how many domains ran them. *)
       let fbuf = Propagate.pack t.forms in
-      Ssta_par.Par.map_tasks ?domains
+      Ssta_par.Par.map_tasks
         ~init:(fun () -> (Propagate.create_workspace (), [| 0 |]))
         (Array.length inputs)
         (fun (ws, source1) i ->

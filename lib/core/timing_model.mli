@@ -41,12 +41,10 @@ type t = {
 val n_inputs : t -> int
 val n_outputs : t -> int
 
-val io_delays : ?domains:int -> t -> Form.t option array array
+val io_delays : t -> Form.t option array array
 (** The model's delay matrix [M_ij]: per input, a canonical propagation
     through the (small) model graph; [None] for unconnected pairs.  The
-    per-input sweeps fan out over [domains] workers (default
-    {!Ssta_par.Par.domains}); rows are merged in input order, so the matrix
-    is identical for every domain count. *)
+    per-input sweeps are one {!Ssta_par.Par} region. *)
 
 val compression : t -> float * float
 (** [(pe, pv)] = model edges / original edges, model vertices / original

@@ -118,8 +118,3 @@ let ks_distance xs cdf =
       worst := Float.max !worst (Float.max d_hi d_lo))
     sorted;
   !worst
-
-let pp_summary ppf xs =
-  Format.fprintf ppf "n=%d mean=%.4f std=%.4f q01=%.4f q50=%.4f q99=%.4f"
-    (Array.length xs) (mean xs) (std xs) (quantile xs 0.01) (quantile xs 0.5)
-    (quantile xs 0.99)

@@ -48,6 +48,3 @@ val histogram_dropped :
 
 val ks_distance : float array -> (float -> float) -> float
 (** Kolmogorov-Smirnov distance between the sample and a reference CDF. *)
-
-val pp_summary : Format.formatter -> float array -> unit
-(** One-line [n/mean/std/q01/q50/q99] summary, for logs and examples. *)

@@ -227,7 +227,6 @@ let find k = function Obj fields -> List.assoc_opt k fields | _ -> None
 let mem k v = find k v <> None
 let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
-let to_arr = function Arr l -> Some l | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let field_as ?default name conv what v =

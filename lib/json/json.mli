@@ -37,7 +37,6 @@ val mem : string -> t -> bool
 
 val to_num : t -> float option
 val to_str : t -> string option
-val to_arr : t -> t list option
 val to_bool : t -> bool option
 
 val num_field : ?default:float -> string -> t -> (float, string) result

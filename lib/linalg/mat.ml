@@ -48,10 +48,6 @@ let row m i =
   if i < 0 || i >= m.rows then invalid_arg "Mat.row: out of bounds";
   Array.sub m.data (i * m.cols) m.cols
 
-let col m j =
-  if j < 0 || j >= m.cols then invalid_arg "Mat.col: out of bounds";
-  Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
-
 let transpose m = init m.cols m.rows (fun i j -> m.data.((j * m.cols) + i))
 
 let mul a b =
@@ -104,9 +100,6 @@ let map2 f a b =
 let add a b = map2 ( +. ) a b
 let sub a b = map2 ( -. ) a b
 let scale alpha m = { m with data = Array.map (fun v -> alpha *. v) m.data }
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 m.data)
 
 let max_abs_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then

@@ -16,9 +16,6 @@ val to_arrays : t -> float array array
 val row : t -> int -> float array
 (** Fresh copy of a row. *)
 
-val col : t -> int -> float array
-(** Fresh copy of a column. *)
-
 val transpose : t -> t
 val mul : t -> t -> t
 (** Matrix product; inner dimensions must agree. *)
@@ -32,7 +29,6 @@ val tmul_vec : t -> float array -> float array
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
-val frobenius : t -> float
 val max_abs_diff : t -> t -> float
 (** Largest element-wise absolute difference (for tests). *)
 

@@ -64,7 +64,7 @@ let merge ~ni ~no a b =
 let pair_moments r i j =
   if r.reachable.(i).(j) then Some (r.means.(i).(j), r.stds.(i).(j)) else None
 
-let run ?domains ~iterations ~seed ctx =
+let run ~iterations ~seed ctx =
   if iterations <= 0 then invalid_arg "Allpairs_mc.run: iterations must be > 0";
   let g = ctx.Sampler.graph in
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
@@ -73,7 +73,7 @@ let run ?domains ~iterations ~seed ctx =
   let t0 = Unix.gettimeofday () in
   Obs.with_span "mc.allpairs" @@ fun () ->
   let chunks =
-    Par.map_chunks ?domains ~chunk ~n:iterations (fun ~chunk:c ~lo ~hi ->
+    Par.map_chunks ~chunk ~n:iterations (fun ~chunk:c ~lo ~hi ->
         Obs.with_span "mc.allpairs.chunk" @@ fun () ->
         let rng = Rng.stream ~seed ~index:c in
         let weights = Array.make (Tgraph.n_edges g) 0.0 in

@@ -21,9 +21,8 @@ val pair_moments : result -> int -> int -> (float * float) option
     unreachable - the Monte Carlo reference of
     [Hier_ssta.Timing_model.io_accuracy]. *)
 
-val run : ?domains:int -> iterations:int -> seed:int -> Sampler.ctx -> result
+val run : iterations:int -> seed:int -> Sampler.ctx -> result
 (** Iterations are processed in fixed {!Sampler.chunk_iterations}-sized
-    chunks (independent RNG substream and Welford accumulators per chunk)
-    and the per-chunk statistics are merged in chunk-index order, so means
-    and stds are bit-identical for every [domains] count (default
-    {!Ssta_par.Par.domains}). *)
+    chunks (independent RNG substream and Welford accumulators per chunk),
+    run as one {!Ssta_par.Par} region, and the per-chunk statistics are
+    merged in chunk-index order. *)

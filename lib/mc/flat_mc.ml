@@ -14,9 +14,8 @@ let c_samples = Obs.counter "mc.flat.samples"
 (* Chunked deterministic Monte Carlo: iterations are cut into fixed
    [Sampler.chunk_iterations]-sized chunks, chunk [c] draws from the
    reproducible substream [Rng.stream ~seed ~index:c] and writes only its
-   own [delays] slice, so the result is bit-identical for every domain
-   count (including the never-spawning [domains = 1] sequential path). *)
-let run ?domains ~iterations ~seed ctx =
+   own [delays] slice, so the result is the same for every domain count. *)
+let run ~iterations ~seed ctx =
   if iterations <= 0 then invalid_arg "Flat_mc.run: iterations must be > 0";
   let g = ctx.Sampler.graph in
   let n_edges = Tgraph.n_edges g in
@@ -24,7 +23,7 @@ let run ?domains ~iterations ~seed ctx =
   let delays = Array.make iterations 0.0 in
   let t0 = Unix.gettimeofday () in
   Obs.with_span "mc.flat" @@ fun () ->
-  Par.run_tasks ?domains
+  Par.run_tasks
     ~n_tasks:(Par.n_chunks ~chunk iterations)
     ~init:(fun () -> Array.make n_edges 0.0)
     ~task:(fun weights c ->
@@ -39,28 +38,3 @@ let run ?domains ~iterations ~seed ctx =
       if Obs.enabled () then Obs.add c_samples (hi - lo))
     ();
   { delays; wall_seconds = Unix.gettimeofday () -. t0 }
-
-let arrival_samples ?domains ~iterations ~seed ctx ~vertex =
-  if iterations <= 0 then
-    invalid_arg "Flat_mc.arrival_samples: iterations must be > 0";
-  let g = ctx.Sampler.graph in
-  let n_edges = Tgraph.n_edges g in
-  let chunk = Sampler.chunk_iterations in
-  let out = Array.make iterations 0.0 in
-  Obs.with_span "mc.flat" @@ fun () ->
-  Par.run_tasks ?domains
-    ~n_tasks:(Par.n_chunks ~chunk iterations)
-    ~init:(fun () -> Array.make n_edges 0.0)
-    ~task:(fun weights c ->
-      Obs.with_span "mc.flat.chunk" @@ fun () ->
-      let lo, hi = Par.chunk_bounds ~chunk ~n:iterations c in
-      let rng = Rng.stream ~seed ~index:c in
-      for it = lo to hi - 1 do
-        let sample = Sampler.draw ctx.Sampler.basis rng in
-        Sampler.fill_weights ctx sample rng weights;
-        let arr = Sta.forward g ~weights in
-        out.(it) <- arr.(vertex)
-      done;
-      if Obs.enabled () then Obs.add c_samples (hi - lo))
-    ();
-  out

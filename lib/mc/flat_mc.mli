@@ -7,18 +7,7 @@ type result = {
   wall_seconds : float;
 }
 
-val run : ?domains:int -> iterations:int -> seed:int -> Sampler.ctx -> result
+val run : iterations:int -> seed:int -> Sampler.ctx -> result
 (** Sample batches are cut into fixed {!Sampler.chunk_iterations}-sized
     chunks, each drawing from its own {!Ssta_gauss.Rng.stream} substream
-    and executed on [domains] workers (default {!Ssta_par.Par.domains});
-    the result is bit-identical for every domain count. *)
-
-val arrival_samples :
-  ?domains:int ->
-  iterations:int ->
-  seed:int ->
-  Sampler.ctx ->
-  vertex:int ->
-  float array
-(** Per-sample arrival time at a chosen vertex (all-inputs propagation);
-    [neg_infinity] never appears for vertices reachable from an input. *)
+    and run as one {!Ssta_par.Par} region. *)

@@ -12,10 +12,16 @@
      result is bit-identical no matter which domain ran which task, or in
      which order.
 
+   The domain count is one process-wide setting, never a per-call
+   argument: [PAR_DOMAINS] (default: the CPU count), overridden by
+   [set_domains] (what [hssta -j] and the ledger call) or, for the
+   duration of one call, [with_domains].  Every parallel region in the
+   library reads [domains ()], and every engine built on these regions -
+   Monte Carlo, criticality, extraction, model delay matrices, batches,
+   the design-level flow - returns the same bits for every domain count.
    [domains = 1] never spawns: the tasks run in the calling domain, in
-   index order - the exact sequential path.  Because tasks are independent
-   and merges happen in index order, that path produces the same bits as
-   any parallel execution, which is what `test/test_par.ml` pins.
+   index order - the exact sequential path, which `test/test_par.ml`
+   pins against the parallel ones.
 
    Domains are spawned per parallel region rather than parked in a global
    queue: a region's tasks are coarse (a chunk of MC samples, a full
@@ -54,52 +60,11 @@ let domains () =
   match !override with Some n -> n | None -> Lazy.force env_default
 
 (* Run [f ()] with the domain count forced to [n], restoring the previous
-   setting afterwards (used by tests and the bench scaling sweeps). *)
+   setting afterwards, also when [f] raises. *)
 let with_domains n f =
   let saved = !override in
   set_domains n;
   Fun.protect ~finally:(fun () -> override := saved) f
-
-let resolve = function Some n -> max 1 n | None -> domains ()
-
-(* Execute [n_tasks] independent tasks on [domains] workers.  Each worker
-   builds one [init ()] scratch value and reuses it across every task it
-   claims; tasks must therefore not let results depend on scratch history
-   (our workspaces re-prepare themselves per sweep).  Exceptions raised by
-   a task surface to the caller after all workers have been joined. *)
-let run_tasks ?domains ~n_tasks ~init ~task () =
-  if n_tasks > 0 then begin
-    let d = min (resolve domains) n_tasks in
-    if d <= 1 then begin
-      let w = init () in
-      for i = 0 to n_tasks - 1 do
-        task w i
-      done
-    end
-    else begin
-      let next = Atomic.make 0 in
-      let worker () =
-        let w = init () in
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n_tasks then begin
-            task w i;
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let others = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-      let first_exn = ref None in
-      (try worker () with e -> first_exn := Some e);
-      Array.iter
-        (fun dom ->
-          try Domain.join dom
-          with e -> if !first_exn = None then first_exn := Some e)
-        others;
-      match !first_exn with Some e -> raise e | None -> ()
-    end
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Pooled scratch                                                      *)
@@ -144,53 +109,51 @@ let pool_members p =
   Mutex.unlock p.lock;
   l
 
-(* [run_tasks] drawing worker scratch from a pool instead of building it
-   with a per-region [init].  Same task semantics and the same
-   deterministic chunk-claiming scheme. *)
-let run_tasks_pool ?domains ~n_tasks ~pool:p ~task () =
+(* Execute [n_tasks] independent tasks on [domains ()] workers.  Each
+   worker draws one scratch value from the pool at region entry, reuses it
+   across every task it claims and returns it at the join; tasks must
+   therefore not let results depend on scratch history (our workspaces
+   re-prepare themselves per sweep).  Exceptions raised by a task surface
+   to the caller after all workers have been joined. *)
+let run_tasks_pool ~n_tasks ~pool:p ~task () =
   if n_tasks > 0 then begin
-    let d = min (resolve domains) n_tasks in
-    if d <= 1 then begin
+    let next = Atomic.make 0 in
+    let worker () =
       let w = pool_take p in
       Fun.protect ~finally:(fun () -> pool_put p w) @@ fun () ->
-      for i = 0 to n_tasks - 1 do
-        task w i
-      done
-    end
-    else begin
-      let next = Atomic.make 0 in
-      let worker () =
-        let w = pool_take p in
-        Fun.protect ~finally:(fun () -> pool_put p w) @@ fun () ->
-        let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n_tasks then begin
-            task w i;
-            loop ()
-          end
-        in
-        loop ()
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n_tasks then begin
+          task w i;
+          loop ()
+        end
       in
-      let others = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-      let first_exn = ref None in
-      (try worker () with e -> first_exn := Some e);
-      Array.iter
-        (fun dom ->
-          try Domain.join dom
-          with e -> if !first_exn = None then first_exn := Some e)
-        others;
-      match !first_exn with Some e -> raise e | None -> ()
-    end
+      loop ()
+    in
+    let others =
+      Array.init (min (domains ()) n_tasks - 1) (fun _ -> Domain.spawn worker)
+    in
+    let first_exn = ref None in
+    (try worker () with e -> first_exn := Some e);
+    Array.iter
+      (fun dom ->
+        try Domain.join dom
+        with e -> if !first_exn = None then first_exn := Some e)
+      others;
+    match !first_exn with Some e -> raise e | None -> ()
   end
 
+(* [run_tasks_pool] over a fresh pool: each worker builds one [init ()]
+   scratch value for this region only. *)
+let run_tasks ~n_tasks ~init ~task () =
+  run_tasks_pool ~n_tasks ~pool:(pool init) ~task ()
+
 (* As [run_tasks], but collect each task's return value, in task order. *)
-let map_tasks ?domains ~init n f =
+let map_tasks ~init n f =
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    run_tasks ?domains ~n_tasks:n ~init
-      ~task:(fun w i -> out.(i) <- Some (f w i))
-      ();
+    run_tasks ~n_tasks:n ~init ~task:(fun w i -> out.(i) <- Some (f w i)) ();
     Array.map (function Some v -> v | None -> assert false) out
   end
 
@@ -215,8 +178,8 @@ let chunk_bounds ~chunk ~n i =
    count), so callers whose per-block work is deterministic get the usual
    bit-identical merge for free — the criticality screen's blocked
    backward tiles schedule through this. *)
-let run_blocks ?domains ~block ~n ~task () =
-  run_tasks ?domains
+let run_blocks ~block ~n ~task () =
+  run_tasks
     ~n_tasks:(n_chunks ~chunk:block n)
     ~init:(fun () -> ())
     ~task:(fun () b ->
@@ -226,16 +189,10 @@ let run_blocks ?domains ~block ~n ~task () =
 
 (* Map [f ~chunk ~lo ~hi] over every chunk of [0, n); the result array is
    in chunk-index order regardless of the domain count. *)
-let map_chunks ?domains ~chunk ~n f =
-  map_tasks ?domains
+let map_chunks ~chunk ~n f =
+  map_tasks
     ~init:(fun () -> ())
     (n_chunks ~chunk n)
     (fun () i ->
       let lo, hi = chunk_bounds ~chunk ~n i in
       f ~chunk:i ~lo ~hi)
-
-(* Chunked map-reduce: chunk results are folded with [merge] strictly in
-   chunk-index order, so non-commutative merges (running statistics) stay
-   deterministic. *)
-let fold_chunks ?domains ~chunk ~n ~init:acc0 ~merge f =
-  Array.fold_left merge acc0 (map_chunks ?domains ~chunk ~n f)

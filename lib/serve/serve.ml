@@ -108,7 +108,6 @@ let make ?cache_dir ?(max_queue = 256) ?(checkpoint_every = 64) () =
     shared = Hashtbl.create 7;
   }
 
-let stopped t = t.stop
 let cache_size t = Hashtbl.length t.cache
 let set_max_queue t n = t.max_queue <- max 1 n
 

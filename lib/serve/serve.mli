@@ -93,9 +93,6 @@ val create :
 
 val set_max_queue : t -> int -> unit
 
-val stopped : t -> bool
-(** Whether a [shutdown] request has been processed. *)
-
 val cache_size : t -> int
 (** Characterized models currently resident (distinct content hashes). *)
 

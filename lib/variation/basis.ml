@@ -111,11 +111,6 @@ let sample_globals t rng = Array.init t.n_params (fun _ -> Rng.gaussian rng)
 let sample_local_fields t rng =
   Array.init t.n_params (fun _ -> Pca.sample t.pca rng)
 
-let sample_pcs t rng =
-  let z = Array.make t.dims.Form.n_pcs 0.0 in
-  Rng.gaussian_fill rng z;
-  z
-
 let tile_of_point t p =
   let rec find i =
     if i >= Array.length t.tiles then

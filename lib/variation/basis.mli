@@ -69,10 +69,6 @@ val sample_local_fields : t -> Ssta_gauss.Rng.t -> float array array
     one value per tile (drawn through the PCA factor, so their covariance is
     the clamped C). *)
 
-val sample_pcs : t -> Ssta_gauss.Rng.t -> float array
-(** Standard-normal PC vector of length [dims.n_pcs] (for evaluating
-    canonical forms directly in tests). *)
-
 val tile_of_point : t -> float * float -> int
 (** Index of the tile containing a point (linear scan; fine for tests and
     model building, use {!Grid.index_of_point} for bulk regular lookups). *)

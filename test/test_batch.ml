@@ -96,7 +96,10 @@ let test_delay_batch_equals_singles () =
   let want = reference_results ~mode:Batch.Delay base scenarios in
   List.iter
     (fun d ->
-      let got = Batch.run ~domains:d ~mode:Batch.Delay base scenarios in
+      let got =
+        Par.with_domains d (fun () ->
+            Batch.run ~mode:Batch.Delay base scenarios)
+      in
       check_results (Printf.sprintf "delay domains=%d" d) want got)
     [ 1; 2; 4 ]
 
@@ -106,7 +109,9 @@ let test_io_batch_equals_singles () =
   let want = reference_results ~mode:Batch.Io base scenarios in
   List.iter
     (fun d ->
-      let got = Batch.run ~domains:d ~mode:Batch.Io base scenarios in
+      let got =
+        Par.with_domains d (fun () -> Batch.run ~mode:Batch.Io base scenarios)
+      in
       check_results (Printf.sprintf "io domains=%d" d) want got)
     [ 1; 2; 4 ]
 
@@ -117,7 +122,7 @@ let test_io_matches_per_input_forward () =
   let b = small 11 in
   let base = Batch.prepare b in
   let s = Batch.nominal () in
-  let r = Batch.run_one ~domains:1 ~mode:Batch.Io base s in
+  let r = Par.with_domains 1 (fun () -> Batch.run_one ~mode:Batch.Io base s) in
   let g = b.Build.graph in
   Array.iteri
     (fun i input ->
@@ -137,7 +142,9 @@ let test_random_dags_delay_and_io () =
       List.iter
         (fun mode ->
           let want = reference_results ~mode base scenarios in
-          let got = Batch.run ~domains:3 ~mode base scenarios in
+          let got =
+            Par.with_domains 3 (fun () -> Batch.run ~mode base scenarios)
+          in
           check_results (Printf.sprintf "seed=%d" seed) want got)
         [ Batch.Delay; Batch.Io ])
     [ 1; 2; 3 ]
@@ -148,7 +155,9 @@ let test_nominal_matches_extract_path () =
      base form, so the sweep is the standard all-PI forward pass. *)
   let b = Lazy.force c1908 in
   let base = Batch.prepare b in
-  let r = Batch.run_one ~domains:1 base (Batch.nominal ()) in
+  let r =
+    Par.with_domains 1 (fun () -> Batch.run_one base (Batch.nominal ()))
+  in
   let g = b.Build.graph in
   let want = Sweep_oracle.circuit_delay g ~forms:b.Build.forms in
   if not (opt_equal r.Batch.delay want) then
@@ -164,7 +173,8 @@ let test_screen_kept_counts () =
   let scenarios = Batch.default_scenarios 3 in
   let want = reference_results ~mode:Batch.Delay ~screen:true base scenarios in
   let got =
-    Batch.run ~domains:2 ~mode:Batch.Delay ~screen:true base scenarios
+    Par.with_domains 2 (fun () ->
+        Batch.run ~mode:Batch.Delay ~screen:true base scenarios)
   in
   check_results "screen" want got;
   Array.iter
@@ -222,20 +232,21 @@ let test_reused_base_equals_fresh () =
     (fun (label, b, mode, screen) ->
       let runs = reuse_sequence () in
       let want =
-        List.map
-          (fun a ->
-            Batch.run ~domains:1 ~mode ~screen (Batch.prepare b) a)
-          runs
+        Par.with_domains 1 (fun () ->
+            List.map
+              (fun a -> Batch.run ~mode ~screen (Batch.prepare b) a)
+              runs)
       in
       List.iter
         (fun d ->
+          Par.with_domains d @@ fun () ->
           let base = Batch.prepare b in
           List.iteri
             (fun i (a, w) ->
               check_results
                 (Printf.sprintf "%s domains=%d run %d" label d i)
                 w
-                (Batch.run ~domains:d ~mode ~screen base a))
+                (Batch.run ~mode ~screen base a))
             (List.combine runs want))
         [ 1; 4 ])
     [
@@ -264,7 +275,8 @@ let test_slab_peak_is_capacity_plan () =
   Obs.enable ();
   let b = Lazy.force c1908 in
   let base = Batch.prepare b in
-  ignore (Batch.run ~domains:2 base (Batch.default_scenarios 6));
+  Par.with_domains 2 @@ fun () ->
+  ignore (Batch.run base (Batch.default_scenarios 6));
   let dims = b.Build.basis.Basis.dims in
   let g = b.Build.graph in
   let planned =
@@ -279,9 +291,9 @@ let test_slab_peak_is_capacity_plan () =
   let builds () = Obs.find_counter "batch.scratch_builds" in
   let warm = builds () in
   for _ = 1 to 5 do
-    ignore (Batch.run ~domains:2 base (Batch.default_scenarios 6));
-    ignore (Batch.run ~domains:2 ~mode:Batch.Io ~screen:true base
-              (Batch.default_scenarios 2))
+    ignore (Batch.run base (Batch.default_scenarios 6));
+    ignore
+      (Batch.run ~mode:Batch.Io ~screen:true base (Batch.default_scenarios 2))
   done;
   Alcotest.(check bool) "at most two workers built" true (warm <= 2);
   Alcotest.(check int) "no slab built by warm runs" warm (builds ())
@@ -291,7 +303,7 @@ let test_span_granularity () =
   Obs.enable ();
   let base = Batch.prepare (small 3) in
   let scenarios = Batch.default_scenarios 4 in
-  ignore (Batch.run ~domains:1 ~screen:true base scenarios);
+  ignore (Par.with_domains 1 (fun () -> Batch.run ~screen:true base scenarios));
   let count name =
     match List.assoc_opt name (Obs.spans ()) with
     | Some s -> s.Obs.count
@@ -312,12 +324,12 @@ let test_obs_identity () =
   let off =
     with_obs (fun () ->
         Obs.disable ();
-        Batch.run ~domains:2 ~mode:Batch.Io base scenarios)
+        Par.with_domains 2 (fun () -> Batch.run ~mode:Batch.Io base scenarios))
   in
   let on =
     with_obs (fun () ->
         Obs.enable ();
-        Batch.run ~domains:2 ~mode:Batch.Io base scenarios)
+        Par.with_domains 2 (fun () -> Batch.run ~mode:Batch.Io base scenarios))
   in
   check_results "obs on = off" off on
 
@@ -465,9 +477,9 @@ let test_parsed_scenarios_run () =
     |]
   in
   let base = Batch.prepare (small 13) in
+  Par.with_domains 1 @@ fun () ->
   check_results "parsed = hand-built"
-    (Batch.run ~domains:1 base by_hand)
-    (Batch.run ~domains:1 base parsed)
+    (Batch.run base by_hand) (Batch.run base parsed)
 
 let suites =
   [

@@ -200,8 +200,8 @@ let prop_screen_equivalence seed =
               List.iter
                 (fun tile ->
                   let got =
-                    H.Criticality.compute ~exact ~domains ?tile ~delta:0.05 g
-                      ~forms
+                    Ssta_par.Par.with_domains domains (fun () ->
+                        H.Criticality.compute ~exact ?tile ~delta:0.05 g ~forms)
                   in
                   let label =
                     Printf.sprintf

@@ -49,8 +49,9 @@ let zero_wall s =
          else line)
   |> String.concat "\n"
 
-let model_string ~domains nl =
-  zero_wall (Model_io.to_string (Extract.extract ~domains (Build.characterize nl)))
+let model_string domains nl =
+  Ssta_par.Par.with_domains domains (fun () ->
+      zero_wall (Model_io.to_string (Extract.extract (Build.characterize nl))))
 
 let parse_example stem =
   Design.lower
@@ -83,8 +84,8 @@ let test_c17_golden () =
     (fun domains ->
       Alcotest.(check string)
         (Printf.sprintf "c17 model bit-identical at %d domains" domains)
-        (model_string ~domains built)
-        (model_string ~domains lowered.Design.netlist))
+        (model_string domains built)
+        (model_string domains lowered.Design.netlist))
     [ 1; 4 ]
 
 let test_c432_golden () =
@@ -97,8 +98,8 @@ let test_c432_golden () =
     (fun domains ->
       Alcotest.(check string)
         (Printf.sprintf "c432 model bit-identical at %d domains" domains)
-        (model_string ~domains built)
-        (model_string ~domains lowered.Design.netlist))
+        (model_string domains built)
+        (model_string domains lowered.Design.netlist))
     [ 1; 4 ]
 
 (* of_netlist -> print -> parse -> lower must reproduce the netlist; the

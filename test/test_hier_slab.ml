@@ -323,6 +323,48 @@ let test_repair_nan_factor () =
   Alcotest.(check bool) "finite delay" true (Robust.is_finite d1.Form.mean);
   check_bits "same delay at 1 and 4 domains" d1 d4
 
+(* One instance whose model (and netlist graph) keeps its ports but has
+   no edge: no design output is reachable from a design input, which both
+   design-level sweeps report as a structured error, not a [Failure]. *)
+let test_unreachable_outputs_error () =
+  let b = Lazy.force Test_hier_flow.module_build in
+  let m = Lazy.force Test_hier_flow.module_model in
+  let edgeless (g : Tgraph.t) =
+    Tgraph.make ~n_vertices:g.Tgraph.n_vertices ~edges:[||]
+      ~inputs:g.Tgraph.inputs ~outputs:g.Tgraph.outputs
+  in
+  let build =
+    { b with Build.graph = edgeless b.Build.graph; forms = [||]; sparse = [||] }
+  in
+  let model =
+    {
+      m with
+      H.Timing_model.graph = edgeless m.H.Timing_model.graph;
+      forms = [||];
+    }
+  in
+  let fp =
+    Fp.create ~die:m.H.Timing_model.die
+      ~instances:
+        [|
+          { Fp.label = "open"; build = Some build; model; origin = (0.0, 0.0) };
+        |]
+      ~connections:[||]
+  in
+  let dg = H.Design_grid.build fp in
+  let expect operation f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error on an unreachable design" operation
+    | exception Robust.Error c ->
+        Alcotest.(check string) (operation ^ " subsystem") "hier_analysis"
+          c.Robust.subsystem;
+        Alcotest.(check string) (operation ^ " operation") operation
+          c.Robust.operation
+  in
+  expect "analyze" (fun () ->
+      ignore (H.Hier_analysis.analyze fp dg ~mode:H.Replace.Replaced));
+  expect "flat_form" (fun () -> ignore (H.Hier_analysis.flat_form fp dg))
+
 let suites =
   [
     ( "hier_slab.oracle",
@@ -337,5 +379,7 @@ let suites =
         Alcotest.test_case "design model bytes" `Quick test_design_model_pinned;
         Alcotest.test_case "Repair of a NaN factor entry, 1 vs 4 domains" `Quick
           test_repair_nan_factor;
+        Alcotest.test_case "no reachable output is a structured error" `Quick
+          test_unreachable_outputs_error;
       ] );
   ]

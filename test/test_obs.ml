@@ -94,10 +94,11 @@ let test_counter_totals_domain_invariant () =
   List.iter
     (fun domains ->
       Obs.reset ();
-      Par.run_tasks ~domains ~n_tasks
-        ~init:(fun () -> ())
-        ~task:(fun () i -> Obs.add c (i + 1))
-        ();
+      Par.with_domains domains (fun () ->
+          Par.run_tasks ~n_tasks
+            ~init:(fun () -> ())
+            ~task:(fun () i -> Obs.add c (i + 1))
+            ());
       Alcotest.(check int)
         (Printf.sprintf "total at %d domains" domains)
         expected (Obs.counter_value c))
@@ -135,8 +136,9 @@ let test_criticality_counters_domain_invariant () =
   let run domains tile =
     Obs.reset ();
     let crit =
-      H.Criticality.compute ~domains ?tile ~delta:0.05 b.Build.graph
-        ~forms:b.Build.forms
+      Par.with_domains domains (fun () ->
+          H.Criticality.compute ?tile ~delta:0.05 b.Build.graph
+            ~forms:b.Build.forms)
     in
     (crit, List.map (fun n -> (n, Obs.find_counter n)) counters)
   in
@@ -202,7 +204,8 @@ let test_c1908_screen_counters () =
   in
   let run ?tile domains =
     Obs.reset ();
-    H.Criticality.compute ~domains ?tile ~delta:0.05 g ~forms
+    Par.with_domains domains (fun () ->
+        H.Criticality.compute ?tile ~delta:0.05 g ~forms)
   in
   let untiled =
     List.map
@@ -346,7 +349,9 @@ let test_trace_jsonl_wellformed () =
      the trace interleaves events of several [dom] ids. *)
   let b = Lazy.force module_build in
   let ctx = Ssta_mc.Sampler.ctx_of_build b in
-  ignore (Ssta_mc.Flat_mc.run ~domains:4 ~iterations:2048 ~seed:11 ctx);
+  ignore
+    (Par.with_domains 4 (fun () ->
+         Ssta_mc.Flat_mc.run ~iterations:2048 ~seed:11 ctx));
   Obs.close_trace ();
   Obs.disable ();
   let ic = open_in path in
@@ -446,7 +451,10 @@ let test_disabled_mode_identity () =
   let ctx = Ssta_mc.Sampler.ctx_of_build b in
   let run () =
     let model = H.Extract.extract ~delta:0.05 b in
-    let mc = Ssta_mc.Flat_mc.run ~domains:2 ~iterations:1024 ~seed:5 ctx in
+    let mc =
+      Par.with_domains 2 (fun () ->
+          Ssta_mc.Flat_mc.run ~iterations:1024 ~seed:5 ctx)
+    in
     (model.H.Timing_model.forms, mc.Ssta_mc.Flat_mc.delays)
   in
   Obs.disable ();

@@ -2,7 +2,9 @@
    produce bit-identical results for every domain count, on adversarial
    chunk sizes (0 - clamped to 1 - single-element, prime, and larger than
    the item count), and the parallel MC / criticality engines built on it
-   must agree with their sequential (domains = 1) path exactly. *)
+   must agree with their sequential (domains = 1) path exactly.  Domain
+   counts are picked through the process-wide setting ([with_domains]),
+   the only way to select one. *)
 
 module Par = Ssta_par.Par
 module Rng = Ssta_gauss.Rng
@@ -12,6 +14,7 @@ module Allpairs_mc = Ssta_mc.Allpairs_mc
 module Sampler = Ssta_mc.Sampler
 
 let domain_counts = [ 1; 2; 3; 8 ]
+let at d f = Par.with_domains d f
 let adversarial_chunks n = [ 0; 1; 7; n + 3 ]
 
 (* NaN-proof float comparison: unreachable pairs are nan on both sides and
@@ -40,12 +43,13 @@ let qcheck_map_chunks =
         List.for_all
           (fun domains ->
             let got =
-              Par.map_chunks ~domains ~chunk ~n (fun ~chunk:_ ~lo ~hi ->
-                  let acc = ref 0 in
-                  for i = lo to hi - 1 do
-                    acc := !acc + items.(i)
-                  done;
-                  (lo, hi, !acc))
+              at domains (fun () ->
+                  Par.map_chunks ~chunk ~n (fun ~chunk:_ ~lo ~hi ->
+                      let acc = ref 0 in
+                      for i = lo to hi - 1 do
+                        acc := !acc + items.(i)
+                      done;
+                      (lo, hi, !acc)))
             in
             got = reference)
           domain_counts)
@@ -72,38 +76,49 @@ let qcheck_chunk_partition =
        QCheck.(pair (int_range 0 500) (int_range 0 60))
        prop)
 
-let test_fold_chunks_order () =
-  (* merge is applied strictly in chunk-index order. *)
-  List.iter
-    (fun domains ->
-      let order =
-        Par.fold_chunks ~domains ~chunk:3 ~n:20 ~init:[]
-          ~merge:(fun acc c -> c :: acc)
-          (fun ~chunk ~lo:_ ~hi:_ -> chunk)
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk merge order at %d domains" domains)
-        [ 6; 5; 4; 3; 2; 1; 0 ] order)
-    domain_counts
+(* [with_domains] is the only way a caller selects a domain count for a
+   region: it must clamp like [set_domains] and restore the previous
+   setting on return, on an exception and through nesting. *)
+let test_with_domains () =
+  let ci = Alcotest.(check int) in
+  let outer = Par.domains () in
+  ci "returns f's value" 7 (at 3 (fun () -> 7));
+  ci "restored after return" outer (Par.domains ());
+  (match at 5 (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  ci "restored after raise" outer (Par.domains ());
+  at 2 (fun () ->
+      ci "outer setting" 2 (Par.domains ());
+      at 6 (fun () -> ci "inner setting" 6 (Par.domains ()));
+      ci "inner unwound to outer" 2 (Par.domains ());
+      (try at 4 (fun () -> raise Exit) with Exit -> ());
+      ci "raising inner unwound to outer" 2 (Par.domains ()));
+  ci "nest unwound" outer (Par.domains ());
+  at 0 (fun () -> ci "0 clamps to 1" 1 (Par.domains ()));
+  at (-3) (fun () -> ci "negative clamps to 1" 1 (Par.domains ()));
+  ci "restored after clamp" outer (Par.domains ())
 
 let test_run_tasks_scratch_and_exn () =
   (* Per-worker scratch is built once per worker; task exceptions surface
      after the join barrier. *)
   let builds = Atomic.make 0 in
-  Par.run_tasks ~domains:3 ~n_tasks:11
-    ~init:(fun () -> Atomic.incr builds)
-    ~task:(fun () _ -> ())
-    ();
+  at 3 (fun () ->
+      Par.run_tasks ~n_tasks:11
+        ~init:(fun () -> Atomic.incr builds)
+        ~task:(fun () _ -> ())
+        ());
   Alcotest.(check bool)
     "at most one scratch per worker" true
     (Atomic.get builds <= 3);
   Alcotest.(check bool)
     "task exception propagates" true
     (try
-       Par.run_tasks ~domains:2 ~n_tasks:8
-         ~init:(fun () -> ())
-         ~task:(fun () i -> if i = 5 then failwith "boom")
-         ();
+       at 2 (fun () ->
+           Par.run_tasks ~n_tasks:8
+             ~init:(fun () -> ())
+             ~task:(fun () i -> if i = 5 then failwith "boom")
+             ());
        false
      with Failure _ -> true)
 
@@ -131,10 +146,11 @@ let ctx =
    the chunk merge, unlike the single-chunk 250-iteration goldens. *)
 let test_flat_mc_domains () =
   let ctx = Lazy.force ctx in
-  let r1 = Flat_mc.run ~domains:1 ~iterations:700 ~seed:9 ctx in
+  let run d = at d (fun () -> Flat_mc.run ~iterations:700 ~seed:9 ctx) in
+  let r1 = run 1 in
   List.iter
     (fun d ->
-      let rd = Flat_mc.run ~domains:d ~iterations:700 ~seed:9 ctx in
+      let rd = run d in
       Alcotest.(check bool)
         (Printf.sprintf "flat delays bit-equal at %d domains" d)
         true
@@ -143,10 +159,11 @@ let test_flat_mc_domains () =
 
 let test_allpairs_mc_domains () =
   let ctx = Lazy.force ctx in
-  let r1 = Allpairs_mc.run ~domains:1 ~iterations:700 ~seed:5 ctx in
+  let run d = at d (fun () -> Allpairs_mc.run ~iterations:700 ~seed:5 ctx) in
+  let r1 = run 1 in
   List.iter
     (fun d ->
-      let rd = Allpairs_mc.run ~domains:d ~iterations:700 ~seed:5 ctx in
+      let rd = run d in
       Alcotest.(check bool)
         (Printf.sprintf "allpairs means bit-equal at %d domains" d)
         true
@@ -168,16 +185,14 @@ let test_criticality_domains () =
   let module C = Hier_ssta.Criticality in
   List.iter
     (fun exact ->
-      let r1 =
-        C.compute ~exact ~domains:1 ~delta:0.05 b.Build.graph
-          ~forms:b.Build.forms
+      let run d =
+        at d (fun () ->
+            C.compute ~exact ~delta:0.05 b.Build.graph ~forms:b.Build.forms)
       in
+      let r1 = run 1 in
       List.iter
         (fun d ->
-          let rd =
-            C.compute ~exact ~domains:d ~delta:0.05 b.Build.graph
-              ~forms:b.Build.forms
-          in
+          let rd = run d in
           let tag =
             Printf.sprintf "(exact=%b, %d domains)" exact d
           in
@@ -197,10 +212,15 @@ let test_criticality_domains () =
 let test_extract_domains () =
   let b = Build.characterize (Ssta_circuit.Iscas.build "c432") in
   let module T = Hier_ssta.Timing_model in
-  let m1 = Hier_ssta.Extract.extract ~domains:1 b in
+  let run d =
+    at d (fun () ->
+        let m = Hier_ssta.Extract.extract b in
+        (m, T.io_delays m))
+  in
+  let m1, io1 = run 1 in
   List.iter
     (fun d ->
-      let md = Hier_ssta.Extract.extract ~domains:d b in
+      let md, iod = run d in
       Alcotest.(check bool)
         (Printf.sprintf "model forms bit-equal at %d domains" d)
         true
@@ -208,8 +228,6 @@ let test_extract_domains () =
       Alcotest.(check int)
         (Printf.sprintf "model edges equal at %d domains" d)
         m1.T.stats.T.model_edges md.T.stats.T.model_edges;
-      let io1 = T.io_delays ~domains:1 m1 in
-      let iod = T.io_delays ~domains:d md in
       Alcotest.(check bool)
         (Printf.sprintf "io_delays bit-equal at %d domains" d)
         true (io1 = iod))
@@ -232,8 +250,7 @@ let suites =
       [
         qcheck_map_chunks;
         qcheck_chunk_partition;
-        Alcotest.test_case "fold_chunks merge order" `Quick
-          test_fold_chunks_order;
+        Alcotest.test_case "with_domains scoping" `Quick test_with_domains;
         Alcotest.test_case "run_tasks scratch + exceptions" `Quick
           test_run_tasks_scratch_and_exn;
         Alcotest.test_case "rng substream family" `Quick test_rng_stream;

@@ -876,7 +876,7 @@ let test_deadline_cancels_batch_run () =
   in
   let scenarios = Batch.default_scenarios 3 in
   Deadline.arm_at 0.0;
-  (match Batch.run ~domains:2 base scenarios with
+  (match Par.with_domains 2 (fun () -> Batch.run base scenarios) with
   | _ ->
       Deadline.disarm ();
       Alcotest.fail "Batch.run ignored an expired deadline"
@@ -884,7 +884,7 @@ let test_deadline_cancels_batch_run () =
       Deadline.disarm ();
       Alcotest.(check string) "deadline subsystem" "deadline" c.Robust.subsystem);
   (* disarmed: same call completes *)
-  ignore (Batch.run ~domains:2 base scenarios)
+  ignore (Par.with_domains 2 (fun () -> Batch.run base scenarios))
 
 (* Fuzzed durable state: WAL and disk-cache files mangled by the shared
    mutation primitives (byte truncation, token mutation, line shuffle).
