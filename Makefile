@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test test-domains bench bench-smoke chaos check ci fmt fmt-check clean
+.PHONY: all build test test-domains bench bench-smoke chaos check ci fmt fmt-check loc clean
 
 all: build
 
@@ -53,6 +53,11 @@ fmt:
 # a real failure, not a skip (install the version named in .ocamlformat).
 fmt-check:
 	$(DUNE) build @fmt
+
+# The .ml/.mli line total of lib/ + bin/: the size every simplicity change
+# is measured by.
+loc:
+	@find lib bin \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
 
 clean:
 	$(DUNE) clean

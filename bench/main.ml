@@ -195,13 +195,12 @@ let run_ablation_delta () =
      input through a single reused workspace (the same kernel path the
      extraction itself runs on). *)
   let reference =
-    let fbuf = H.Propagate.pack b.Build.forms in
     let ws = H.Propagate.create_workspace () in
     let source1 = [| 0 |] in
     Array.map
       (fun input ->
         source1.(0) <- input;
-        H.Propagate.forward_into ws g ~forms:fbuf ~sources:source1;
+        H.Propagate.forward_into ws g ~forms:b.Build.forms ~sources:source1;
         Array.map (fun out -> H.Propagate.ws_form ws out)
           g.Ssta_timing.Tgraph.outputs)
       g.Ssta_timing.Tgraph.inputs

@@ -53,12 +53,11 @@ let () =
      canonical SSTA, isolating extraction error from MC noise). *)
   let io = H.Timing_model.io_delays model in
   let g = b.Build.graph in
-  let fbuf = H.Propagate.pack b.Build.forms in
   let ws = H.Propagate.create_workspace () in
   let original =
     Array.map
       (fun input ->
-        H.Propagate.forward_into ws g ~forms:fbuf ~sources:[| input |];
+        H.Propagate.forward_into ws g ~forms:b.Build.forms ~sources:[| input |];
         Array.map (H.Propagate.ws_form ws) g.Tgraph.outputs)
       g.Tgraph.inputs
   in

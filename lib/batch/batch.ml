@@ -114,7 +114,6 @@ type scratch = {
 type base = {
   build : Build.t;
   m : int;
-  fbuf : Form_buf.t;
   edge_tile : int array;
   tile_fx : float array;
   tile_fy : float array;
@@ -145,7 +144,6 @@ let prepare (b : Build.t) =
   let g = b.Build.graph in
   let m = Tgraph.n_edges g in
   let nv = Tgraph.n_vertices g in
-  let fbuf = Form_buf.of_forms dims b.Build.forms in
   let grid = b.Build.grid in
   let nt = Grid.n_tiles grid in
   (* Normalized tile-center coordinates in [0, 1): the Gradient variant's
@@ -163,7 +161,6 @@ let prepare (b : Build.t) =
   {
     build = b;
     m;
-    fbuf;
     edge_tile;
     tile_fx;
     tile_fy;
@@ -187,7 +184,7 @@ let set_scenario base scr (s : scenario) =
           scr.tile_f.(t) <-
             1.0 +. (gx *. base.tile_fx.(t)) +. (gy *. base.tile_fy.(t))
         done);
-    let fbuf = base.fbuf
+    let fbuf = base.build.Build.forms
     and sforms = scr.sforms
     and edge_tile = base.edge_tile
     and corner_w = scr.corner_w
@@ -300,10 +297,9 @@ let run ?(mode = Delay) ?(screen = false) base scenarios =
         (fun r ->
           Obs.with_span "batch.screen" @@ fun () ->
           set_scenario base scr r.scenario;
-          let forms =
-            Array.init base.m (fun e -> Form_buf.get scr.sforms e)
+          let crit =
+            Criticality.compute ~delta:r.scenario.delta g ~forms:scr.sforms
           in
-          let crit = Criticality.compute ~delta:r.scenario.delta g ~forms in
           let kept =
             Array.fold_left
               (fun n keep -> if keep then n + 1 else n)

@@ -83,13 +83,13 @@ type result = {
 
 type base
 (** Scenario-invariant state shared by every scenario of a batch, and by
-    every batch run on it: the packed base forms, the grid geometry and
+    every batch run on it: the base edge slab, the grid geometry and
     the pool of worker scratch.  Runs on one base may be issued
     concurrently; each worker scratch is held by one run at a time. *)
 
 val prepare : Build.t -> base
-(** Pack the base design's edge forms and grid geometry once.  Worker
-    scratch is built lazily, on the first run that needs it. *)
+(** Share the base design's edge slab and compute its grid geometry once.
+    Worker scratch is built lazily, on the first run that needs it. *)
 
 val run : ?mode:mode -> ?screen:bool -> base -> scenario array -> result array
 (** Evaluate the batch, scheduled over scenarios (times input chunks in

@@ -59,34 +59,6 @@ let clark a b =
 
 let tightness a b = (clark a b).Normal.tightness
 
-(* [tightness (add a f) b] without building the sum: every element of
-   [a + f] is formed exactly as [Vec.add] forms it and folded in the same
-   order as [Vec.sum_sq]/[Vec.dot], and the sum's random part goes through
-   the same [sqrt] then square, so the result is bit-identical. *)
-let tightness_of_sum a f b =
-  let ng = Array.length a.globals and np = Array.length a.pcs in
-  if Array.length f.globals <> ng || Array.length b.globals <> ng
-     || Array.length f.pcs <> np || Array.length b.pcs <> np
-  then invalid_arg "Form.tightness_of_sum: dimension mismatch";
-  let sq_g = ref 0.0 and dot_g = ref 0.0 in
-  for i = 0 to ng - 1 do
-    let s = Array.unsafe_get a.globals i +. Array.unsafe_get f.globals i in
-    sq_g := !sq_g +. (s *. s);
-    dot_g := !dot_g +. (s *. Array.unsafe_get b.globals i)
-  done;
-  let sq_p = ref 0.0 and dot_p = ref 0.0 in
-  for i = 0 to np - 1 do
-    let s = Array.unsafe_get a.pcs i +. Array.unsafe_get f.pcs i in
-    sq_p := !sq_p +. (s *. s);
-    dot_p := !dot_p +. (s *. Array.unsafe_get b.pcs i)
-  done;
-  let rand = sqrt ((a.rand *. a.rand) +. (f.rand *. f.rand)) in
-  (Normal.clark_max ~mean_a:(a.mean +. f.mean)
-     ~var_a:(!sq_g +. !sq_p +. (rand *. rand))
-     ~mean_b:b.mean ~var_b:(variance b)
-     ~cov:(!dot_g +. !dot_p))
-    .Normal.tightness
-
 let max2 a b =
   let { Normal.tightness = tp; mean; variance = target_var } = clark a b in
   if tp >= 1.0 then a
@@ -128,75 +100,3 @@ let pp ppf t =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
        (fun ppf v -> Format.fprintf ppf "%.4f" v))
     t.globals (Vec.norm2 t.pcs) t.rand
-
-(* Validated boundary of the robust layer: [Extract], [Hier_analysis] and
-   [Replace] pass their incoming form arrays through here before entering
-   the kernels.  Detection is read-only and clean arrays are returned
-   physically unchanged, so the clean path is bit-identical under every
-   policy; the copy is made lazily on the first repaired form. *)
-
-module Robust = Ssta_robust.Robust
-
-let nan_sanitized = Robust.counter "robust.nan_sanitized"
-let zero_variance_arcs = Robust.counter "robust.zero_variance_arcs"
-
-(* One pass per form accumulating the coefficient sum (self-subtraction
-   catches NaN/Inf anywhere) and the squared-coefficient sum (exact zero
-   variance with a positive mean marks a statistically degenerate arc -
-   every characterized arc carries variation; interconnect constants have
-   mean 0 and are exempt). *)
-let classify_form f =
-  let s = ref (f.mean +. f.rand) in
-  let q = ref (f.rand *. f.rand) in
-  for i = 0 to Array.length f.globals - 1 do
-    let x = f.globals.(i) in
-    s := !s +. x;
-    q := !q +. (x *. x)
-  done;
-  for i = 0 to Array.length f.pcs - 1 do
-    let x = f.pcs.(i) in
-    s := !s +. x;
-    q := !q +. (x *. x)
-  done;
-  if !s -. !s <> 0.0 then `Nonfinite
-  else if f.mean > 0.0 && !q = 0.0 then `Zero_variance
-  else `Ok
-
-let repair_form f =
-  let fin x = if Robust.is_finite x then x else 0.0 in
-  {
-    mean = fin f.mean;
-    globals = Array.map fin f.globals;
-    pcs = Array.map fin f.pcs;
-    rand = (let r = fin f.rand in if r > 0.0 then r else 0.0);
-  }
-
-let sanitize_forms ~subsystem ~operation forms =
-  let n = Array.length forms in
-  let fixed = ref None in
-  for i = 0 to n - 1 do
-    let f = forms.(i) in
-    match classify_form f with
-    | `Ok -> ()
-    | `Zero_variance ->
-        Robust.repair zero_variance_arcs
-          (Robust.context ~subsystem ~operation ~indices:[ i ]
-             ~values:[ f.mean ]
-             "zero-variance arc with positive mean (statistically degenerate \
-              cell)")
-    | `Nonfinite ->
-        Robust.repair nan_sanitized
-          (Robust.context ~subsystem ~operation ~indices:[ i ]
-             ~values:[ f.mean; f.rand ]
-             "non-finite coefficient in canonical form; zeroing");
-        let dst =
-          match !fixed with
-          | Some a -> a
-          | None ->
-              let a = Array.copy forms in
-              fixed := Some a;
-              a
-        in
-        dst.(i) <- repair_form f
-  done;
-  match !fixed with Some a -> a | None -> forms

@@ -53,12 +53,6 @@ val scale : float -> t -> t
 val tightness : t -> t -> float
 (** [tightness a b] is the probability P(a >= b), paper eq. (6). *)
 
-val tightness_of_sum : t -> t -> t -> float
-(** [tightness_of_sum a f b] is [tightness (add a f) b], bit for bit,
-    without materializing the sum (no intermediate arrays or form): the
-    hot step of maximum-likelihood path tracing.  Raises
-    [Invalid_argument] on mismatched dimensions. *)
-
 val max2 : t -> t -> t
 (** Statistical maximum in canonical form, paper eqs. (7)-(9): the mean is
     exact (Clark), linear coefficients are tightness-blended, and the random
@@ -77,16 +71,3 @@ val sample : t -> globals:float array -> pcs:float array -> rand:float -> float
 
 val equal : ?tol:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-val sanitize_forms :
-  subsystem:string -> operation:string -> t array -> t array
-(** Validated boundary of the robust layer.  Scans every form for
-    non-finite coefficients and for statistically degenerate arcs
-    (positive mean with exactly zero variance; mean-0 interconnect
-    constants are exempt).  Under [Strict] the first offense raises
-    [Ssta_robust.Robust.Error] with [subsystem]/[operation] context and
-    the form index; under [Repair]/[Warn] non-finite coefficients are
-    zeroed into a lazily-made copy (counted in [robust.nan_sanitized])
-    and zero-variance arcs are kept but counted
-    ([robust.zero_variance_arcs]).  A clean array is returned physically
-    unchanged. *)

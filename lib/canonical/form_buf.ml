@@ -136,10 +136,10 @@ let get t i =
     rand = A1.unsafe_get t.data (off + t.stride - 1);
   }
 
-let of_forms dims forms =
-  let t = create dims (Array.length forms) in
-  Array.iteri (fun i f -> set t i f) forms;
-  t
+let copy t =
+  let c = create t.dims t.n in
+  A1.blit t.data c.data;
+  c
 
 (* Field-wise ints rather than a structural record compare: this guard sits
    on every kernel call, and caml_compare is a C call the loops can feel. *)
@@ -171,8 +171,8 @@ type pc_map =
   | Substitute of Ssta_linalg.Mat.t
   | Place of { offset : int; tiles : int }
 
-let rec next_nonzero (x : float array) xo n i =
-  if i >= n || Array.unsafe_get x (xo + i) <> 0.0 then i
+let rec next_nonzero (x : data) xo n i =
+  if i >= n || A1.unsafe_get x (xo + i) <> 0.0 then i
   else next_nonzero x xo n (i + 1)
 
 let axpy_row (m : float array) ~cols ~a ~row (d : data) o =
@@ -184,17 +184,17 @@ let axpy_row (m : float array) ~cols ~a ~row (d : data) o =
 
 (* [d.{o + j} <- sum_i x.(xo + i) * m.(i * cols + j)] over the [n] rows;
    the [cols] output entries must be zero on entry. *)
-let tmul_block (m : float array) ~cols (x : float array) xo n (d : data) o =
+let tmul_block (m : float array) ~cols (x : data) xo n (d : data) o =
   let i0 = ref (next_nonzero x xo n 0) in
   while !i0 < n do
     let i1 = next_nonzero x xo n (!i0 + 1) in
     let i2 = if i1 < n then next_nonzero x xo n (i1 + 1) else n in
     let i3 = if i2 < n then next_nonzero x xo n (i2 + 1) else n in
     if i3 < n then begin
-      let a0 = Array.unsafe_get x (xo + !i0)
-      and a1 = Array.unsafe_get x (xo + i1)
-      and a2 = Array.unsafe_get x (xo + i2)
-      and a3 = Array.unsafe_get x (xo + i3) in
+      let a0 = A1.unsafe_get x (xo + !i0)
+      and a1 = A1.unsafe_get x (xo + i1)
+      and a2 = A1.unsafe_get x (xo + i2)
+      and a3 = A1.unsafe_get x (xo + i3) in
       let b0 = !i0 * cols and b1 = i1 * cols and b2 = i2 * cols
       and b3 = i3 * cols in
       for j = 0 to cols - 1 do
@@ -208,14 +208,15 @@ let tmul_block (m : float array) ~cols (x : float array) xo n (d : data) o =
       i0 := next_nonzero x xo n (i3 + 1)
     end
     else begin
-      axpy_row m ~cols ~a:(Array.unsafe_get x (xo + !i0)) ~row:!i0 d o;
-      if i1 < n then axpy_row m ~cols ~a:(Array.unsafe_get x (xo + i1)) ~row:i1 d o;
-      if i2 < n then axpy_row m ~cols ~a:(Array.unsafe_get x (xo + i2)) ~row:i2 d o;
+      axpy_row m ~cols ~a:(A1.unsafe_get x (xo + !i0)) ~row:!i0 d o;
+      if i1 < n then axpy_row m ~cols ~a:(A1.unsafe_get x (xo + i1)) ~row:i1 d o;
+      if i2 < n then axpy_row m ~cols ~a:(A1.unsafe_get x (xo + i2)) ~row:i2 d o;
       i0 := n
     end
   done
 
-let replace_into ~map ~(src : Form.t) ~dst ~idst =
+let replace_into ~map ~src ~isrc ~dst ~idst =
+  check_slot src isrc "replace_into";
   check_slot dst idst "replace_into";
   let ng = dst.dims.Form.n_globals and np = dst.dims.Form.n_pcs in
   let rows, fits =
@@ -226,23 +227,23 @@ let replace_into ~map ~(src : Form.t) ~dst ~idst =
   in
   if
     (not fits)
-    || Array.length src.Form.globals <> ng
-    || Array.length src.Form.pcs <> ng * rows
+    || src.dims.Form.n_globals <> ng
+    || src.dims.Form.n_pcs <> ng * rows
   then invalid_arg "Form_buf.replace_into: form does not match the bases";
   let design = if ng = 0 then 0 else np / ng in
+  let x = src.data and os = isrc * src.stride in
   let d = dst.data and od = idst * dst.stride in
-  A1.unsafe_set d od src.Form.mean;
-  for k = 0 to ng - 1 do
-    A1.unsafe_set d (od + 1 + k) (Array.unsafe_get src.Form.globals k)
+  for k = 0 to ng do
+    A1.unsafe_set d (od + k) (A1.unsafe_get x (os + k))
   done;
-  let pc0 = od + 1 + ng in
+  let pc0 = od + 1 + ng and xs0 = os + 1 + ng in
   for k = pc0 to pc0 + np - 1 do
     A1.unsafe_set d k 0.0
   done;
   (match map with
   | Substitute m ->
       for k = 0 to ng - 1 do
-        tmul_block m.Ssta_linalg.Mat.data ~cols:design src.Form.pcs (k * rows)
+        tmul_block m.Ssta_linalg.Mat.data ~cols:design x (xs0 + (k * rows))
           rows d (pc0 + (k * design))
       done
   | Place { offset; tiles } ->
@@ -250,10 +251,10 @@ let replace_into ~map ~(src : Form.t) ~dst ~idst =
         for i = 0 to tiles - 1 do
           A1.unsafe_set d
             (pc0 + (k * design) + offset + i)
-            (Array.unsafe_get src.Form.pcs ((k * tiles) + i))
+            (A1.unsafe_get x (xs0 + (k * tiles) + i))
         done
       done);
-  A1.unsafe_set d (od + dst.stride - 1) src.Form.rand
+  A1.unsafe_set d (od + dst.stride - 1) (A1.unsafe_get x (os + src.stride - 1))
 
 let mean t i = A1.unsafe_get t.data (i * t.stride)
 let rand_coeff t i = A1.unsafe_get t.data ((i * t.stride) + t.stride - 1)
@@ -291,6 +292,102 @@ let covariance a ia b ib =
   let g = dot_range a.data (oa + 1) b.data (ob + 1) ng in
   let p = dot_range a.data (oa + 1 + ng) b.data (ob + 1 + ng) np in
   g +. p
+
+(* [Form.tightness (Form.add a f.(i)) b] without building the sum: every
+   element of [a + f] is formed exactly as [Vec.add] forms it and folded in
+   the same order as [Vec.sum_sq]/[Vec.dot], and the sum's random part goes
+   through the same [sqrt] then square, so the result is bit-identical. *)
+let tightness_of_sum (a : Form.t) f i (b : Form.t) =
+  check_slot f i "tightness_of_sum";
+  let ng = f.dims.Form.n_globals and np = f.dims.Form.n_pcs in
+  if Array.length a.Form.globals <> ng || Array.length b.Form.globals <> ng
+     || Array.length a.Form.pcs <> np || Array.length b.Form.pcs <> np
+  then invalid_arg "Form_buf.tightness_of_sum: dimension mismatch";
+  let d = f.data and o = i * f.stride in
+  let sq_g = ref 0.0 and dot_g = ref 0.0 in
+  for k = 0 to ng - 1 do
+    let s = Array.unsafe_get a.Form.globals k +. A1.unsafe_get d (o + 1 + k) in
+    sq_g := !sq_g +. (s *. s);
+    dot_g := !dot_g +. (s *. Array.unsafe_get b.Form.globals k)
+  done;
+  let sq_p = ref 0.0 and dot_p = ref 0.0 in
+  for k = 0 to np - 1 do
+    let s = Array.unsafe_get a.Form.pcs k +. A1.unsafe_get d (o + 1 + ng + k) in
+    sq_p := !sq_p +. (s *. s);
+    dot_p := !dot_p +. (s *. Array.unsafe_get b.Form.pcs k)
+  done;
+  let fr = A1.unsafe_get d (o + f.stride - 1) in
+  let rand = sqrt ((a.Form.rand *. a.Form.rand) +. (fr *. fr)) in
+  (Normal.clark_max ~mean_a:(a.Form.mean +. A1.unsafe_get d o)
+     ~var_a:(!sq_g +. !sq_p +. (rand *. rand))
+     ~mean_b:b.Form.mean ~var_b:(Form.variance b)
+     ~cov:(!dot_g +. !dot_p))
+    .Normal.tightness
+
+(* Validated boundary of the robust layer: [Extract] and [Hier_analysis]
+   pass their incoming slabs through here before entering the kernels.
+   Detection is read-only and a clean slab is returned physically
+   unchanged, so the clean path is bit-identical under every policy; the
+   copy is made lazily on the first repaired slot. *)
+
+module Robust = Ssta_robust.Robust
+
+let nan_sanitized = Robust.counter "robust.nan_sanitized"
+let zero_variance_arcs = Robust.counter "robust.zero_variance_arcs"
+
+(* One pass per slot accumulating the coefficient sum (self-subtraction
+   catches NaN/Inf anywhere) and the squared-coefficient sum (exact zero
+   variance with a positive mean marks a statistically degenerate arc -
+   every characterized arc carries variation; interconnect constants have
+   mean 0 and are exempt). *)
+let classify t i =
+  let d = t.data and o = i * t.stride in
+  let mean = A1.unsafe_get d o and rand = A1.unsafe_get d (o + t.stride - 1) in
+  let s = ref (mean +. rand) and q = ref (rand *. rand) in
+  for k = o + 1 to o + t.stride - 2 do
+    let x = A1.unsafe_get d k in
+    s := !s +. x;
+    q := !q +. (x *. x)
+  done;
+  if !s -. !s <> 0.0 then `Nonfinite
+  else if mean > 0.0 && !q = 0.0 then `Zero_variance
+  else `Ok
+
+let repair_slot t i =
+  let d = t.data and o = i * t.stride in
+  for k = o to o + t.stride - 1 do
+    if not (Robust.is_finite (A1.unsafe_get d k)) then A1.unsafe_set d k 0.0
+  done;
+  let r = o + t.stride - 1 in
+  if not (A1.unsafe_get d r > 0.0) then A1.unsafe_set d r 0.0
+
+let sanitize ~subsystem ~operation t =
+  let fixed = ref None in
+  for i = 0 to t.n - 1 do
+    match classify t i with
+    | `Ok -> ()
+    | `Zero_variance ->
+        Robust.repair zero_variance_arcs
+          (Robust.context ~subsystem ~operation ~indices:[ i ]
+             ~values:[ mean t i ]
+             "zero-variance arc with positive mean (statistically degenerate \
+              cell)")
+    | `Nonfinite ->
+        Robust.repair nan_sanitized
+          (Robust.context ~subsystem ~operation ~indices:[ i ]
+             ~values:[ mean t i; rand_coeff t i ]
+             "non-finite coefficient in canonical form; zeroing");
+        let dst =
+          match !fixed with
+          | Some c -> c
+          | None ->
+              let c = copy t in
+              fixed := Some c;
+              c
+        in
+        repair_slot dst i
+  done;
+  match !fixed with Some c -> c | None -> t
 
 (* Fused pairwise-moment gather for the criticality exact evaluation: one
    strided pass over the four slots A (arrival), E (edge delay), R (required)

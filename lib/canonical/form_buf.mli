@@ -86,8 +86,8 @@ val get : t -> int -> Form.t
 (** [get] allocates a fresh [Form.t]; it is meant for result extraction and
     tests, not for hot loops. *)
 
-val of_forms : Form.dims -> Form.t array -> t
-(** Pack an array of forms (all of dimension [dims]) into a fresh buffer. *)
+val copy : t -> t
+(** A freshly allocated buffer holding the same slots. *)
 
 val blit : t -> int -> t -> int -> unit
 (** [blit src i dst j] copies slot [i] of [src] over slot [j] of [dst].
@@ -105,16 +105,17 @@ type pc_map =
       (** the block of [tiles] coefficients goes to design slots
           [offset .. offset + tiles - 1], every other slot is zero *)
 
-val replace_into : map:pc_map -> src:Form.t -> dst:t -> idst:int -> unit
-(** Slot [idst] of [dst] becomes [src], a form over a module basis with
-    the same process parameters, rewritten over [dst]'s basis: mean,
-    globals and random coefficient are copied and each parameter's PC
-    block goes through [map].  Under [Substitute m] every output entry is
-    accumulated exactly like {!Ssta_linalg.Mat.tmul_vec}: from 0.0, adding
-    [x_i * M_ij] for every non-zero [x_i] in ascending [i], so the slot is
-    bit-identical to the boxed per-block product.  Allocates nothing;
-    concurrent calls on disjoint slots of one buffer are safe.  Raises
-    [Invalid_argument] when the shapes disagree. *)
+val replace_into :
+  map:pc_map -> src:t -> isrc:int -> dst:t -> idst:int -> unit
+(** Slot [idst] of [dst] becomes slot [isrc] of [src], a form over a
+    module basis with the same process parameters, rewritten over [dst]'s
+    basis: mean, globals and random coefficient are copied and each
+    parameter's PC block goes through [map].  Under [Substitute m] every
+    output entry is accumulated exactly like {!Ssta_linalg.Mat.tmul_vec}:
+    from 0.0, adding [x_i * M_ij] for every non-zero [x_i] in ascending
+    [i], so the slot is bit-identical to the boxed per-block product.
+    Allocates nothing; concurrent calls on disjoint slots of one buffer are
+    safe.  Raises [Invalid_argument] when the shapes disagree. *)
 
 (** {1 Scalar probes} — read straight out of the flat buffer. *)
 
@@ -127,6 +128,26 @@ val covariance : t -> int -> t -> int -> float
 (** [covariance a i b j] is [Form.covariance] of slot [i] of [a] and slot
     [j] of [b]; the two buffers must have equal dims (they may be the same
     buffer). *)
+
+val tightness_of_sum : Form.t -> t -> int -> Form.t -> float
+(** [tightness_of_sum a f i b] is [Form.tightness (Form.add a f.(i)) b],
+    bit for bit, without materializing the sum or boxing the slot: the
+    hot step of maximum-likelihood path tracing.  Raises
+    [Invalid_argument] on mismatched dimensions. *)
+
+(** {1 Validation} *)
+
+val sanitize : subsystem:string -> operation:string -> t -> t
+(** Validated boundary of the robust layer.  Scans every slot for
+    non-finite coefficients and for statistically degenerate arcs
+    (positive mean with exactly zero variance; mean-0 interconnect
+    constants are exempt).  Under [Strict] the first offense raises
+    [Ssta_robust.Robust.Error] with [subsystem]/[operation] context, the
+    slot index and its [[mean; rand]] (just [[mean]] for a zero-variance
+    arc); under [Repair]/[Warn] non-finite coefficients are zeroed into a
+    lazily-made copy (counted in [robust.nan_sanitized]) and zero-variance
+    arcs are kept but counted ([robust.zero_variance_arcs]).  A clean
+    buffer is returned physically unchanged. *)
 
 (** {1 In-place kernels}
 

@@ -177,16 +177,16 @@ type scratch = {
   slab : Form_buf.slab;
 }
 
-let compute ?(exact = false) ?tile ~delta g ~forms =
+let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
   if not (delta > 0.0 && delta < 1.0) then
     invalid_arg "Criticality.compute: delta must lie in (0, 1)";
   let m = Tgraph.n_edges g in
+  if Form_buf.length fbuf < m then
+    invalid_arg "Criticality.compute: form buffer shorter than edge count";
   let nv = Tgraph.n_vertices g in
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
   let ni = Array.length inputs and no = Array.length outputs in
-  let dims =
-    if m = 0 then { Form.n_globals = 0; n_pcs = 0 } else Form.dims forms.(0)
-  in
+  let dims = Form_buf.dims fbuf in
   let stride = dims.Form.n_globals + dims.Form.n_pcs + 2 in
   let tile_sz = resolve_tile tile ~nv ~m ~stride no in
   let n_tiles = Par.n_chunks ~chunk:tile_sz no in
@@ -207,18 +207,14 @@ let compute ?(exact = false) ?tile ~delta g ~forms =
   and st_vr = Propagate.stat_var
   and st_rd = Propagate.stat_rand in
   let d_st = Array.make (max 1 (dst4 * m)) 0.0 in
-  Array.iteri
-    (fun e f ->
-      let o = dst4 * e in
-      let v = Form.variance f in
-      d_st.(o + Propagate.stat_mu) <- f.Form.mean;
-      d_st.(o + Propagate.stat_sigma) <- sqrt v;
-      d_st.(o + Propagate.stat_var) <- v;
-      d_st.(o + Propagate.stat_rand) <- f.Form.rand)
-    forms;
-  (* Edge forms packed once into a flat buffer; every sweep and covariance
-     probe below reads from it without touching the boxed originals. *)
-  let fbuf = Form_buf.of_forms dims forms in
+  for e = 0 to m - 1 do
+    let o = dst4 * e in
+    let v = Form_buf.variance fbuf e in
+    d_st.(o + Propagate.stat_mu) <- Form_buf.mean fbuf e;
+    d_st.(o + Propagate.stat_sigma) <- sqrt v;
+    d_st.(o + Propagate.stat_var) <- v;
+    d_st.(o + Propagate.stat_rand) <- Form_buf.rand_coeff fbuf e
+  done;
   let src = g.Tgraph.src and dst = g.Tgraph.dst in
   (* Screening fan-out: inputs are cut into at most 32 fixed chunks (a
      function of |I| only, never of the domain count or the tile size, to

@@ -27,7 +27,7 @@
     above any removal threshold, and the end-to-end extraction accuracy
     tests bound the effect. *)
 
-module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type result = {
@@ -74,7 +74,7 @@ val compute :
   ?tile:int ->
   delta:float ->
   Tgraph.t ->
-  forms:Form.t array ->
+  forms:Form_buf.t ->
   result
 (** [exact] (default false) makes [cm] the exact per-edge maximum
     criticality (needed for the paper's Fig. 6 histogram) at the cost of

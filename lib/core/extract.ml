@@ -1,7 +1,8 @@
 module Build = Ssta_timing.Build
 module Tgraph = Ssta_timing.Tgraph
 module Obs = Ssta_obs.Obs
-module CForm = Ssta_canonical.Form
+module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 
 (* Delay increment per additional external sink on each output port: the
    output-driving arcs were characterized at their internal fanout with a
@@ -15,14 +16,10 @@ module CForm = Ssta_canonical.Form
    output; this visits the arcs in the same order that fold did (the list
    head was the LAST fanin arc), so the Clark results are bit-identical,
    and only the final [get] per output allocates. *)
-let output_load_increments ?forms (b : Build.t) =
-  let module Form = Ssta_canonical.Form in
-  let module Form_buf = Ssta_canonical.Form_buf in
+let output_load_increments ~forms:fbuf (b : Build.t) =
   let g = b.Build.graph in
   let fanouts = Ssta_circuit.Netlist.fanout_counts b.Build.netlist in
   let dims = b.Build.basis.Ssta_variation.Basis.dims in
-  let forms = match forms with Some f -> f | None -> b.Build.forms in
-  let fbuf = Form_buf.of_forms dims forms in
   let scratch = Form_buf.create dims 2 in
   Array.map
     (fun out ->
@@ -90,8 +87,7 @@ let extract_with_criticality ?(exact = false) ?(delta = 0.05) (b : Build.t) =
      checked (and, under Repair/Warn, sanitized); clean arrays pass
      through physically unchanged. *)
   let in_forms =
-    CForm.sanitize_forms ~subsystem:"extract" ~operation:"extract"
-      b.Build.forms
+    Form_buf.sanitize ~subsystem:"extract" ~operation:"extract" b.Build.forms
   in
   let crit, graph, forms, stats =
     reduce_and_stats ~exact ~delta ~t0 g in_forms
@@ -118,13 +114,11 @@ let extract ?delta b = fst (extract_with_criticality ?delta b)
 
 let extract_design ?(delta = 0.05) ~name (fp : Floorplan.t)
     (dg : Design_grid.t) (res : Hier_analysis.result) =
-  let module Form_buf = Ssta_canonical.Form_buf in
   let t0 = Unix.gettimeofday () in
   let g = res.Hier_analysis.graph in
-  let slab = res.Hier_analysis.forms in
   let forms =
-    CForm.sanitize_forms ~subsystem:"extract" ~operation:"extract_design"
-      (Array.init (Form_buf.length slab) (Form_buf.get slab))
+    Form_buf.sanitize ~subsystem:"extract" ~operation:"extract_design"
+      res.Hier_analysis.forms
   in
   let _crit, graph, rforms, stats = reduce_and_stats ~delta ~t0 g forms in
   (* Each design output is an instance output port; its load increment is
@@ -150,8 +144,12 @@ let extract_design ?(delta = 0.05) ~name (fp : Floorplan.t)
         Array.iteri
           (fun o { Floorplan.inst; port } ->
             let model = fp.Floorplan.instances.(inst).Floorplan.model in
-            Form_buf.replace_into ~map:(map_of inst)
-              ~src:model.Timing_model.output_load.(port) ~dst:buf ~idst:o)
+            let load =
+              Form_buf.create model.Timing_model.basis.Ssta_variation.Basis.dims 1
+            in
+            Form_buf.set load 0 model.Timing_model.output_load.(port);
+            Form_buf.replace_into ~map:(map_of inst) ~src:load ~isrc:0 ~dst:buf
+              ~idst:o)
           outs;
         Array.init (Array.length outs) (Form_buf.get buf))
   in

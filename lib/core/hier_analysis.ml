@@ -121,33 +121,42 @@ let analyze (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
                checked (and, under Repair/Warn, sanitized) before
                stitching. *)
             let model_forms =
-              Form.sanitize_forms ~subsystem:"hier_analysis"
+              Form_buf.sanitize ~subsystem:"hier_analysis"
                 ~operation:("analyze:" ^ inst.Floorplan.label)
                 model.Timing_model.forms
             in
+            let mdims = model.Timing_model.basis.Basis.dims in
             let load_forms =
-              Form.sanitize_forms ~subsystem:"hier_analysis"
+              let l = model.Timing_model.output_load in
+              let buf = Form_buf.create mdims (Array.length l) in
+              Array.iteri (Form_buf.set buf) l;
+              Form_buf.sanitize ~subsystem:"hier_analysis"
                 ~operation:("analyze.output_load:" ^ inst.Floorplan.label)
-                model.Timing_model.output_load
+                buf
             in
             (* Output-port index per model vertex (for load increments). *)
             let port_of_vertex = Array.make (Tgraph.n_vertices g) (-1) in
             Array.iteri
               (fun p v -> port_of_vertex.(v) <- p)
               g.Tgraph.outputs;
-            let base_forms =
-              Array.mapi
-                (fun e f ->
-                  let p = port_of_vertex.(g.Tgraph.dst.(e)) in
-                  if p >= 0 && extra_sinks.(i).(p) > 0 then
-                    Form.add f
-                      (Form.scale
-                         (float_of_int extra_sinks.(i).(p))
-                         load_forms.(p))
-                  else f)
-                model_forms
-            in
-            (Replace.pc_map dg fp ~mode ~inst:i, base_forms))
+            (* An arc into a port with extra sinks gains [k] times the
+               port's load increment, in a copy of the model's slab made
+               on the first such arc; every other slot is read as is. *)
+            let base_forms = ref model_forms in
+            let inc = Form_buf.create mdims 1 in
+            for e = 0 to Form_buf.length model_forms - 1 do
+              let p = port_of_vertex.(g.Tgraph.dst.(e)) in
+              if p >= 0 && extra_sinks.(i).(p) > 0 then begin
+                if !base_forms == model_forms then
+                  base_forms := Form_buf.copy model_forms;
+                Form_buf.scale_into
+                  ~alpha:(float_of_int extra_sinks.(i).(p))
+                  ~a:load_forms ~ia:p ~dst:inc ~idst:0;
+                Form_buf.add_into ~a:!base_forms ~ia:e ~b:inc ~ib:0
+                  ~dst:!base_forms ~idst:e
+              end
+            done;
+            (Replace.pc_map dg fp ~mode ~inst:i, !base_forms))
           instances
       in
       Ssta_par.Par.run_tasks ~n_tasks:n_inst ~init:ignore

@@ -1,4 +1,5 @@
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Tile = Ssta_variation.Tile
 module Basis = Ssta_variation.Basis
@@ -71,7 +72,7 @@ let to_string (m : Timing_model.t) =
   line "edges %d" (Tgraph.n_edges g);
   Array.iteri
     (fun e src ->
-      let form = m.Timing_model.forms.(e) in
+      let form = Form_buf.get m.Timing_model.forms e in
       line "edge %d %d %s %s g %s p %s" src g.Tgraph.dst.(e)
         (f form.Form.mean) (f form.Form.rand)
         (floats form.Form.globals)
@@ -286,15 +287,20 @@ let parse st =
   in
   let n_edges = nat_of st (one st (expect st "edges")) in
   let edges = Array.make n_edges (0, 0) in
+  (* One line per edge: a count beyond the lines left fails on reaching
+     the end, so the slab never needs more slots than the text holds. *)
   let forms =
-    Array.init n_edges (fun e ->
-        match expect st "edge" with
-        | src :: dst :: mean :: rand :: "g" :: rest ->
-            let src = int_of st src and dst = int_of st dst in
-            edges.(e) <- (src, dst);
-            parse_form "edge" mean rand rest
-        | _ -> fail_at st "malformed edge line")
+    Form_buf.create basis.Basis.dims
+      (min n_edges (Array.length st.lines - st.pos))
   in
+  for e = 0 to n_edges - 1 do
+    match expect st "edge" with
+    | src :: dst :: mean :: rand :: "g" :: rest ->
+        let src = int_of st src and dst = int_of st dst in
+        edges.(e) <- (src, dst);
+        Form_buf.set forms e (parse_form "edge" mean rand rest)
+    | _ -> fail_at st "malformed edge line"
+  done;
   (match expect st "end" with
   | [] -> ()
   | _ -> fail_at st "trailing tokens after 'end'");

@@ -1,4 +1,5 @@
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type path = {
@@ -19,13 +20,14 @@ type path = {
    [v] - so it is only defined for traceable vertices with an ML edge. *)
 type index = {
   g : Tgraph.t;
-  forms : Form.t array;
+  forms : Form_buf.t;
   arrival_of : int -> Form.t option;
   arrival : Form.t option array;
   fetched : Bytes.t;
   ml : int array;
   prefix : Form.t array;
   stack : int array;
+  acc : Form_buf.t;  (** one scratch slot for in-place edge-form folds *)
 }
 
 let ml_unknown = -2
@@ -46,6 +48,7 @@ let index g ~forms ~arrival =
     ml = Array.make n ml_unknown;
     prefix = Array.make n no_prefix;
     stack = Array.make n 0;
+    acc = Form_buf.create (Form_buf.dims forms) 1;
   }
 
 let arrival ix v =
@@ -73,7 +76,7 @@ let ml_edge ix v =
               match arrival ix g.Tgraph.src.(e) with
               | None -> ()
               | Some a_src ->
-                  let tp = Form.tightness_of_sum a_src ix.forms.(e) a_v in
+                  let tp = Form_buf.tightness_of_sum a_src ix.forms e a_v in
                   if !best = ml_none || not (!best_tp >= tp) then begin
                     best := e;
                     best_tp := tp
@@ -92,7 +95,7 @@ let rec traceable ix v =
   m = ml_source || (m <> ml_none && traceable ix ix.g.Tgraph.src.(m))
 
 (* [prefix.(v)] for a traceable [v] with an ML edge, filled source-ward
-   first so each slot is one [Form.add] onto its predecessor's. *)
+   first so each slot is its predecessor's plus one edge form. *)
 let prefix ix v =
   let g = ix.g and stack = ix.stack in
   let depth = ref 0 and u = ref v in
@@ -103,11 +106,14 @@ let prefix ix v =
     incr depth;
     u := g.Tgraph.src.(ix.ml.(!u))
   done;
-  if ix.prefix.(!u) == no_prefix then ix.prefix.(!u) <- ix.forms.(ix.ml.(!u));
+  if ix.prefix.(!u) == no_prefix then
+    ix.prefix.(!u) <- Form_buf.get ix.forms ix.ml.(!u);
   for i = !depth - 1 downto 0 do
     let w = stack.(i) in
     let e = ix.ml.(w) in
-    ix.prefix.(w) <- Form.add ix.prefix.(g.Tgraph.src.(e)) ix.forms.(e)
+    Form_buf.set ix.acc 0 ix.prefix.(g.Tgraph.src.(e));
+    Form_buf.add_into ~a:ix.acc ~ia:0 ~b:ix.forms ~ib:e ~dst:ix.acc ~idst:0;
+    ix.prefix.(w) <- Form_buf.get ix.acc 0
   done;
   ix.prefix.(v)
 
@@ -120,10 +126,7 @@ let chain ix v ~vertices ~edges =
   in
   walk v vertices edges
 
-let empty_delay ix =
-  match ix.forms with
-  | [||] -> Form.constant { Form.n_globals = 0; n_pcs = 0 } 0.0
-  | _ -> Form.constant (Form.dims ix.forms.(0)) 0.0
+let empty_delay ix = Form.zero (Form_buf.dims ix.forms)
 
 let trace ix ~endpoint =
   match arrival ix endpoint with
@@ -139,41 +142,6 @@ let trace ix ~endpoint =
         Some { vertices; edges; delay; criticality = Form.tightness delay a }
       end
 
-(* In-place left fold of edge forms: the arithmetic of [Form.add],
-   element for element, into scratch arrays. *)
-type acc = {
-  mutable mean : float;
-  globals : float array;
-  pcs : float array;
-  mutable rand : float;
-}
-
-let acc_set acc (f : Form.t) =
-  acc.mean <- f.Form.mean;
-  Array.blit f.Form.globals 0 acc.globals 0 (Array.length acc.globals);
-  Array.blit f.Form.pcs 0 acc.pcs 0 (Array.length acc.pcs);
-  acc.rand <- f.Form.rand
-
-let acc_add acc (f : Form.t) =
-  acc.mean <- acc.mean +. f.Form.mean;
-  let g = acc.globals and fg = f.Form.globals in
-  for i = 0 to Array.length g - 1 do
-    Array.unsafe_set g i (Array.unsafe_get g i +. Array.unsafe_get fg i)
-  done;
-  let p = acc.pcs and fp = f.Form.pcs in
-  for i = 0 to Array.length p - 1 do
-    Array.unsafe_set p i (Array.unsafe_get p i +. Array.unsafe_get fp i)
-  done;
-  acc.rand <- sqrt ((acc.rand *. acc.rand) +. (f.Form.rand *. f.Form.rand))
-
-let acc_form acc =
-  {
-    Form.mean = acc.mean;
-    globals = Array.copy acc.globals;
-    pcs = Array.copy acc.pcs;
-    rand = acc.rand;
-  }
-
 let rec drop n = function
   | _ :: tl when n > 0 -> drop (n - 1) tl
   | l -> l
@@ -184,14 +152,9 @@ let top_paths ix ~endpoint ~k =
   | Some best ->
       let g = ix.g and forms = ix.forms in
       let a_end = Option.get (arrival ix endpoint) in
-      let d = Form.dims best.delay in
-      let acc =
-        {
-          mean = 0.0;
-          globals = Array.make d.Form.n_globals 0.0;
-          pcs = Array.make d.Form.n_pcs 0.0;
-          rand = 0.0;
-        }
+      let acc = ix.acc in
+      let acc_add e =
+        Form_buf.add_into ~a:acc ~ia:0 ~b:forms ~ib:e ~dst:acc ~idst:0
       in
       let candidates = ref [ best ] in
       (* Branch: at each vertex of the best path, divert onto each
@@ -212,15 +175,15 @@ let top_paths ix ~endpoint ~k =
           let u = g.Tgraph.src.(e) in
           if e <> chosen && Option.is_some (arrival ix u) && traceable ix u
           then begin
-            if ix.ml.(u) = ml_source then acc_set acc forms.(e)
+            if ix.ml.(u) = ml_source then Form_buf.blit forms e acc 0
             else begin
-              acc_set acc (prefix ix u);
-              acc_add acc forms.(e)
+              Form_buf.set acc 0 (prefix ix u);
+              acc_add e
             end;
             for j = i to n - 1 do
-              acc_add acc forms.(earr.(j))
+              acc_add earr.(j)
             done;
-            let delay = acc_form acc in
+            let delay = Form_buf.get acc 0 in
             let vertices, edges =
               chain ix u ~vertices:(v :: !down_v) ~edges:(e :: !down_e)
             in
@@ -239,8 +202,7 @@ let top_paths ix ~endpoint ~k =
 
 let report g ~forms ~k ppf =
   let ws = Propagate.create_workspace () in
-  Propagate.forward_into ws g ~forms:(Propagate.pack forms)
-    ~sources:g.Tgraph.inputs;
+  Propagate.forward_into ws g ~forms ~sources:g.Tgraph.inputs;
   match Propagate.ws_worst ws g.Tgraph.outputs with
   | None -> Format.fprintf ppf "no reachable output@."
   | Some endpoint ->

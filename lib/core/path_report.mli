@@ -9,6 +9,7 @@
     runner-up arcs. *)
 
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type path = {
@@ -23,7 +24,7 @@ type path = {
 type index
 (** Per-vertex memo over one arrival state, filled lazily: each visited
     vertex's arrival (fetched once), its maximum-likelihood fanin edge
-    (one {!Form.tightness_of_sum} per fanin arc), and the left-fold sum
+    (one {!Form_buf.tightness_of_sum} per fanin arc), and the left-fold sum
     of the edge forms along its ML chain.  Building one is O(V) words;
     the memo then makes a {!trace} O(depth) after its first visit and a
     {!top_paths} O(depth) per candidate plus O(depth * dims) flops for
@@ -36,7 +37,7 @@ type index
     the memo.  Not safe for concurrent use. *)
 
 val index :
-  Tgraph.t -> forms:Form.t array -> arrival:(int -> Form.t option) -> index
+  Tgraph.t -> forms:Form_buf.t -> arrival:(int -> Form.t option) -> index
 (** [arrival v] is [v]'s arrival form, [None] where unreached; it is
     called at most once per vertex, and only for vertices a query
     visits. *)
@@ -58,5 +59,5 @@ val top_paths : index -> endpoint:int -> k:int -> path list
     from the input side, so the report is independent of the memo. *)
 
 val report :
-  Tgraph.t -> forms:Form.t array -> k:int -> Format.formatter -> unit
+  Tgraph.t -> forms:Form_buf.t -> k:int -> Format.formatter -> unit
 (** Print the top-k paths of the design's worst endpoint. *)

@@ -17,10 +17,6 @@ let c_clark_max_evals = Obs.counter "propagate.clark_max_evals"
 let c_add_evals = Obs.counter "propagate.add_evals"
 let g_ws_floats = Obs.gauge "propagate.ws_floats_hw"
 
-let check g forms =
-  if Array.length forms <> Tgraph.n_edges g then
-    invalid_arg "Propagate: form array length does not match edge count"
-
 let check_buf g forms =
   if Form_buf.length forms < Tgraph.n_edges g then
     invalid_arg "Propagate: form buffer shorter than edge count"
@@ -317,15 +313,8 @@ let scalar_stats_into ws ~n ~into =
     end
   done
 
-(* Boxed edges: pack a [Form.t array] into one slab, then sweep with the
-   kernels and box only the vertices a caller reads. *)
-
-let pack forms =
-  let dims =
-    if Array.length forms = 0 then { Form.n_globals = 0; n_pcs = 0 }
-    else Form.dims forms.(0)
-  in
-  Form_buf.of_forms dims forms
+(* Boxed results: sweep with the kernels and box only the vertices a
+   caller reads. *)
 
 let max_reached po =
   Array.fold_left
@@ -352,15 +341,13 @@ let ws_worst ws vertices =
   if !best < 0 then None else Some !best
 
 let circuit_delay g ~forms =
-  check g forms;
   let ws = create_workspace () in
-  forward_into ws g ~forms:(pack forms) ~sources:g.Tgraph.inputs;
+  forward_into ws g ~forms ~sources:g.Tgraph.inputs;
   ws_max_over ws g.Tgraph.outputs
 
 let forward g ~forms ~sources =
-  check g forms;
   let ws = create_workspace () in
-  forward_into ws g ~forms:(pack forms) ~sources;
+  forward_into ws g ~forms ~sources;
   Array.init (Tgraph.n_vertices g) (ws_form ws)
 
 let max_over arr vertices = max_reached (Array.map (Array.get arr) vertices)

@@ -3,7 +3,7 @@
     the statistical maximum over fanin edges of [arrival(src) + delay].
 
     One engine: {!forward_into} / {!backward_to_into} propagate through a
-    caller-owned {!workspace} over a packed {!Form_buf.t} of edge forms,
+    caller-owned {!workspace} over the {!Form_buf.t} slab of edge forms,
     allocating nothing per call — criticality analysis runs one forward
     sweep per input and one backward sweep per output on the same graph.
     Callers box only the vertices they read, through {!ws_form}; the
@@ -138,9 +138,6 @@ val scalar_stats_into : workspace -> n:int -> into:Form_buf.data -> unit
     exactly as {!Form_buf.std} computes it, so every row value is
     bit-identical to the corresponding probe. *)
 
-val pack : Form.t array -> Form_buf.t
-(** The edge forms as one slab, at the first form's dimensions. *)
-
 val max_reached : Form.t option array -> Form.t option
 (** Statistical max of the reached ([Some]) entries: the left fold of
     {!Form.max2} in array order, [None] if none is reached - e.g. the
@@ -154,14 +151,14 @@ val ws_worst : workspace -> int array -> int option
 (** The reached vertex among the given ones with the greatest mean in the
     last sweep, the first on ties; [None] if none is reached. *)
 
-val circuit_delay : Tgraph.t -> forms:Form.t array -> Form.t option
-(** Pack the edge forms, sweep from every input and take {!ws_max_over}
-    the outputs: block-based SSTA's circuit delay. *)
+val circuit_delay : Tgraph.t -> forms:Form_buf.t -> Form.t option
+(** Sweep the edge slab from every input and take {!ws_max_over} the
+    outputs: block-based SSTA's circuit delay. *)
 
 val forward :
-  Tgraph.t -> forms:Form.t array -> sources:int array -> Form.t option array
-(** {!forward_into} from [sources], every vertex boxed ([None] where
-    unreachable).  Kept only for the frozen benchmark ledger
+  Tgraph.t -> forms:Form_buf.t -> sources:int array -> Form.t option array
+(** {!forward_into} over the edge slab from [sources], every vertex boxed
+    ([None] where unreachable).  Kept only for the frozen benchmark ledger
     ([bench/ledger/w_extract.ml]); new code sweeps a workspace. *)
 
 val max_over : Form.t option array -> int array -> Form.t option

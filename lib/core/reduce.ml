@@ -1,4 +1,5 @@
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Obs = Ssta_obs.Obs
 
@@ -9,10 +10,14 @@ let c_parallel_merges = Obs.counter "reduce.parallel_merges"
 let c_pruned_vertices = Obs.counter "reduce.pruned_vertices"
 let c_passes = Obs.counter "reduce.passes"
 
+(* An edge's weight stays a slot of the input slab until a merge first
+   rewrites it; only merged weights are boxed. *)
+type weight = Slot of int | Merged of Form.t
+
 type edge = {
   mutable esrc : int;
   mutable edst : int;
-  mutable weight : Form.t;
+  mutable weight : weight;
   mutable alive : bool;
 }
 
@@ -40,6 +45,7 @@ type vertex = {
    increases, one step per grouped vertex; a stale stamp means the cell
    belongs to a previous vertex's grouping and is ignored. *)
 type t = {
+  forms : Form_buf.t;  (** the input edge slab [Slot] weights index *)
   vertices : vertex array;
   inputs : int array;
   outputs : int array;
@@ -63,6 +69,9 @@ let live_fanout v =
   v.fanout <- l;
   l
 
+let weight t e =
+  match e.weight with Slot i -> Form_buf.get t.forms i | Merged f -> f
+
 let of_graph g ~forms ~keep =
   let n = Tgraph.n_vertices g in
   let is_in = Array.make n false and is_out = Array.make n false in
@@ -83,7 +92,7 @@ let of_graph g ~forms ~keep =
     (fun i s ->
       if keep.(i) then begin
         let d = g.Tgraph.dst.(i) in
-        let e = { esrc = s; edst = d; weight = forms.(i); alive = true } in
+        let e = { esrc = s; edst = d; weight = Slot i; alive = true } in
         vertices.(s).fanout <- e :: vertices.(s).fanout;
         vertices.(d).fanin <- e :: vertices.(d).fanin;
         vertices.(s).valive <- true;
@@ -92,6 +101,7 @@ let of_graph g ~forms ~keep =
       end)
     g.Tgraph.src;
   {
+    forms;
     vertices;
     inputs = Array.copy g.Tgraph.inputs;
     outputs = Array.copy g.Tgraph.outputs;
@@ -162,11 +172,11 @@ let serial_pass t =
         | [ e_in ], (_ :: _ as fanout) ->
             (* Forward serial merge (paper Fig. 1a): route every fanout edge
                of v directly from v's unique predecessor. *)
-            let u = e_in.esrc in
+            let u = e_in.esrc and w_in = weight t e_in in
             List.iter
               (fun f ->
                 f.esrc <- u;
-                f.weight <- Form.add e_in.weight f.weight;
+                f.weight <- Merged (Form.add w_in (weight t f));
                 t.vertices.(u).fanout <- f :: t.vertices.(u).fanout)
               fanout;
             v.fanout <- [];
@@ -175,11 +185,11 @@ let serial_pass t =
             incr merged
         | (_ :: _ as fanin), [ e_out ] ->
             (* Reverse serial merge (paper Fig. 1b). *)
-            let w = e_out.edst in
+            let w = e_out.edst and w_out = weight t e_out in
             List.iter
               (fun f ->
                 f.edst <- w;
-                f.weight <- Form.add f.weight e_out.weight;
+                f.weight <- Merged (Form.add (weight t f) w_out);
                 t.vertices.(w).fanin <- f :: t.vertices.(w).fanin)
               fanin;
             v.fanin <- [];
@@ -228,9 +238,10 @@ let parallel_pass t =
               | [] | [ _ ] -> ()
               | first :: rest ->
                   first.weight <-
-                    List.fold_left
-                      (fun acc e -> Form.max2 acc e.weight)
-                      first.weight rest;
+                    Merged
+                      (List.fold_left
+                         (fun acc e -> Form.max2 acc (weight t e))
+                         (weight t first) rest);
                   List.iter (kill_edge t) rest;
                   merged := !merged + List.length rest)
             !cells
@@ -287,5 +298,11 @@ let freeze t =
   let graph, perm =
     Tgraph.make_sorted ~n_vertices:!count ~edges ~inputs ~outputs
   in
-  let forms = Array.map (fun i -> weights.(i)) perm in
+  let forms = Form_buf.create (Form_buf.dims t.forms) (Array.length perm) in
+  Array.iteri
+    (fun j i ->
+      match weights.(i) with
+      | Slot k -> Form_buf.blit t.forms k forms j
+      | Merged f -> Form_buf.set forms j f)
+    perm;
   (graph, forms, inputs, outputs)

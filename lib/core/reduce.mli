@@ -15,16 +15,18 @@
 
     Port vertices (module inputs and outputs) are never merged away. *)
 
-module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type t
 (** A mutable reduction workspace. *)
 
 val of_graph :
-  Tgraph.t -> forms:Form.t array -> keep:bool array -> t
+  Tgraph.t -> forms:Form_buf.t -> keep:bool array -> t
 (** Load the surviving edges of a timing graph.  Input/output vertices of
-    the graph become protected ports. *)
+    the graph become protected ports.  Edge weights stay slots of [forms]
+    until a merge rewrites them; [forms] must not change while the
+    workspace is in use. *)
 
 val n_live_edges : t -> int
 val n_live_vertices : t -> int
@@ -44,7 +46,7 @@ val reduce : t -> unit
 (** Prune, then alternate parallel and serial passes to a fixpoint. *)
 
 val freeze :
-  t -> (Tgraph.t * Form.t array * int array * int array)
+  t -> (Tgraph.t * Form_buf.t * int array * int array)
 (** Compact the workspace into an immutable timing graph:
     [(graph, edge_forms, input_vertices, output_vertices)], where the i-th
     entries of the vertex arrays correspond to the original graph's i-th

@@ -1,4 +1,3 @@
-module Form = Ssta_canonical.Form
 module Form_buf = Ssta_canonical.Form_buf
 module Mat = Ssta_linalg.Mat
 module Pca = Ssta_linalg.Pca
@@ -75,30 +74,8 @@ let pc_map dg fp ~mode ~inst =
   | Global_only -> place dg ~inst
 
 let transform_into map forms ~dst ~slot =
-  Obs.add c_forms_transformed (Array.length forms);
-  Array.iteri
-    (fun e src -> Form_buf.replace_into ~map ~src ~dst ~idst:(slot e))
-    forms
-
-let design_buf (dg : Design_grid.t) n =
-  Form_buf.create dg.Design_grid.basis.Basis.dims n
-
-(* The boxed entry points below are thin wrappers over the slot kernel,
-   for tests and API edges; the design-level flow writes its slab
-   directly through [transform_into]. *)
-let transform_form dg ~mode ~m ~inst f =
-  let map =
-    match (mode, m) with
-    | Replaced, Some m -> Form_buf.Substitute m
-    | Replaced, None -> invalid_arg "Replace.transform_form: missing matrix"
-    | Global_only, _ -> place dg ~inst
-  in
-  let buf = design_buf dg 1 in
-  Form_buf.replace_into ~map ~src:f ~dst:buf ~idst:0;
-  Form_buf.get buf 0
-
-let transform_instance dg fp ~mode ~inst forms =
-  Obs.with_span "replace.transform_instance" @@ fun () ->
-  let buf = design_buf dg (Array.length forms) in
-  transform_into (pc_map dg fp ~mode ~inst) forms ~dst:buf ~slot:Fun.id;
-  Array.init (Array.length forms) (Form_buf.get buf)
+  let n = Form_buf.length forms in
+  Obs.add c_forms_transformed n;
+  for e = 0 to n - 1 do
+    Form_buf.replace_into ~map ~src:forms ~isrc:e ~dst ~idst:(slot e)
+  done

@@ -16,7 +16,6 @@
     instance's local PCs are mapped to its private slots of the design basis
     so different instances share only the global variables. *)
 
-module Form = Ssta_canonical.Form
 module Form_buf = Ssta_canonical.Form_buf
 module Mat = Ssta_linalg.Mat
 
@@ -34,24 +33,12 @@ val pc_map :
 
 val transform_into :
   Form_buf.pc_map ->
-  Form.t array ->
+  Form_buf.t ->
   dst:Form_buf.t ->
   slot:(int -> int) ->
   unit
-(** [transform_into map forms ~dst ~slot] rewrites [forms.(e)] into slot
-    [slot e] of the design-basis buffer [dst] with
-    {!Form_buf.replace_into}, and counts the forms in
+(** [transform_into map forms ~dst ~slot] rewrites slot [e] of the
+    module-basis slab [forms] into slot [slot e] of the design-basis slab
+    [dst] with {!Form_buf.replace_into}, and counts the forms in
     [replace.forms_transformed].  Calls writing disjoint slots may run on
     different domains. *)
-
-val transform_form :
-  Design_grid.t -> mode:mode -> m:Mat.t option -> inst:int -> Form.t -> Form.t
-(** Rewrite one canonical form of instance [inst] over the design basis.
-    For [Replaced], [m] must be the instance's {!matrix}.  A boxed
-    wrapper over {!Form_buf.replace_into}. *)
-
-val transform_instance :
-  Design_grid.t -> Floorplan.t -> mode:mode -> inst:int ->
-  Form.t array -> Form.t array
-(** Rewrite all edge forms of an instance's model: {!pc_map} then
-    {!transform_into} through a scratch buffer, boxed. *)

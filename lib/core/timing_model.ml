@@ -1,4 +1,5 @@
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type stats = {
@@ -14,7 +15,7 @@ type stats = {
 type t = {
   name : string;
   graph : Tgraph.t;
-  forms : Form.t array;
+  forms : Form_buf.t;
   basis : Ssta_variation.Basis.t;
   die : Ssta_variation.Tile.t;
   delta : float;
@@ -29,17 +30,16 @@ let io_delays t =
   Ssta_obs.Obs.with_span "timing_model.io_delays" (fun () ->
       let inputs = t.graph.Tgraph.inputs in
       let outputs = t.graph.Tgraph.outputs in
-      (* One packed form buffer shared by all per-input sweeps, one
-         workspace per pool domain; only the |I| x |O| result forms are
+      (* The edge slab is shared by all per-input sweeps, one workspace
+         per pool domain; only the |I| x |O| result forms are
          materialized.  Each sweep is an independent task, so the rows
          come back in input order no matter how many domains ran them. *)
-      let fbuf = Propagate.pack t.forms in
       Ssta_par.Par.map_tasks
         ~init:(fun () -> (Propagate.create_workspace (), [| 0 |]))
         (Array.length inputs)
         (fun (ws, source1) i ->
           source1.(0) <- inputs.(i);
-          Propagate.forward_into ws t.graph ~forms:fbuf ~sources:source1;
+          Propagate.forward_into ws t.graph ~forms:t.forms ~sources:source1;
           Array.map (fun out -> Propagate.ws_form ws out) outputs))
 
 let compression t =

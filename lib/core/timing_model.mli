@@ -4,6 +4,7 @@
     weight canonical over the module's variation basis. *)
 
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 
 type stats = {
@@ -19,7 +20,7 @@ type stats = {
 type t = {
   name : string;
   graph : Tgraph.t;  (** the reduced gray-box graph *)
-  forms : Form.t array;  (** per edge, over the module basis *)
+  forms : Form_buf.t;  (** per edge, over the module basis, one slab *)
   basis : Ssta_variation.Basis.t;
       (** module-level variation basis; its tile array is the module's
           characterization grid (regular for leaf modules, heterogeneous for

@@ -1,5 +1,6 @@
 module Robust = Ssta_robust.Robust
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module N = Ssta_circuit.Netlist
 module Cell = Ssta_cell.Cell
 module Tgraph = Ssta_timing.Tgraph
@@ -357,7 +358,7 @@ let report_checks ?(k = 3) ?period lowered ~build =
   (* Input delays shift every out-edge of the port's vertex: each path
      through the port crosses exactly one of them, so this is the exact
      fold of a deterministic source offset into the canonical forms. *)
-  let forms = Array.copy build.Build.forms in
+  let forms = Form_buf.copy build.Build.forms in
   List.iter
     (fun (d : Sdc.io_delay) ->
       List.iter
@@ -365,12 +366,13 @@ let report_checks ?(k = 3) ?period lowered ~build =
           match Hashtbl.find_opt pi_ix p with
           | Some v ->
               Array.iter
-                (fun e -> forms.(e) <- Form.add_const forms.(e) d.Sdc.delay)
+                (fun e ->
+                  Form_buf.set forms e
+                    (Form.add_const (Form_buf.get forms e) d.Sdc.delay))
                 g.Tgraph.fanout.(v)
           | None -> unmatched_port "set_input_delay" p)
         d.Sdc.ports)
     sdc.Sdc.input_delays;
-  let fbuf = Propagate.pack forms in
   let output_delay port =
     List.fold_left
       (fun acc (d : Sdc.io_delay) ->
@@ -448,7 +450,7 @@ let report_checks ?(k = 3) ?period lowered ~build =
           if sources = [||] then fun _ -> None
           else begin
             let ws = Propagate.create_workspace () in
-            Propagate.forward_into ws g ~forms:fbuf ~sources;
+            Propagate.forward_into ws g ~forms ~sources;
             Propagate.ws_form ws
           end
         in

@@ -1,5 +1,6 @@
 module Robust = Ssta_robust.Robust
 module Rng = Ssta_gauss.Rng
+module Json = Ssta_json.Json
 module F = Ssta_frontend
 
 type format = Verilog | Liberty | Sdc
@@ -48,11 +49,6 @@ let base_sdc (nl : Ssta_circuit.Netlist.t) =
       [ { F.Sdc.from_ports = [ net 0 ]; to_ports = [ net out0 ] } ];
   }
 
-let with_policy policy f =
-  let prev = Robust.policy () in
-  Robust.set_policy policy;
-  Fun.protect ~finally:(fun () -> Robust.set_policy prev) f
-
 let make_ctx circuit =
   let nl = Ssta_circuit.Iscas.build circuit in
   let d = F.Design.of_netlist ~sdc:(base_sdc nl) nl in
@@ -61,7 +57,7 @@ let make_ctx circuit =
   let sdc_doc = F.Sdc.to_string d.F.Design.sdc in
   (* The corpus must start from accepted inputs: the clean documents
      parse (and the Verilog lowers back) without error or repair. *)
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       let m = F.Verilog.parse verilog_doc in
       let lib = F.Liberty.parse liberty_doc in
       ignore
@@ -149,7 +145,7 @@ let run_case ctx ~seed ~format ~klass ~case ~policy =
   let rng = Rng.stream ~seed ~index in
   let doc = mutate klass rng (doc_of ctx format) in
   let parse = parse_of ctx format in
-  with_policy policy (fun () ->
+  Robust.with_policy policy (fun () ->
       Robust.reset ();
       let outcome, ok, detail =
         match parse doc with
@@ -201,26 +197,18 @@ let summary vs =
     [ Verilog; Liberty; Sdc ];
   Buffer.contents b
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jsonl_of_verdicts vs =
   let line v =
-    Printf.sprintf
-      "{\"format\":\"%s\",\"class\":\"%s\",\"case\":%d,\"policy\":\"%s\",\"outcome\":\"%s\",\"ok\":%b,\"detail\":\"%s\"}"
-      (format_name v.format) (klass_name v.klass) v.case
-      (Robust.policy_name v.policy)
-      v.outcome v.ok (json_escape v.detail)
+    Json.to_string
+      (Json.Obj
+         [
+           ("format", Json.Str (format_name v.format));
+           ("class", Json.Str (klass_name v.klass));
+           ("case", Json.Num (float_of_int v.case));
+           ("policy", Json.Str (Robust.policy_name v.policy));
+           ("outcome", Json.Str v.outcome);
+           ("ok", Json.Bool v.ok);
+           ("detail", Json.Str v.detail);
+         ])
   in
   String.concat "\n" (List.map line vs) ^ "\n"

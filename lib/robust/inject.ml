@@ -1,5 +1,7 @@
 module Robust = Ssta_robust.Robust
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
+module Json = Ssta_json.Json
 module Mat = Ssta_linalg.Mat
 module Pca = Ssta_linalg.Pca
 module Basis = Ssta_variation.Basis
@@ -126,27 +128,23 @@ let make_ctx circuit =
    what we hit). *)
 let pick_gate_arc rng forms =
   let cands = ref [] in
-  Array.iteri
-    (fun e (f : Form.t) -> if f.Form.mean > 0.0 then cands := e :: !cands)
-    forms;
-  let cands = Array.of_list (List.rev !cands) in
+  for e = Form_buf.length forms - 1 downto 0 do
+    if Form_buf.mean forms e > 0.0 then cands := e :: !cands
+  done;
+  let cands = Array.of_list !cands in
   cands.(Rng.int rng (Array.length cands))
 
 let poke_mean rng forms v =
   let e = pick_gate_arc rng forms in
-  let forms = Array.copy forms in
-  forms.(e) <- { forms.(e) with Form.mean = v };
+  let forms = Form_buf.copy forms in
+  Form_buf.set forms e { (Form_buf.get forms e) with Form.mean = v };
   forms
 
 let poke_zero_variance rng forms =
   let e = pick_gate_arc rng forms in
-  let forms = Array.copy forms in
-  let f = forms.(e) in
-  forms.(e) <-
-    Form.make ~mean:f.Form.mean
-      ~globals:(Array.make (Array.length f.Form.globals) 0.0)
-      ~pcs:(Array.make (Array.length f.Form.pcs) 0.0)
-      ~rand:0.0;
+  let forms = Form_buf.copy forms in
+  Form_buf.set forms e
+    (Form.constant (Form_buf.dims forms) (Form_buf.mean forms e));
   forms
 
 (* A covariance that is not one: a strongly out-of-range off-diagonal pair
@@ -302,17 +300,12 @@ let case_thunk ctx ~fault ~flow rng () =
    fault class in the corpus with wide margin. *)
 let delta_bound = 0.25
 
-let with_policy policy f =
-  let prev = Robust.policy () in
-  Robust.set_policy policy;
-  Fun.protect ~finally:(fun () -> Robust.set_policy prev) f
-
 let run_case ctx ~seed ~fault ~flow ~policy =
   let fi = fault_index fault in
   let index = (2 * fi) + match flow with Extraction -> 0 | Hierarchical -> 1 in
   let rng = Rng.stream ~seed ~index in
   let thunk = case_thunk ctx ~fault ~flow rng in
-  with_policy policy (fun () ->
+  Robust.with_policy policy (fun () ->
       Robust.reset ();
       let ok, detail =
         match policy with
@@ -370,30 +363,21 @@ let all_pass vs = List.for_all (fun v -> v.ok) vs
 (* JSONL                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jsonl_of_verdicts vs =
   let line (v : verdict) =
-    Printf.sprintf
-      "{\"circuit\":\"%s\",\"fault\":\"%s\",\"flow\":\"%s\",\"policy\":\"%s\",\"ok\":%b,\"detail\":\"%s\",\"counters\":{%s}}"
-      (json_escape v.circuit) (json_escape v.fault) (flow_name v.flow)
-      (Robust.policy_name v.policy)
-      v.ok (json_escape v.detail)
-      (String.concat ","
-         (List.map
-            (fun (k, n) -> Printf.sprintf "\"%s\":%d" (json_escape k) n)
-            v.counters))
+    Json.to_string
+      (Json.Obj
+         [
+           ("circuit", Json.Str v.circuit);
+           ("fault", Json.Str v.fault);
+           ("flow", Json.Str (flow_name v.flow));
+           ("policy", Json.Str (Robust.policy_name v.policy));
+           ("ok", Json.Bool v.ok);
+           ("detail", Json.Str v.detail);
+           ( "counters",
+             Json.Obj
+               (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) v.counters)
+           );
+         ])
   in
   String.concat "\n" (List.map line vs) ^ "\n"

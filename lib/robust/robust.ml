@@ -81,6 +81,11 @@ let policy_ref =
 let policy () = !policy_ref
 let set_policy p = policy_ref := p
 
+let with_policy p f =
+  let prev = policy () in
+  set_policy p;
+  Fun.protect ~finally:(fun () -> set_policy prev) f
+
 (* Counters: always-on atomics mirrored into same-named Obs counters so
    repairs show up in --obs-summary / traces when observability is on.
    Registration happens at module-init time (no contention); increments

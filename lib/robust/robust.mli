@@ -59,6 +59,10 @@ val pp : Format.formatter -> context -> unit
 val policy : unit -> policy
 val set_policy : policy -> unit
 
+val with_policy : policy -> (unit -> 'a) -> 'a
+(** [with_policy p f] runs [f] under [p] and restores the previous policy
+    however [f] returns. *)
+
 val policy_of_string : string -> (policy, string) result
 val policy_name : policy -> string
 

@@ -55,8 +55,7 @@ type session = {
   design : string;
   origin : origin;
   build : Build.t;
-  forms : Form.t array;  (** current edge forms (what-if edits applied) *)
-  fbuf : Form_buf.t;  (** the same forms, packed for the sweep kernels *)
+  fbuf : Form_buf.t;  (** current edge forms (what-if edits applied) *)
   ws : Propagate.workspace;  (** holds the current completed arrival sweep *)
   dirty : Bytes.t;  (** per-vertex dirty mask scratch *)
   mutable base : Batch.base option;  (** lazy, over the pristine forms *)
@@ -118,10 +117,12 @@ let set_max_queue t n = t.max_queue <- max 1 n
    netlist structure (inputs, per-gate cell + fanins, outputs — NOT the
    netlist's display name), the cell delay parameters (an external .lib
    may redefine a bundled cell name with different numbers) and a tag
-   for the characterization config.  Two designs with identical
-   structure share one characterized model; renaming a design never
-   invalidates it. *)
-let config_tag = "characterize:v2:default"
+   for the characterization config and the marshaled [Build.t] layout
+   (v3: edge forms in one slab), so an entry spilled by an older layout
+   is a miss, never unmarshaled into the new one.  Two designs with
+   identical structure share one characterized model; renaming a design
+   never invalidates it. *)
+let config_tag = "characterize:v3:default"
 
 let digest_of_netlist nl =
   let b = Buffer.create 4096 in
@@ -234,8 +235,7 @@ let load_origin ~replay t origin =
   in
   let build, cached = characterize_cached t nl in
   let g = build.Build.graph in
-  let forms = Array.copy build.Build.forms in
-  let fbuf = Form_buf.of_forms build.Build.basis.Ssta_variation.Basis.dims forms in
+  let fbuf = Form_buf.copy build.Build.forms in
   let ws = Propagate.create_workspace () in
   Propagate.forward_into ws g ~forms:fbuf ~sources:g.Tgraph.inputs;
   let s =
@@ -243,7 +243,6 @@ let load_origin ~replay t origin =
       design = (match origin with Bundled name -> name | Files _ -> nl.N.name);
       origin;
       build;
-      forms;
       fbuf;
       ws;
       dirty = Bytes.create (Tgraph.n_vertices g);
@@ -511,7 +510,7 @@ let op_paths t j =
   (* The index boxes only the arrivals the trace visits. *)
   let paths =
     Path_report.top_paths
-      (Path_report.index g ~forms:s.forms ~arrival:(Propagate.ws_form s.ws))
+      (Path_report.index g ~forms:s.fbuf ~arrival:(Propagate.ws_form s.ws))
       ~endpoint ~k
   in
   let path_json (p : Path_report.path) =
@@ -625,7 +624,7 @@ let parse_edit ~operation g forms idx j =
       if edge < 0 || edge >= Tgraph.n_edges g then
         Robust.fail ~subsystem:"serve" ~operation ~indices:[ idx; edge ]
           "edit edge index out of range";
-      let prev : Form.t = forms.(edge) in
+      let prev = Form_buf.get forms edge in
       let next =
         match (Json.find "scale" j, Json.find "add" j, Json.find "set" j) with
         | Some (Json.Num a), None, None -> Form.scale a prev
@@ -651,11 +650,7 @@ let parse_edit ~operation g forms idx j =
    full sweep.  Returns (vertices recomputed, fanin edges visited). *)
 let apply_edits s ~incremental edits =
   let g = s.build.Build.graph in
-  List.iter
-    (fun e ->
-      s.forms.(e.edge) <- e.next;
-      Form_buf.set s.fbuf e.edge e.next)
-    edits;
+  List.iter (fun e -> Form_buf.set s.fbuf e.edge e.next) edits;
   if incremental then begin
     let seeds =
       Array.of_list (List.map (fun e -> g.Tgraph.dst.(e.edge)) edits)
@@ -686,7 +681,7 @@ let op_whatif t j =
   let edits =
     match Json.find "edits" j with
     | Some (Json.Arr items) ->
-        List.mapi (parse_edit ~operation s.build.Build.graph s.forms) items
+        List.mapi (parse_edit ~operation s.build.Build.graph s.fbuf) items
     | _ ->
         Robust.fail ~subsystem:"serve" ~operation
           "whatif requires an \"edits\" array"
@@ -734,11 +729,9 @@ let op_whatif t j =
 let op_revert t =
   let s = session_exn t ~operation:"revert" in
   let g = s.build.Build.graph in
-  Array.iteri
-    (fun i f ->
-      s.forms.(i) <- f;
-      Form_buf.set s.fbuf i f)
-    s.build.Build.forms;
+  for i = 0 to Tgraph.n_edges g - 1 do
+    Form_buf.blit s.build.Build.forms i s.fbuf i
+  done;
   Propagate.forward_into s.ws g ~forms:s.fbuf ~sources:g.Tgraph.inputs;
   s.edited <- false;
   Hashtbl.reset s.committed;
@@ -1000,7 +993,7 @@ let apply_absolute_edits t ~operation edits =
         if edge < 0 || edge >= Tgraph.n_edges g then
           Robust.fail ~subsystem:"serve.wal" ~operation ~indices:[ edge ]
             "logged edit edge is out of range for the recovered design";
-        { edge; prev = s.forms.(edge); next })
+        { edge; prev = Form_buf.get s.fbuf edge; next })
       edits
   in
   if eds <> [] then begin
@@ -1092,16 +1085,14 @@ let share_sweeps t scenarios =
   match t.session with
   | None -> ()
   | Some s -> (
-      let strictly f =
-        let policy = Robust.policy () in
-        Robust.set_policy Robust.Strict;
-        Fun.protect ~finally:(fun () -> Robust.set_policy policy) f
-      in
       let keyed = List.map (fun sj -> (Json.to_string sj, sj)) scenarios in
       let decoded =
         List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed
         |> List.filter_map (fun (key, sj) ->
-               match strictly (fun () -> Batch.scenario_of_json 0 sj) with
+               match
+                 Robust.with_policy Robust.Strict (fun () ->
+                     Batch.scenario_of_json 0 sj)
+               with
                | sc -> Some (key, sc)
                | exception Robust.Error _ -> None)
       in

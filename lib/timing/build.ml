@@ -1,4 +1,4 @@
-module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module N = Ssta_circuit.Netlist
 module Cell = Ssta_cell.Cell
 module Grid = Ssta_variation.Grid
@@ -19,7 +19,7 @@ type t = {
   grid : Grid.t;
   basis : Basis.t;
   graph : Tgraph.t;
-  forms : Form.t array;
+  forms : Form_buf.t;
   sparse : sparse_edge array;
   gate_tile : int array;
 }
@@ -50,7 +50,7 @@ let characterize ?(corr = Correlation.default) ?(cells_per_tile = 100) nl =
      preserves netlist order), so we can rebuild the per-edge cell context by
      walking gates in lockstep. *)
   let m = Tgraph.n_edges graph in
-  let forms = Array.make m (Form.constant basis.Basis.dims 0.0) in
+  let forms = Form_buf.create basis.Basis.dims m in
   let sparse =
     Array.make m { nominal = 0.0; sens = [||]; tile = 0; random_sigma = 0.0 }
   in
@@ -65,9 +65,9 @@ let characterize ?(corr = Correlation.default) ?(cells_per_tile = 100) nl =
         (fun pin _src ->
           let nominal = Cell.arc_delay cell ~fanout ~pin in
           let load_sigma = nominal *. cell.Cell.load_sens in
-          forms.(!e) <-
-            Basis.delay_form basis ~nominal ~tile ~sens:cell.Cell.sens
-              ~extra_random_sigma:load_sigma;
+          Form_buf.set forms !e
+            (Basis.delay_form basis ~nominal ~tile ~sens:cell.Cell.sens
+               ~extra_random_sigma:load_sigma);
           let vr = corr.Correlation.var_random in
           let rand_var =
             Array.fold_left

@@ -3,7 +3,7 @@
     the module's variation basis, and the sparse per-edge description the
     Monte Carlo engine samples from. *)
 
-module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 
 type sparse_edge = {
   nominal : float;  (** nominal arc delay, load/pin factors applied *)
@@ -20,7 +20,9 @@ type t = {
   grid : Ssta_variation.Grid.t;
   basis : Ssta_variation.Basis.t;
   graph : Tgraph.t;
-  forms : Form.t array;  (** per edge, canonical over [basis] *)
+  forms : Form_buf.t;
+      (** per edge, canonical over [basis]: the one slab every sweep,
+          screen and what-if edit reads *)
   sparse : sparse_edge array;  (** per edge *)
   gate_tile : int array;  (** per gate *)
 }

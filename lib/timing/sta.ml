@@ -25,64 +25,8 @@ let forward_from_into g ~weights v0 arr =
   arr.(v0) <- 0.0;
   relax_forward g weights arr
 
-let forward_from g ~weights v0 =
-  check g weights;
-  let arr = Array.make g.Tgraph.n_vertices neg_infinity in
-  forward_from_into g ~weights v0 arr;
-  arr
-
-let backward_to g ~weights out =
-  check g weights;
-  let req = Array.make g.Tgraph.n_vertices neg_infinity in
-  req.(out) <- 0.0;
-  let src = g.Tgraph.src and dst = g.Tgraph.dst in
-  for i = Array.length src - 1 downto 0 do
-    let r = Array.unsafe_get req (Array.unsafe_get dst i) in
-    if r > neg_infinity then begin
-      let s = Array.unsafe_get src i in
-      let t = r +. Array.unsafe_get weights i in
-      if t > Array.unsafe_get req s then Array.unsafe_set req s t
-    end
-  done;
-  req
-
 let design_delay g ~weights =
   let arr = forward g ~weights in
   Array.fold_left
     (fun acc o -> Float.max acc arr.(o))
     neg_infinity g.Tgraph.outputs
-
-let critical_path g ~weights =
-  let arr = forward g ~weights in
-  let best_out =
-    Array.fold_left
-      (fun best o ->
-        match best with
-        | None -> Some o
-        | Some b -> if arr.(o) > arr.(b) then Some o else best)
-      None g.Tgraph.outputs
-  in
-  match best_out with
-  | None -> []
-  | Some out ->
-      let is_input = Array.make g.Tgraph.n_vertices false in
-      Array.iter (fun v -> is_input.(v) <- true) g.Tgraph.inputs;
-      let rec walk v acc =
-        if is_input.(v) then v :: acc
-        else begin
-          (* Find the fanin edge realizing arr.(v). *)
-          let lo = g.Tgraph.fanin_lo.(v) and hi = g.Tgraph.fanin_hi.(v) in
-          let pick = ref (-1) in
-          for i = lo to hi - 1 do
-            let s = g.Tgraph.src.(i) in
-            if
-              arr.(s) > neg_infinity
-              && abs_float (arr.(s) +. weights.(i) -. arr.(v)) < 1e-9
-              && !pick < 0
-            then pick := i
-          done;
-          if !pick < 0 then v :: acc
-          else walk g.Tgraph.src.(!pick) (v :: acc)
-        end
-      in
-      walk out []

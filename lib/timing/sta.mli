@@ -6,22 +6,11 @@ val forward : Tgraph.t -> weights:float array -> float array
 (** Arrival times from all primary inputs (inputs start at 0); vertices not
     reachable from any input get [neg_infinity]. *)
 
-val forward_from : Tgraph.t -> weights:float array -> int -> float array
-(** Arrival times exclusively from one input vertex. *)
-
 val forward_from_into :
   Tgraph.t -> weights:float array -> int -> float array -> unit
-(** Allocation-free variant of {!forward_from} writing into a caller buffer
-    of length [n_vertices] (contents overwritten). *)
-
-val backward_to : Tgraph.t -> weights:float array -> int -> float array
-(** [backward_to g ~weights out] gives, per vertex, the maximum path delay
-    from the vertex to the output [out] ([neg_infinity] if it cannot reach
-    it; 0 at [out] itself).  This is the negated required time with the
-    required time at [out] set to 0 (paper eq. (15)). *)
+(** Arrival times exclusively from one input vertex, written into a
+    caller buffer of length [n_vertices] (contents overwritten; vertices
+    the input does not reach get [neg_infinity]). *)
 
 val design_delay : Tgraph.t -> weights:float array -> float
 (** Maximum arrival over primary outputs. *)
-
-val critical_path : Tgraph.t -> weights:float array -> int list
-(** Vertices of one maximum-delay input-to-output path (in order). *)

@@ -3,7 +3,7 @@
     arcs.  The structure is immutable and stored edge-major in topological
     order (by sink), so forward passes are a single sweep over the edge array
     and backward passes the reverse sweep.  Edge weights live outside the
-    structure (parallel [float array] / [Form.t array]), so one graph serves
+    structure (a parallel [float array] or [Form_buf] slab), so one graph serves
     deterministic STA, Monte Carlo and canonical SSTA alike. *)
 
 type t = private {

@@ -6,8 +6,24 @@
    them. *)
 
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Propagate = Hier_ssta.Propagate
+
+(* Boxed <-> slab conversions: the library holds edge forms only in
+   slabs, the oracles and many fixtures in boxed arrays. *)
+let pack dims forms =
+  let t = Form_buf.create dims (Array.length forms) in
+  Array.iteri (Form_buf.set t) forms;
+  t
+
+let unpack buf = Array.init (Form_buf.length buf) (Form_buf.get buf)
+
+let pack_like forms =
+  pack
+    (if Array.length forms = 0 then { Form.n_globals = 0; n_pcs = 0 }
+     else Form.dims forms.(0))
+    forms
 
 let sweep g ~forms ~seeds ~edges ~upstream ~downstream =
   if Array.length forms <> Tgraph.n_edges g then
@@ -69,10 +85,10 @@ let boxed ws g = Array.init (Tgraph.n_vertices g) (Propagate.ws_form ws)
 
 let kernel_forward g ~forms ~sources =
   let ws = Propagate.create_workspace () in
-  Propagate.forward_into ws g ~forms:(Propagate.pack forms) ~sources;
+  Propagate.forward_into ws g ~forms:(pack_like forms) ~sources;
   boxed ws g
 
 let kernel_backward_to g ~forms out =
   let ws = Propagate.create_workspace () in
-  Propagate.backward_to_into ws g ~forms:(Propagate.pack forms) out;
+  Propagate.backward_to_into ws g ~forms:(pack_like forms) out;
   boxed ws g

@@ -126,7 +126,10 @@ let test_io_matches_per_input_forward () =
   let g = b.Build.graph in
   Array.iteri
     (fun i input ->
-      let arr = Sweep_oracle.forward g ~forms:b.Build.forms ~sources:[| input |] in
+      let arr =
+        Sweep_oracle.forward g
+          ~forms:(Sweep_oracle.unpack b.Build.forms) ~sources:[| input |]
+      in
       Array.iteri
         (fun j out ->
           if not (opt_equal r.Batch.io.(i).(j) arr.(out)) then
@@ -159,7 +162,9 @@ let test_nominal_matches_extract_path () =
     Par.with_domains 1 (fun () -> Batch.run_one base (Batch.nominal ()))
   in
   let g = b.Build.graph in
-  let want = Sweep_oracle.circuit_delay g ~forms:b.Build.forms in
+  let want =
+    Sweep_oracle.circuit_delay g ~forms:(Sweep_oracle.unpack b.Build.forms)
+  in
   if not (opt_equal r.Batch.delay want) then
     Alcotest.fail "nominal scenario delay differs from the direct sweep"
 
@@ -376,11 +381,6 @@ let test_parse_scenarios_ok () =
    under Repair each defective field falls back to its documented
    default (counted under robust.scenario_repairs) and parsing
    succeeds. *)
-let with_policy policy f =
-  let prev = Robust.policy () in
-  Robust.set_policy policy;
-  Fun.protect ~finally:(fun () -> Robust.set_policy prev) f
-
 let bad_specs =
   [
     ("not an array", {|{"corner": "slow"}|});
@@ -395,7 +395,7 @@ let bad_specs =
   ]
 
 let test_parse_scenarios_strict () =
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       List.iter
         (fun (label, text) ->
           match Batch.parse_scenarios text with
@@ -409,7 +409,7 @@ let test_parse_scenarios_strict () =
         bad_specs)
 
 let test_parse_scenarios_repair () =
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let parsed label text =
         match Batch.parse_scenarios text with
         | Ok s -> s
@@ -445,7 +445,7 @@ let counter_value name =
   match List.assoc_opt name (Robust.counters ()) with Some v -> v | None -> 0
 
 let test_parse_scenarios_repairs_counted () =
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let before = counter_value "robust.scenario_repairs" in
       ignore (Batch.parse_scenarios {|[{"corner": "typical"}]|});
       let after = counter_value "robust.scenario_repairs" in

@@ -38,7 +38,7 @@ let reference ?(exact = false) ~delta g ~forms =
   let dims =
     if m = 0 then { Form.n_globals = 0; n_pcs = 0 } else Form.dims forms.(0)
   in
-  let fbuf = Form_buf.of_forms dims forms in
+  let fbuf = Sweep_oracle.pack dims forms in
   let src = g.Tgraph.src and dst = g.Tgraph.dst in
   let req_mu = Array.make_matrix no (max nv 1) nan in
   let req_sig = Array.make_matrix no (max nv 1) nan in
@@ -201,7 +201,8 @@ let prop_screen_equivalence seed =
                 (fun tile ->
                   let got =
                     Ssta_par.Par.with_domains domains (fun () ->
-                        H.Criticality.compute ~exact ?tile ~delta:0.05 g ~forms)
+                        H.Criticality.compute ~exact ?tile ~delta:0.05 g
+                          ~forms:(Sweep_oracle.pack_like forms))
                   in
                   let label =
                     Printf.sprintf
@@ -242,10 +243,16 @@ let test_tile_validation () =
   Alcotest.check_raises "tile = 0 rejected"
     (Invalid_argument "Criticality.compute: tile must be at least 1")
     (fun () ->
-      ignore (H.Criticality.compute ~tile:0 ~delta:0.05 g ~forms));
+      ignore (H.Criticality.compute ~tile:0 ~delta:0.05 g
+                ~forms:(Sweep_oracle.pack_like forms)));
   (* An oversized tile is just the untiled screen. *)
-  let a = H.Criticality.compute ~delta:0.05 g ~forms in
-  let b = H.Criticality.compute ~tile:10_000 ~delta:0.05 g ~forms in
+  let a =
+    H.Criticality.compute ~delta:0.05 g ~forms:(Sweep_oracle.pack_like forms)
+  in
+  let b =
+    H.Criticality.compute ~tile:10_000 ~delta:0.05 g
+      ~forms:(Sweep_oracle.pack_like forms)
+  in
   Alcotest.(check bool) "oversized tile = untiled" true
     (a.H.Criticality.keep = b.H.Criticality.keep
     && bits_equal a.H.Criticality.cm b.H.Criticality.cm
@@ -292,7 +299,8 @@ let test_tile_precedence () =
       Ssta_obs.Obs.enable ();
       let tiles_of ?tile () =
         Ssta_obs.Obs.reset ();
-        ignore (H.Criticality.compute ?tile ~delta:0.05 g ~forms);
+        ignore (H.Criticality.compute ?tile ~delta:0.05 g
+                  ~forms:(Sweep_oracle.pack_like forms));
         Ssta_obs.Obs.find_counter "criticality.backward_tiles"
       in
       Alcotest.(check int) "budget default: one tile at test scale" 1
@@ -331,7 +339,9 @@ let test_output_load_matches_boxed () =
           let slope = 0.12 /. (1.0 +. (0.12 *. float_of_int (fanout - 1))) in
           let arcs = ref [] in
           for e = lo to hi - 1 do
-            arcs := Form.scale slope b.Build.forms.(e) :: !arcs
+            arcs :=
+              Form.scale slope (Ssta_canonical.Form_buf.get b.Build.forms e)
+              :: !arcs
           done;
           Form.max_list !arcs
         end)

@@ -68,7 +68,7 @@ let test_budget_of_real_extraction () =
     Ssta_timing.Build.characterize (Ssta_circuit.Multiplier.make ~bits:4 ())
   in
   let n_params = Array.length Ssta_cell.Library.params in
-  let f = b.Ssta_timing.Build.forms.(0) in
+  let f = Ssta_canonical.Form_buf.get b.Ssta_timing.Build.forms 0 in
   let bd = D.budget ~n_params f in
   close ~tol:1e-9 "total = Form.variance" (Form.variance f)
     bd.D.total_variance;

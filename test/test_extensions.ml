@@ -4,6 +4,7 @@
 
 module H = Hier_ssta
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Build = Ssta_timing.Build
 module Tgraph = Ssta_timing.Tgraph
 
@@ -33,9 +34,9 @@ let test_model_io_roundtrip () =
   (* Forms must round-trip bit-exactly. *)
   Array.iteri
     (fun e f ->
-      if not (Form.equal ~tol:0.0 f m'.H.Timing_model.forms.(e)) then
-        Alcotest.fail (Printf.sprintf "edge %d form drifted" e))
-    m.H.Timing_model.forms;
+      if not (Form.equal ~tol:0.0 f (Form_buf.get m'.H.Timing_model.forms e))
+      then Alcotest.fail (Printf.sprintf "edge %d form drifted" e))
+    (Sweep_oracle.unpack m.H.Timing_model.forms);
   (* And so must the serialized text itself (idempotence). *)
   Alcotest.(check string)
     "stable serialization" text
@@ -190,7 +191,8 @@ let test_path_trace_chain () =
   let forms = [| det 1.0; det 2.0 |] in
   let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   match H.Path_report.trace
-      (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
+      (H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
+         ~arrival:(Array.get arrival))
       ~endpoint:2 with
   | None -> Alcotest.fail "no path"
   | Some p ->
@@ -213,7 +215,8 @@ let test_path_trace_picks_dominant () =
   let forms = [| noisy 10.0; noisy 1.0; noisy 10.0; noisy 1.0 |] in
   let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   match H.Path_report.trace
-      (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
+      (H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
+         ~arrival:(Array.get arrival))
       ~endpoint:3 with
   | None -> Alcotest.fail "no path"
   | Some p ->
@@ -229,7 +232,8 @@ let test_top_paths () =
   let forms = [| noisy 10.0; noisy 9.0; noisy 10.0; noisy 9.0 |] in
   let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
   let paths = H.Path_report.top_paths
-      (H.Path_report.index g ~forms ~arrival:(Array.get arrival))
+      (H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
+         ~arrival:(Array.get arrival))
       ~endpoint:3 ~k:3
   in
   Alcotest.(check int) "two distinct paths" 2 (List.length paths);
@@ -244,7 +248,7 @@ let test_top_paths () =
   let b = Lazy.force build in
   let ws = H.Propagate.create_workspace () in
   H.Propagate.forward_into ws b.Build.graph
-    ~forms:(H.Propagate.pack b.Build.forms)
+    ~forms:b.Build.forms
     ~sources:b.Build.graph.Tgraph.inputs;
   match H.Propagate.ws_worst ws b.Build.graph.Tgraph.outputs with
   | None -> Alcotest.fail "no endpoint"
@@ -391,29 +395,6 @@ let test_second_level_analysis () =
        false
      with Failure _ -> true)
 
-(* ------------------------------------------------------------------ *)
-(* Dot                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_dot_outputs () =
-  let nl = Ssta_circuit.Adder.ripple ~bits:2 () in
-  let dot = Ssta_timing.Dot.netlist nl in
-  Alcotest.(check bool) "digraph header" true
-    (String.length dot > 20 && String.sub dot 0 7 = "digraph");
-  let g = Ssta_timing.Tgraph.of_netlist nl in
-  let w = Array.make (Tgraph.n_edges g) 1.5 in
-  let dot2 = Ssta_timing.Dot.tgraph ~weights:w ~highlight:[ 0 ] g in
-  let contains haystack needle =
-    let n = String.length needle and h = String.length haystack in
-    let rec go i =
-      i + n <= h && (String.sub haystack i n = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "has weight labels" true
-    (contains dot2 "label=\"1.5\"");
-  Alcotest.(check bool) "has highlight" true (contains dot2 "lightsalmon")
-
 let suites =
   [
     ( "ext.model_io",
@@ -459,5 +440,4 @@ let suites =
           test_output_load_raises_delay;
         Alcotest.test_case "roundtrips" `Quick test_output_load_roundtrips;
       ] );
-    ("ext.dot", [ Alcotest.test_case "dot output" `Quick test_dot_outputs ]);
   ]

@@ -170,16 +170,16 @@ let test_replace_preserves_variance () =
   let fp = Lazy.force floorplan in
   let dg = Lazy.force design_grid in
   let model = Lazy.force module_model in
+  let forms = Sweep_oracle.unpack model.H.Timing_model.forms in
   let tf =
-    H.Replace.transform_instance dg fp ~mode:H.Replace.Replaced ~inst:2
-      model.H.Timing_model.forms
+    Test_hier_flow.transform dg fp ~mode:H.Replace.Replaced ~inst:2 forms
   in
   (* Exactly variance-preserving up to the documented PCA eigenvalue
      clamping of the (truncated-correlation) design covariance, which can
      move variances by a fraction of a percent. *)
   Array.iteri
     (fun e f_new ->
-      let f_old = model.H.Timing_model.forms.(e) in
+      let f_old = forms.(e) in
       let vo = Form.variance f_old and vn = Form.variance f_new in
       if abs_float (vn -. vo) > 0.01 *. vo then
         Alcotest.fail
@@ -190,9 +190,9 @@ let test_replace_preserves_within_module_covariance () =
   let fp = Lazy.force floorplan in
   let dg = Lazy.force design_grid in
   let model = Lazy.force module_model in
-  let forms = model.H.Timing_model.forms in
+  let forms = Sweep_oracle.unpack model.H.Timing_model.forms in
   let tf =
-    H.Replace.transform_instance dg fp ~mode:H.Replace.Replaced ~inst:1 forms
+    Test_hier_flow.transform dg fp ~mode:H.Replace.Replaced ~inst:1 forms
   in
   let pairs = [ (0, 1); (2, 5); (1, 7) ] in
   List.iter
@@ -214,13 +214,13 @@ let test_replace_cross_instance_correlation () =
   let fp = Lazy.force floorplan in
   let dg = Lazy.force design_grid in
   let model = Lazy.force module_model in
-  let forms = model.H.Timing_model.forms in
+  let forms = Sweep_oracle.unpack model.H.Timing_model.forms in
   let e = 0 in
   let repl inst =
-    H.Replace.transform_instance dg fp ~mode:H.Replace.Replaced ~inst forms
+    Test_hier_flow.transform dg fp ~mode:H.Replace.Replaced ~inst forms
   in
   let glob inst =
-    H.Replace.transform_instance dg fp ~mode:H.Replace.Global_only ~inst forms
+    Test_hier_flow.transform dg fp ~mode:H.Replace.Global_only ~inst forms
   in
   let f0 = (repl 0).(e) and f1 = (repl 1).(e) in
   let g0 = (glob 0).(e) and g1 = (glob 1).(e) in
@@ -249,10 +249,9 @@ let test_replace_matches_flat_characterization () =
   let mform =
     Basis.delay_form mbasis ~nominal:50.0 ~tile:2 ~sens ~extra_random_sigma:0.0
   in
-  let m = H.Replace.matrix dg fp ~inst:3 in
   let rewritten =
-    H.Replace.transform_form dg ~mode:H.Replace.Replaced ~m:(Some m) ~inst:3
-      mform
+    (Test_hier_flow.transform dg fp ~mode:H.Replace.Replaced ~inst:3
+       [| mform |]).(0)
   in
   let direct =
     Basis.delay_form dbasis ~nominal:50.0

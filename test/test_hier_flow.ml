@@ -63,13 +63,25 @@ let random_module_form seed =
     nominal,
     sens )
 
+(* Boxed module-basis forms of instance [inst] rewritten over the design
+   basis by the slot kernel. *)
+let transform dg fp ~mode ~inst forms =
+  let src = Sweep_oracle.pack_like forms in
+  let dst =
+    Ssta_canonical.Form_buf.create dg.H.Design_grid.basis.Basis.dims
+      (Array.length forms)
+  in
+  H.Replace.transform_into (H.Replace.pc_map dg fp ~mode ~inst) src ~dst
+    ~slot:Fun.id;
+  Sweep_oracle.unpack dst
+
 let prop_replace_preserves_moments seed =
   let fp = Lazy.force chain_floorplan in
   let dg = Lazy.force chain_grid in
   let f, _, _, _ = random_module_form seed in
   let inst = seed mod 2 in
   let tf =
-    (H.Replace.transform_instance dg fp ~mode:H.Replace.Replaced ~inst [| f |]).(0)
+    (transform dg fp ~mode:H.Replace.Replaced ~inst [| f |]).(0)
   in
   (* The substitution rewrites only the correlated-local part: mean is
      copied verbatim, variance survives up to the documented eigenvalue
@@ -86,8 +98,7 @@ let prop_replace_restores_cross_module_covariance seed =
   let dbasis = dg.H.Design_grid.basis in
   let f, tile, nominal, sens = random_module_form seed in
   let rewritten inst =
-    let m = Some (H.Replace.matrix dg fp ~inst) in
-    H.Replace.transform_form dg ~mode:H.Replace.Replaced ~m ~inst f
+    (transform dg fp ~mode:H.Replace.Replaced ~inst [| f |]).(0)
   in
   let direct inst =
     Basis.delay_form dbasis ~nominal
@@ -108,8 +119,7 @@ let prop_global_only_covariance_is_global_part seed =
   let dg = Lazy.force chain_grid in
   let f, _, _, _ = random_module_form seed in
   let glob inst =
-    (H.Replace.transform_instance dg fp ~mode:H.Replace.Global_only ~inst
-       [| f |]).(0)
+    (transform dg fp ~mode:H.Replace.Global_only ~inst [| f |]).(0)
   in
   let g0 = glob 0 and g1 = glob 1 in
   let expected = Ssta_linalg.Vec.dot g0.Form.globals g1.Form.globals in

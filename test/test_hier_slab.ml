@@ -80,14 +80,8 @@ let oracle_analyze (fp : Fp.t) (dg : H.Design_grid.t) ~mode =
     (fun i inst ->
       let g = graphs.(i) in
       let model = inst.Fp.model in
-      let model_forms =
-        Form.sanitize_forms ~subsystem:"oracle" ~operation:"forms"
-          model.H.Timing_model.forms
-      in
-      let load_forms =
-        Form.sanitize_forms ~subsystem:"oracle" ~operation:"load"
-          model.H.Timing_model.output_load
-      in
+      let model_forms = Sweep_oracle.unpack model.H.Timing_model.forms in
+      let load_forms = model.H.Timing_model.output_load in
       let port_of_vertex = Array.make (Tgraph.n_vertices g) (-1) in
       Array.iteri (fun p v -> port_of_vertex.(v) <- p) g.Tgraph.outputs;
       let base_forms =
@@ -301,9 +295,7 @@ let test_design_model_pinned () =
    counted in the calling domain before any slot is written, so the
    count and the design delay do not depend on the domain count. *)
 let test_repair_nan_factor () =
-  let saved = Robust.policy () in
-  Robust.set_policy Robust.Repair;
-  Fun.protect ~finally:(fun () -> Robust.set_policy saved) @@ fun () ->
+  Robust.with_policy Robust.Repair @@ fun () ->
   let fp = chain2 () in
   let dg = H.Design_grid.build fp in
   let factor = dg.H.Design_grid.basis.Basis.pca.Pca.factor in
@@ -334,13 +326,20 @@ let test_unreachable_outputs_error () =
       ~inputs:g.Tgraph.inputs ~outputs:g.Tgraph.outputs
   in
   let build =
-    { b with Build.graph = edgeless b.Build.graph; forms = [||]; sparse = [||] }
+    {
+      b with
+      Build.graph = edgeless b.Build.graph;
+      forms = Ssta_canonical.Form_buf.create b.Build.basis.Basis.dims 0;
+      sparse = [||];
+    }
   in
   let model =
     {
       m with
       H.Timing_model.graph = edgeless m.H.Timing_model.graph;
-      forms = [||];
+      forms =
+        Ssta_canonical.Form_buf.create
+          m.H.Timing_model.basis.Basis.dims 0;
     }
   in
   let fp =

@@ -66,7 +66,7 @@ let with_pairs seed f =
 
 let prop_add_into seed =
   with_pairs seed (fun dims a b ->
-      let buf = Form_buf.of_forms dims [| a; b; Form.zero dims |] in
+      let buf = Sweep_oracle.pack dims [| a; b; Form.zero dims |] in
       Form_buf.add_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
       check_exact "add_into = Form.add" (Form.add a b) (Form_buf.get buf 2);
       (* Aliasing: accumulate in place over slot 0. *)
@@ -76,7 +76,7 @@ let prop_add_into seed =
 
 let prop_max2_into seed =
   with_pairs seed (fun dims a b ->
-      let buf = Form_buf.of_forms dims [| a; b; Form.zero dims |] in
+      let buf = Sweep_oracle.pack dims [| a; b; Form.zero dims |] in
       Form_buf.max2_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
       check_exact "max2_into = Form.max2" (Form.max2 a b) (Form_buf.get buf 2);
       Form_buf.max2_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:1;
@@ -87,7 +87,7 @@ let prop_add_then_max_into seed =
   with_pairs seed (fun dims a b ->
       let rng = Rng.create ~seed:(seed + 1) in
       let prev = random_form rng dims in
-      let buf = Form_buf.of_forms dims [| a; b; prev |] in
+      let buf = Sweep_oracle.pack dims [| a; b; prev |] in
       Form_buf.add_then_max_into ~acc:buf ~iacc:2 ~a:buf ~ia:0 ~b:buf ~ib:1;
       check_exact "add_then_max_into = max2 prev (add a b)"
         (Form.max2 prev (Form.add a b))
@@ -105,7 +105,7 @@ let prop_quad_stats seed =
         and e = random_form rng dims
         and r = random_form rng dims
         and m = random_form rng dims in
-        let buf = Form_buf.of_forms dims [| a; e; r; m |] in
+        let buf = Sweep_oracle.pack dims [| a; e; r; m |] in
         let q = Array.make Form_buf.quad_size nan in
         Form_buf.quad_stats_into ~a:buf ~ia:0 ~e:buf ~ie:1 ~r:buf ~ir:2
           ~m:buf ~im:3 ~into:q;
@@ -138,7 +138,7 @@ let prop_cov4 seed =
       let rng = Rng.create ~seed in
       for _ = 1 to 25 do
         let forms = Array.init 7 (fun _ -> random_form rng dims) in
-        let buf = Form_buf.of_forms dims forms in
+        let buf = Sweep_oracle.pack dims forms in
         let check ~ia ~ie ~ir ~im (got : float array) base =
           let c name x y =
             if x <> y then
@@ -208,7 +208,7 @@ let prop_clark_into seed =
 
 let prop_scalar_probes seed =
   with_pairs seed (fun dims a b ->
-      let buf = Form_buf.of_forms dims [| a; b |] in
+      let buf = Sweep_oracle.pack dims [| a; b |] in
       if
         not
           (Form_buf.mean buf 0 = a.Form.mean
@@ -277,7 +277,7 @@ let prop_workspace_reuse seed =
   List.iteri
     (fun k dims ->
       let g, forms = random_dag (seed + (1000 * k)) dims in
-      let fbuf = Form_buf.of_forms dims forms in
+      let fbuf = Sweep_oracle.pack dims forms in
       let n = Tgraph.n_vertices g in
       Array.iter
         (fun i ->
@@ -307,7 +307,7 @@ let prop_backward_block seed =
   List.iteri
     (fun k dims ->
       let g, forms = random_dag (seed + (1000 * k)) dims in
-      let fbuf = Form_buf.of_forms dims forms in
+      let fbuf = Sweep_oracle.pack dims forms in
       let n = Tgraph.n_vertices g in
       let outs = g.Tgraph.outputs in
       let no = Array.length outs in
@@ -343,7 +343,7 @@ let prop_forward_all_matches seed =
   let g, forms = random_dag seed dims in
   let ws = H.Propagate.create_workspace () in
   H.Propagate.forward_into ws g
-    ~forms:(Form_buf.of_forms dims forms)
+    ~forms:(Sweep_oracle.pack dims forms)
     ~sources:g.Tgraph.inputs;
   sweep_equal (Tgraph.n_vertices g) ws (Sweep_oracle.forward_all g ~forms)
 
@@ -355,7 +355,7 @@ let prop_circuit_delay seed =
     (fun dims ->
       let g, forms = random_dag seed dims in
       match
-        ( H.Propagate.circuit_delay g ~forms,
+        ( H.Propagate.circuit_delay g ~forms:(Sweep_oracle.pack dims forms),
           Sweep_oracle.circuit_delay g ~forms )
       with
       | None, None -> true
@@ -417,7 +417,7 @@ let prop_slab_carving seed =
    every coefficient scaled by beta, the independent term by |beta|. *)
 let prop_recompose seed =
   with_pairs seed (fun dims a b ->
-      let buf = Form_buf.of_forms dims [| a; b |] in
+      let buf = Sweep_oracle.pack dims [| a; b |] in
       let mean = b.Form.mean and beta = b.Form.rand -. 0.5 in
       Form_buf.recompose_into ~mean ~beta ~a:buf ~ia:0 ~dst:buf ~idst:1;
       let want =
@@ -442,8 +442,7 @@ let test_sweeps_allocation_free () =
   let b =
     Ssta_timing.Build.characterize (Ssta_circuit.Iscas.build "c432")
   in
-  let g = b.Ssta_timing.Build.graph and forms = b.Ssta_timing.Build.forms in
-  let fbuf = Form_buf.of_forms (Form.dims forms.(0)) forms in
+  let g = b.Ssta_timing.Build.graph and fbuf = b.Ssta_timing.Build.forms in
   let inputs = g.Tgraph.inputs and outs = g.Tgraph.outputs in
   let no = Array.length outs in
   let ws = H.Propagate.create_workspace () in
@@ -515,7 +514,10 @@ let prop_replace_into seed =
       let dims = { Form.n_globals = ng; n_pcs = ng * cols } in
       let buf = Form_buf.create dims 3 in
       Form_buf.set buf 1 (random_form rng dims);
-      Form_buf.replace_into ~map ~src ~dst:buf ~idst:1;
+      let sbuf =
+        Sweep_oracle.pack { Form.n_globals = ng; n_pcs = ng * rows } [| src |]
+      in
+      Form_buf.replace_into ~map ~src:sbuf ~isrc:0 ~dst:buf ~idst:1;
       check_form_bits "replaced slot" { src with Form.pcs = expected_pcs }
         (Form_buf.get buf 1);
       check_form_bits "slot before" (Form.zero dims) (Form_buf.get buf 0);

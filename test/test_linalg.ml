@@ -288,9 +288,7 @@ let eig_digest values vectors =
 (* Runs [f] under the Repair policy, returning its result and how many
    times it bumped [robust.jacobi_residual]. *)
 let residual_repairs f =
-  let saved = Robust.policy () in
-  Robust.set_policy Robust.Repair;
-  Fun.protect ~finally:(fun () -> Robust.set_policy saved) @@ fun () ->
+  Robust.with_policy Robust.Repair @@ fun () ->
   let before = Robust.value Oracle.jacobi_residual in
   let r = f () in
   (r, Robust.value Oracle.jacobi_residual - before)
@@ -365,9 +363,7 @@ let test_eig_oracle_errors () =
   in
   same "non-finite" (poke 4 1 (fun _ -> Float.infinity));
   same "asymmetric" (poke 2 5 (fun x -> x +. 0.5));
-  let saved = Robust.policy () in
-  Robust.set_policy Robust.Strict;
-  Fun.protect ~finally:(fun () -> Robust.set_policy saved) @@ fun () ->
+  Robust.with_policy Robust.Strict @@ fun () ->
   same "sweep cap under Strict" ~max_sweeps:1 c
 
 (* The real design-grid covariance matrices of the hierarchical flow:

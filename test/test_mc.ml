@@ -86,9 +86,10 @@ let test_allpairs_vs_nominal () =
   let r = Allpairs_mc.run ~iterations:2_000 ~seed:13 ctx in
   let g = b.Build.graph in
   let weights = Build.nominal_weights b in
+  let arr = Array.make (Ssta_timing.Tgraph.n_vertices g) 0.0 in
   Array.iteri
     (fun i input ->
-      let arr = Sta.forward_from g ~weights input in
+      Sta.forward_from_into g ~weights input arr;
       Array.iteri
         (fun j out ->
           if r.Allpairs_mc.reachable.(i).(j) then begin

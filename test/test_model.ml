@@ -88,7 +88,7 @@ let test_scalar_summaries () =
   in
   let n = Tgraph.n_vertices g in
   let ws = Propagate.create_workspace () in
-  Propagate.forward_into ws g ~forms:(Propagate.pack forms) ~sources:[| 1 |];
+  Propagate.forward_into ws g ~forms:(Sweep_oracle.pack_like forms) ~sources:[| 1 |];
   let mu = Array.make n 0.0 and sigma = Array.make n 0.0 in
   Propagate.scalar_summaries_into ws ~n ~mu ~sigma;
   Alcotest.(check bool) "unreachable is nan" true (Float.is_nan mu.(2));
@@ -113,7 +113,10 @@ let test_criticality_dominant_path () =
   let g, forms =
     diamond [| noisy 1.0; noisy 10.0; noisy 2.0; noisy 1.0; noisy 10.0 |]
   in
-  let r = Criticality.compute ~exact:true ~delta:0.05 g ~forms in
+  let r =
+    Criticality.compute ~exact:true ~delta:0.05 g
+      ~forms:(Sweep_oracle.pack_like forms)
+  in
   (* Edge 1 = (0,3) and edge 4 = (3,4) are on the dominant path. *)
   Alcotest.(check bool) "dominant kept" true r.Criticality.keep.(1);
   Alcotest.(check bool) "dominant kept" true r.Criticality.keep.(4);
@@ -134,7 +137,10 @@ let test_criticality_chain_all_critical () =
       ~inputs:[| 0 |] ~outputs:[| 3 |]
   in
   let forms = [| noisy 1.0; noisy 2.0; noisy 3.0 |] in
-  let r = Criticality.compute ~exact:true ~delta:0.05 g ~forms in
+  let r =
+    Criticality.compute ~exact:true ~delta:0.05 g
+      ~forms:(Sweep_oracle.pack_like forms)
+  in
   Array.iteri
     (fun e k ->
       Alcotest.(check bool) (Printf.sprintf "edge %d kept" e) true k;
@@ -149,7 +155,10 @@ let test_criticality_balanced_half () =
   let g, forms =
     diamond [| noisy 5.0; noisy 5.0; noisy 2.0; noisy 5.0; noisy 5.0 |]
   in
-  let r = Criticality.compute ~exact:true ~delta:0.05 g ~forms in
+  let r =
+    Criticality.compute ~exact:true ~delta:0.05 g
+      ~forms:(Sweep_oracle.pack_like forms)
+  in
   Alcotest.(check bool) "both kept" true
     (r.Criticality.keep.(0) && r.Criticality.keep.(1));
   Alcotest.(check bool)
@@ -169,7 +178,10 @@ let test_criticality_pair_specific () =
       ~inputs:[| 0; 1 |] ~outputs:[| 2; 3 |]
   in
   let forms = [| noisy 100.0; noisy 1.0 |] in
-  let r = Criticality.compute ~exact:true ~delta:0.05 g ~forms in
+  let r =
+    Criticality.compute ~exact:true ~delta:0.05 g
+      ~forms:(Sweep_oracle.pack_like forms)
+  in
   Alcotest.(check bool) "slow chain kept" true r.Criticality.keep.(0);
   Alcotest.(check bool) "fast chain kept too" true r.Criticality.keep.(1);
   close ~tol:1e-6 "fast chain criticality 1 for its pair" 1.0
@@ -180,7 +192,8 @@ let test_criticality_delta_validation () =
   Alcotest.(check bool)
     "delta >= 1 rejected" true
     (try
-       ignore (Criticality.compute ~delta:1.0 g ~forms);
+       ignore (Criticality.compute ~delta:1.0 g
+                 ~forms:(Sweep_oracle.pack_like forms));
        false
      with Invalid_argument _ -> true)
 
@@ -198,11 +211,14 @@ let test_serial_merge_chain () =
       ~inputs:[| 0 |] ~outputs:[| 3 |]
   in
   let forms = [| noisy 1.0; noisy 2.0; noisy 3.0 |] in
-  let w = Reduce.of_graph g ~forms ~keep:(all_keep g) in
+  let w =
+    Reduce.of_graph g ~forms:(Sweep_oracle.pack_like forms) ~keep:(all_keep g)
+  in
   Reduce.reduce w;
   Alcotest.(check int) "one edge" 1 (Reduce.n_live_edges w);
   Alcotest.(check int) "two vertices" 2 (Reduce.n_live_vertices w);
   let rg, rforms, _, _ = Reduce.freeze w in
+  let rforms = Sweep_oracle.unpack rforms in
   Alcotest.(check int) "frozen edges" 1 (Tgraph.n_edges rg);
   close ~tol:1e-9 "summed mean" 6.0 rforms.(0).Form.mean;
   (* Serial merges are exact: variance adds covariantly. *)
@@ -217,12 +233,15 @@ let test_parallel_merge () =
       ~inputs:[| 0 |] ~outputs:[| 1 |]
   in
   let forms = [| noisy 4.0; noisy 5.0; noisy 4.5 |] in
-  let w = Reduce.of_graph g ~forms ~keep:(all_keep g) in
+  let w =
+    Reduce.of_graph g ~forms:(Sweep_oracle.pack_like forms) ~keep:(all_keep g)
+  in
   Reduce.reduce w;
   Alcotest.(check int) "merged to one edge" 1 (Reduce.n_live_edges w);
   let _, rforms, _, _ = Reduce.freeze w in
   let direct = Form.max_list (Array.to_list forms) in
-  close ~tol:0.2 "max-merged mean" direct.Form.mean rforms.(0).Form.mean
+  close ~tol:0.2 "max-merged mean" direct.Form.mean
+    (Ssta_canonical.Form_buf.mean rforms 0)
 
 let test_prune_dead_vertices () =
   (* Removing the only edge into an internal vertex makes its whole
@@ -234,7 +253,7 @@ let test_prune_dead_vertices () =
   in
   let forms = Array.init 4 (fun _ -> noisy 1.0) in
   let keep = [| false; true; true; true |] in
-  let w = Reduce.of_graph g ~forms ~keep in
+  let w = Reduce.of_graph g ~forms:(Sweep_oracle.pack_like forms) ~keep in
   Reduce.reduce w;
   (* Vertices 2 and 3 die; only input -> output edge remains. *)
   Alcotest.(check int) "edges after prune" 1 (Reduce.n_live_edges w);
@@ -248,7 +267,9 @@ let test_ports_never_merged () =
       ~inputs:[| 0 |] ~outputs:[| 1; 2 |]
   in
   let forms = [| noisy 1.0; noisy 2.0 |] in
-  let w = Reduce.of_graph g ~forms ~keep:(all_keep g) in
+  let w =
+    Reduce.of_graph g ~forms:(Sweep_oracle.pack_like forms) ~keep:(all_keep g)
+  in
   Reduce.reduce w;
   Alcotest.(check int) "both edges stay" 2 (Reduce.n_live_edges w);
   Alcotest.(check int) "all vertices stay" 3 (Reduce.n_live_vertices w)
@@ -262,13 +283,17 @@ let test_reduce_preserves_io_delays () =
   let w = Reduce.of_graph g ~forms:b.Build.forms ~keep:(all_keep g) in
   Reduce.reduce w;
   let rg, rforms, rin, rout = Reduce.freeze w in
+  let rforms = Sweep_oracle.unpack rforms in
   ignore rin;
   ignore rout;
   Alcotest.(check bool)
     "reduction shrinks graph" true
     (Tgraph.n_edges rg < Tgraph.n_edges g);
   (* Compare a few IO delays. *)
-  let orig_arr i = Sweep_oracle.forward g ~forms:b.Build.forms ~sources:[| i |] in
+  let orig_arr i =
+    Sweep_oracle.forward g
+      ~forms:(Sweep_oracle.unpack b.Build.forms) ~sources:[| i |]
+  in
   let red_arr i =
     Sweep_oracle.forward rg ~forms:rforms ~sources:[| rg.Tgraph.inputs.(i) |]
   in
@@ -318,7 +343,10 @@ let test_extract_io_accuracy_vs_full_ssta () =
   let worst_mean = ref 0.0 and worst_std = ref 0.0 in
   Array.iteri
     (fun i input ->
-      let arr = Sweep_oracle.forward g ~forms:b.Build.forms ~sources:[| input |] in
+      let arr =
+        Sweep_oracle.forward g
+          ~forms:(Sweep_oracle.unpack b.Build.forms) ~sources:[| input |]
+      in
       Array.iteri
         (fun j out ->
           match (io.(i).(j), arr.(out)) with

@@ -2,10 +2,11 @@
    against the pre-index engine, kept here verbatim as the oracle (one
    maximum-likelihood re-trace and one re-summed, string-deduplicated
    path per branch), on random DAGs and on every output of four ISCAS
-   circuits; and Form.tightness_of_sum against the composition it fuses. *)
+   circuits; and Form_buf.tightness_of_sum against the composition it fuses. *)
 
 module H = Hier_ssta
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Build = Ssta_timing.Build
 module Rng = Ssta_gauss.Rng
@@ -230,7 +231,10 @@ let random_case seed =
 
 let prop_random_dags seed =
   let g, forms, arrival = random_case seed in
-  let ix = H.Path_report.index g ~forms ~arrival:(Array.get arrival) in
+  let ix =
+    H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
+      ~arrival:(Array.get arrival)
+  in
   List.for_all
     (fun k ->
       List.for_all
@@ -256,10 +260,11 @@ let test_iscas_outputs () =
   List.iter
     (fun name ->
       let b = Build.characterize (Ssta_circuit.Iscas.build name) in
-      let g = b.Build.graph and forms = b.Build.forms in
+      let g = b.Build.graph and fbuf = b.Build.forms in
+      let forms = Sweep_oracle.unpack fbuf in
       let arrival = Sweep_oracle.forward_all g ~forms in
       (* One index shared by every output, as the callers use it. *)
-      let ix = H.Path_report.index g ~forms ~arrival:(Array.get arrival) in
+      let ix = H.Path_report.index g ~forms:fbuf ~arrival:(Array.get arrival) in
       Array.iter
         (fun endpoint ->
           match agree ix g ~forms ~arrival ~endpoint ~k:5 with
@@ -269,7 +274,7 @@ let test_iscas_outputs () =
     [ "c432"; "c1908"; "c6288"; "c7552" ]
 
 (* ------------------------------------------------------------------ *)
-(* Form.tightness_of_sum                                               *)
+(* Form_buf.tightness_of_sum                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Coefficients drawn from ordinary values mixed with signed zeros and
@@ -316,7 +321,7 @@ let qcheck_tightness_of_sum =
           gen_triple)
        (fun (a, f, b) ->
          bits_equal
-           (Form.tightness_of_sum a f b)
+           (Form_buf.tightness_of_sum a (Sweep_oracle.pack_like [| f |]) 0 b)
            (Form.tightness (Form.add a f) b)))
 
 let suites =

@@ -63,10 +63,12 @@ let io_delays g forms =
 
 let prop_reduction_preserves_io seed =
   let g, forms = random_dag seed in
-  let crit = H.Criticality.compute ~delta:0.01 g ~forms in
-  let work = H.Reduce.of_graph g ~forms ~keep:crit.H.Criticality.keep in
+  let fbuf = Sweep_oracle.pack_like forms in
+  let crit = H.Criticality.compute ~delta:0.01 g ~forms:fbuf in
+  let work = H.Reduce.of_graph g ~forms:fbuf ~keep:crit.H.Criticality.keep in
   H.Reduce.reduce work;
   let rg, rforms, _, _ = H.Reduce.freeze work in
+  let rforms = Sweep_oracle.unpack rforms in
   if H.Reduce.n_live_edges work > Tgraph.n_edges g then false
   else begin
     let io = io_delays g forms in
@@ -94,7 +96,7 @@ let prop_reduction_preserves_io seed =
 let prop_reduce_monotone seed =
   let g, forms = random_dag seed in
   let keep = Array.make (Tgraph.n_edges g) true in
-  let work = H.Reduce.of_graph g ~forms ~keep in
+  let work = H.Reduce.of_graph g ~forms:(Sweep_oracle.pack_like forms) ~keep in
   H.Reduce.reduce work;
   let e1 = H.Reduce.n_live_edges work and v1 = H.Reduce.n_live_vertices work in
   (* Idempotence: a second fixpoint run changes nothing. *)
@@ -127,7 +129,10 @@ let prop_forward_backward_consistent seed =
 
 let prop_criticality_bounds seed =
   let g, forms = random_dag seed in
-  let crit = H.Criticality.compute ~exact:true ~delta:0.05 g ~forms in
+  let crit =
+    H.Criticality.compute ~exact:true ~delta:0.05 g
+      ~forms:(Sweep_oracle.pack_like forms)
+  in
   Array.for_all (fun c -> c >= 0.0 && c <= 1.0) crit.H.Criticality.cm
   && Array.for_all Fun.id
        (Array.mapi
@@ -139,7 +144,7 @@ let prop_every_output_covered seed =
      the original graph stays reachable. *)
   let g, forms = random_dag seed in
   let keep = Array.make (Tgraph.n_edges g) true in
-  let work = H.Reduce.of_graph g ~forms ~keep in
+  let work = H.Reduce.of_graph g ~forms:(Sweep_oracle.pack_like forms) ~keep in
   H.Reduce.reduce work;
   let rg, _, _, _ = H.Reduce.freeze work in
   let ok = ref true in

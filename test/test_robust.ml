@@ -16,11 +16,6 @@ module Pca = Ssta_linalg.Pca
 module Build = Ssta_timing.Build
 module H = Hier_ssta
 
-let with_policy policy f =
-  let prev = Robust.policy () in
-  Robust.set_policy policy;
-  Fun.protect ~finally:(fun () -> Robust.set_policy prev) f
-
 let cval name = Robust.value (Robust.counter name)
 
 let build = lazy (Build.characterize (Ssta_circuit.Iscas.build "c432"))
@@ -48,7 +43,7 @@ let test_policy_dispatch () =
     Robust.context ~subsystem:"test" ~operation:"dispatch" ~indices:[ 7 ]
       ~values:[ 3.5 ] "synthetic"
   in
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       Robust.reset ();
       (match Robust.repair c ctx with
       | () -> Alcotest.fail "strict policy did not raise"
@@ -56,7 +51,7 @@ let test_policy_dispatch () =
           Alcotest.(check string) "subsystem" "test" c'.Robust.subsystem;
           Alcotest.(check (list int)) "indices" [ 7 ] c'.Robust.indices);
       Alcotest.(check int) "no count on strict raise" 0 (Robust.value c));
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       Robust.reset ();
       Robust.repair c ctx;
       Robust.repair c ctx;
@@ -69,7 +64,7 @@ let test_policy_dispatch () =
 let test_counter_idempotent () =
   let a = Robust.counter "robust.test_same" in
   let b = Robust.counter "robust.test_same" in
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       Robust.reset ();
       Robust.repair a
         (Robust.context ~subsystem:"test" ~operation:"same" "synthetic");
@@ -180,7 +175,7 @@ let bits = Int64.bits_of_float
 let test_clark_into_bit_equality () =
   (* clark_max_into must match clark_max bit for bit, on valid degenerate
      operands and on faulty operands routed through the repair branch. *)
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       List.iter
         (fun (mean_a, var_a, mean_b, var_b, cov) ->
           let r = Normal.clark_max ~mean_a ~var_a ~mean_b ~var_b ~cov in
@@ -207,13 +202,13 @@ let test_clark_faulty_operands () =
     Normal.clark_max ~mean_a:Float.nan ~var_a:1.0 ~mean_b:0.0 ~var_b:1.0
       ~cov:0.0
   in
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       Robust.reset ();
       match run () with
       | _ -> Alcotest.fail "strict accepted NaN operand"
       | exception Robust.Error c ->
           Alcotest.(check string) "subsystem" "gauss.normal" c.Robust.subsystem);
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       Robust.reset ();
       let r = run () in
       Alcotest.(check bool) "finite mean" true (Robust.is_finite r.Normal.mean);
@@ -231,7 +226,7 @@ let test_form_buf_degenerate_bit_equality () =
   let g = Form.make ~mean:4.0 ~globals:[| 0.3; -0.1 |] ~pcs:[| 0.2; 0.0; 0.1 |] ~rand:0.4 in
   List.iter
     (fun (a, b) ->
-      let buf = Form_buf.of_forms dims [| a; b; a |] in
+      let buf = Sweep_oracle.pack dims [| a; b; a |] in
       Form_buf.max2_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
       let got = Form_buf.get buf 2 in
       let want = Form.max2 a b in
@@ -282,7 +277,7 @@ let test_stats_nan_rejected () =
 
 let test_sym_eig_nonfinite_rejected () =
   let c = Mat.init 2 2 (fun i j -> if i = 0 && j = 1 then Float.nan else 1.0) in
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       (* Non-finite input to the eigensolver is unrepairable at this level:
          it raises under every policy. *)
       match Sym_eig.decompose c with
@@ -295,12 +290,12 @@ let test_pca_psd_policy () =
   let c =
     Mat.init 2 2 (fun i j -> if i = j then 1.0 else 10.0)
   in
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       match Pca.of_covariance c with
       | _ -> Alcotest.fail "strict accepted an indefinite covariance"
       | exception Robust.Error c' ->
           Alcotest.(check string) "subsystem" "linalg.pca" c'.Robust.subsystem);
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       Robust.reset ();
       let p = Pca.of_covariance c in
       Alcotest.(check bool) "clip counted" true (cval "robust.psd_clips" > 0);
@@ -327,8 +322,19 @@ let test_model_io_roundtrip_fuzz () =
   let m = Lazy.force model in
   let rng = Rng.create ~seed:7 in
   for _ = 1 to 10 do
-    let forms = Array.map (fun f -> random_form rng ~like:f) m.H.Timing_model.forms in
-    let m' = { m with H.Timing_model.forms = forms } in
+    let forms =
+      Array.map
+        (fun f -> random_form rng ~like:f)
+        (Sweep_oracle.unpack m.H.Timing_model.forms)
+    in
+    let m' =
+      {
+        m with
+        H.Timing_model.forms =
+          Sweep_oracle.pack m.H.Timing_model.basis.Ssta_variation.Basis.dims
+            forms;
+      }
+    in
     let text = H.Model_io.to_string m' in
     let m'' = H.Model_io.of_string text in
     (* Serialization is canonical, so bit-exactness of the round-trip is
@@ -364,7 +370,7 @@ let test_model_io_mutation_fuzz () =
   let text = H.Model_io.to_string (Lazy.force model) in
   let lines = Array.of_list (String.split_on_char '\n' text) in
   let rng = Rng.create ~seed:99 in
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       for _ = 1 to 200 do
         let li = Rng.int rng (Array.length lines) in
         let toks = String.split_on_char ' ' lines.(li) in
@@ -400,7 +406,7 @@ let test_model_io_mutation_fuzz () =
 let test_clean_path_policy_invariant () =
   let b = Lazy.force build in
   let delay_under policy =
-    with_policy policy (fun () ->
+    Robust.with_policy policy (fun () ->
         Robust.reset ();
         let m = H.Extract.extract b in
         let nonzero = List.filter (fun (_, v) -> v > 0) (Robust.counters ()) in

@@ -18,11 +18,6 @@ module H = Hier_ssta
 module Rng = Ssta_gauss.Rng
 module Obs = Ssta_obs.Obs
 
-let with_policy policy f =
-  let prev = Robust.policy () in
-  Robust.set_policy policy;
-  Fun.protect ~finally:(fun () -> Robust.set_policy prev) f
-
 (* ------------------------------------------------------------------ *)
 (* Incremental re-propagation == full re-sweep (QCheck)               *)
 (* ------------------------------------------------------------------ *)
@@ -65,7 +60,7 @@ let prop_incremental_equals_full n_domains seed =
       let g, forms = Test_kernels.random_dag seed dims in
       let forms = Array.copy forms in
       let n = Tgraph.n_vertices g in
-      let fbuf = Form_buf.of_forms dims forms in
+      let fbuf = Sweep_oracle.pack dims forms in
       let ws = H.Propagate.create_workspace () in
       H.Propagate.forward_into ws g ~forms:fbuf ~sources:g.Tgraph.inputs;
       let dirty = Bytes.create n in
@@ -231,7 +226,7 @@ let test_errors_do_not_kill_engine () =
   | _ -> Alcotest.fail "error responses carry a structured context");
   ignore (check_err "malformed json" (Serve.handle_line t "{\"op\": oops"));
   ignore (check_err "unknown op" (Serve.handle_line t (req [ ("op", Json.Str "warp") ])));
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       ignore
         (check_err "strict malformed json"
            (Serve.handle_line t "{\"op\": oops")));
@@ -356,7 +351,7 @@ let stats_lines responses = List.map parse_resp (List.filter is_stats responses)
 
 (* Counters are process-global: each run starts from zero. *)
 let run_corpus ?(policy = Robust.Repair) corpus grouped =
-  with_policy policy (fun () ->
+  Robust.with_policy policy (fun () ->
       Obs.reset ();
       let t = Serve.create () in
       if grouped then Serve.handle_lines t corpus
@@ -426,14 +421,14 @@ let test_batch_op_policies () =
                ] );
          ])
   in
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let t = Serve.create () in
       load_small t;
       let j = check_ok "repaired batch" (bad_batch t) in
       Alcotest.(check (float 0.0))
         "both defective scenarios repaired and evaluated" 2.0
         (num "batch" "scenarios" j));
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       let t = Serve.create () in
       load_small t;
       ignore (check_err "strict batch rejects defective scenario" (bad_batch t)))
@@ -526,7 +521,7 @@ let test_cache_corruption () =
   (* bit flip in the middle of the payload *)
   flip_byte model ((Unix.stat model).Unix.st_size / 2);
   drop_log dir;
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let before = corrupt_count () in
       let t2 = Serve.create ~cache_dir:dir () in
       Alcotest.(check bool)
@@ -541,14 +536,14 @@ let test_cache_corruption () =
   (* t2 re-spilled the model; now truncate it *)
   chop_bytes model 64;
   drop_log dir;
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let t3 = Serve.create ~cache_dir:dir () in
       Alcotest.(check bool)
         "truncated entry recomputed" false
         (cached_of "load after chop" (Serve.handle_line t3 load_c432)));
   chop_bytes model 64;
   drop_log dir;
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       let t4 = Serve.create ~cache_dir:dir () in
       ignore (check_err "strict corrupt cache" (Serve.handle_line t4 load_c432));
       ignore
@@ -659,7 +654,7 @@ let test_wal_torn_tail () =
     chop_bytes (Filename.concat dir "wal.jsonl") 10;
     dir
   in
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let dir = setup () in
       let before = truncated_count () in
       let t2 = Serve.create ~cache_dir:dir () in
@@ -669,7 +664,7 @@ let test_wal_torn_tail () =
       Alcotest.(check (list string))
         "re-sent torn request + tail identical" (drop 3 reference)
         (List.map (Serve.handle_line t2) (drop 3 eco_corpus)));
-  with_policy Robust.Strict (fun () ->
+  Robust.with_policy Robust.Strict (fun () ->
       let dir = setup () in
       match Serve.create ~cache_dir:dir () with
       | _ -> Alcotest.fail "strict engine accepted a torn WAL"
@@ -685,7 +680,7 @@ let test_wal_bit_flip () =
   let t1 = Serve.create ~cache_dir:dir () in
   ignore (List.map (Serve.handle_line t1) (take 4 eco_corpus));
   flip_byte (Filename.concat dir "wal.jsonl") 40;
-  with_policy Robust.Repair (fun () ->
+  Robust.with_policy Robust.Repair (fun () ->
       let before = List.assoc "robust.wal_truncated" (Robust.counters ()) in
       let t2 = Serve.create ~cache_dir:dir () in
       Alcotest.(check bool)
@@ -731,7 +726,7 @@ let c17_literal =
 
 (* The committed form of [set] on a pristine edge. *)
 let set_form (build : Ssta_timing.Build.t) edge mean =
-  form_literal { build.Ssta_timing.Build.forms.(edge) with Form.mean }
+  form_literal { (Form_buf.get build.Ssta_timing.Build.forms edge) with Form.mean }
 
 let set_edit id edge v =
   req
@@ -932,7 +927,7 @@ let test_wal_cache_fuzz () =
         (* mangled model, no WAL: the load must detect it *)
         write_all (Filename.concat (Filename.concat dir "models") model_name)
           (Fuzz.mutate klass rng model_doc));
-    with_policy policy (fun () ->
+    Robust.with_policy policy (fun () ->
         structured (fun () ->
             let t = Serve.create ~cache_dir:dir () in
             let resp = Serve.handle_line t load_c432 in

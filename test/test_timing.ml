@@ -7,6 +7,7 @@ module Build = Ssta_timing.Build
 module N = Ssta_circuit.Netlist
 module L = Ssta_cell.Library
 module Form = Ssta_canonical.Form
+module Form_buf = Ssta_canonical.Form_buf
 module Rng = Ssta_gauss.Rng
 
 let close ?(tol = 1e-9) msg expected actual =
@@ -82,29 +83,11 @@ let test_sta_forward () =
 let test_sta_forward_from () =
   let g = diamond () in
   let weights = [| 1.0; 10.0; 2.0; 5.0; 1.0 |] in
-  let arr = Sta.forward_from g ~weights 1 in
+  let arr = Array.make (Tgraph.n_vertices g) 0.0 in
+  Sta.forward_from_into g ~weights 1 arr;
   Alcotest.(check bool) "2 unreachable from 1" true (arr.(2) = neg_infinity);
   close "arr 3 from 1" 2.0 arr.(3);
   close "arr 4 from 1" 3.0 arr.(4)
-
-let test_sta_backward () =
-  let g = diamond () in
-  let weights = [| 1.0; 10.0; 2.0; 5.0; 1.0 |] in
-  let req = Sta.backward_to g ~weights 4 in
-  close "req at output" 0.0 req.(4);
-  close "req at 2" 5.0 req.(2);
-  close "req at 0" 11.0 req.(0);
-  close "req at 1" 3.0 req.(1)
-
-let test_sta_critical_path () =
-  let g = diamond () in
-  let weights = [| 1.0; 10.0; 2.0; 5.0; 1.0 |] in
-  match Sta.critical_path g ~weights with
-  | [ 0; 3; 4 ] -> ()
-  | p ->
-      Alcotest.fail
-        ("unexpected critical path: "
-        ^ String.concat "," (List.map string_of_int p))
 
 let test_of_netlist_counts () =
   let nl = Ssta_circuit.Iscas.build "c499" in
@@ -133,7 +116,7 @@ let test_characterize_consistency () =
   Alcotest.(check int)
     "forms per edge"
     (Tgraph.n_edges b.Build.graph)
-    (Array.length b.Build.forms);
+    (Form_buf.length b.Build.forms);
   Alcotest.(check int)
     "sparse per edge"
     (Tgraph.n_edges b.Build.graph)
@@ -142,7 +125,7 @@ let test_characterize_consistency () =
      variance for every edge. *)
   Array.iteri
     (fun e (s : Build.sparse_edge) ->
-      let f = b.Build.forms.(e) in
+      let f = Form_buf.get b.Build.forms e in
       close ~tol:1e-9 "mean = nominal" s.Build.nominal f.Form.mean;
       let corr = b.Build.basis.Ssta_variation.Basis.corr in
       let module C = Ssta_variation.Correlation in
@@ -194,11 +177,38 @@ let test_characterize_sampling_agreement () =
     let s = Ssta_mc.Sampler.draw b.Build.basis rng in
     Ssta_gauss.Stats.Welford.add acc (Ssta_mc.Sampler.edge_delay ctx s rng e)
   done;
-  let f = b.Build.forms.(e) in
+  let f = Form_buf.get b.Build.forms e in
   close ~tol:(0.02 *. f.Form.mean) "sample mean" f.Form.mean
     (Ssta_gauss.Stats.Welford.mean acc);
   close ~tol:(0.05 *. Form.std f) "sample std" (Form.std f)
     (Ssta_gauss.Stats.Welford.std acc)
+
+(* Every bit of the characterized edge slab, slot by slot in the order
+   mean, globals, PCs, random coefficient: the md5s were recorded from the
+   boxed [Form.t array] characterization wrote before the slab. *)
+let test_characterize_bits_pinned () =
+  List.iter
+    (fun (name, edges, md5) ->
+      let b = Build.characterize (Ssta_circuit.Iscas.build name) in
+      let buf = Buffer.create (1 lsl 20) in
+      let add x =
+        Buffer.add_string buf (Printf.sprintf "%Lx " (Int64.bits_of_float x))
+      in
+      for e = 0 to Form_buf.length b.Build.forms - 1 do
+        let f = Form_buf.get b.Build.forms e in
+        add f.Form.mean;
+        Array.iter add f.Form.globals;
+        Array.iter add f.Form.pcs;
+        add f.Form.rand
+      done;
+      Alcotest.(check int) (name ^ " edges") edges
+        (Form_buf.length b.Build.forms);
+      Alcotest.(check string) (name ^ " forms md5") md5
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      ("c432", 286, "ac2a49c43a28630c42d682c50a7063f5");
+      ("c7552", 7094, "9d48c6e2da1c9c299f639cca58374de5");
+    ]
 
 let suites =
   [
@@ -219,8 +229,6 @@ let suites =
         Alcotest.test_case "forward" `Quick test_sta_forward;
         Alcotest.test_case "forward from one input" `Quick
           test_sta_forward_from;
-        Alcotest.test_case "backward required" `Quick test_sta_backward;
-        Alcotest.test_case "critical path" `Quick test_sta_critical_path;
       ] );
     ( "timing.build",
       [
@@ -232,5 +240,7 @@ let suites =
           test_nominal_weights_positive;
         Alcotest.test_case "sampling agreement" `Slow
           test_characterize_sampling_agreement;
+        Alcotest.test_case "c432/c7552 forms bits pinned" `Quick
+          test_characterize_bits_pinned;
       ] );
   ]
