@@ -201,10 +201,17 @@ let set_scenario base scr (s : scenario) =
     scr.cached <- Some s
   end
 
+(* Design delay and per-output mean/sigma read off the workspace; only the
+   delay is boxed. *)
 let summarize_outputs scr outputs =
-  let po = Array.map (Propagate.ws_form scr.ws) outputs in
-  let stat f = Array.map (function Some x -> f x | None -> nan) po in
-  (Propagate.max_reached po, stat (fun x -> x.Form.mean), stat Form.std)
+  let ws = scr.ws in
+  let stat f =
+    Array.map
+      (fun v ->
+        if Propagate.ws_reached ws v then f (Propagate.ws_buf ws) v else nan)
+      outputs
+  in
+  (Propagate.ws_max_over ws outputs, stat Form_buf.mean, stat Form_buf.std)
 
 let input_chunk ni = max 1 ((ni + 31) / 32)
 

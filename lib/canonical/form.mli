@@ -10,9 +10,9 @@
 
     {v Var(d) = |ag|^2 + |a|^2 + ar^2. v}
 
-    Statistical [sum] adds coefficients and RSS-combines the random parts;
-    statistical [max] is the moment-matching approximation of paper
-    eqs. (6)-(9) after Clark and Visweswariah et al. *)
+    This module is the value type: the record, its moments and printers,
+    which model files, serve responses and the CLI read.  The statistical
+    sum and max (paper eqs. (6)-(9)) run on slab slots, in {!Form_buf}. *)
 
 type t = {
   mean : float;
@@ -40,34 +40,12 @@ val covariance : t -> t -> float
 (** Covariance of two forms; their private random parts are independent by
     construction so only globals and PCs contribute. *)
 
-val correlation : t -> t -> float
-
-val add : t -> t -> t
-(** Statistical sum (paper Section II): coefficients add; the two private
-    random parts are replaced by one variance-matched random part. *)
-
 val add_const : t -> float -> t
 val scale : float -> t -> t
 (** Scales mean and all coefficients ([rand] keeps its canonical sign). *)
-
-val tightness : t -> t -> float
-(** [tightness a b] is the probability P(a >= b), paper eq. (6). *)
-
-val max2 : t -> t -> t
-(** Statistical maximum in canonical form, paper eqs. (7)-(9): the mean is
-    exact (Clark), linear coefficients are tightness-blended, and the random
-    coefficient is set to match Clark's variance (clamped at zero when the
-    blended linear part already over-covers it). *)
-
-val max_list : t list -> t
-(** Left fold of {!max2}; raises [Invalid_argument] on the empty list. *)
 
 val cdf : t -> float -> float
 (** Gaussian CDF of the form's value at a point. *)
 
 val quantile : t -> float -> float
-val sample : t -> globals:float array -> pcs:float array -> rand:float -> float
-(** Evaluate the form on a realization of all variables (for tests). *)
-
-val equal : ?tol:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,10 +1,11 @@
 module Normal = Ssta_gauss.Normal
 module A1 = Bigarray.Array1
 
-(* Slot layout: mean | globals[ng] | pcs[np] | rand.  All kernels keep the
-   accumulation order of the pure Form operations (globals sum, then PCs
-   sum, then the random part) so results are bit-identical to Form.add /
-   Form.max2 / Form.variance / Form.covariance, not merely close.
+(* Slot layout: mean | globals[ng] | pcs[np] | rand.  Every kernel keeps
+   one accumulation order for the moments (globals sum, then PCs sum, then
+   the random part), so fused kernels are bit-identical to the plain
+   [variance]/[covariance] probes and to the boxed reference arithmetic in
+   test/sweep_oracle.ml, not merely close.
 
    Storage is an unboxed float64 bigarray rather than a [float array]: the
    data lives outside the OCaml heap (no GC scanning of multi-megabyte
@@ -259,8 +260,11 @@ let replace_into ~map ~src ~isrc ~dst ~idst =
 let mean t i = A1.unsafe_get t.data (i * t.stride)
 let rand_coeff t i = A1.unsafe_get t.data ((i * t.stride) + t.stride - 1)
 
-(* Sum of squares over [lo, lo+len), serial accumulation like Vec.sum_sq. *)
-let sum_sq_range (d : data) lo len =
+(* Sum of squares over [lo, lo+len), serial accumulation like Vec.sum_sq.
+   The probes below are inlined so kernels calling them ([max2_into], the
+   fold of every worst-output answer) keep the float results unboxed and
+   allocate nothing. *)
+let[@inline] sum_sq_range (d : data) lo len =
   let acc = ref 0.0 in
   for k = lo to lo + len - 1 do
     let v = A1.unsafe_get d k in
@@ -268,14 +272,14 @@ let sum_sq_range (d : data) lo len =
   done;
   !acc
 
-let dot_range (da : data) la (db : data) lb len =
+let[@inline] dot_range (da : data) la (db : data) lb len =
   let acc = ref 0.0 in
   for k = 0 to len - 1 do
     acc := !acc +. (A1.unsafe_get da (la + k) *. A1.unsafe_get db (lb + k))
   done;
   !acc
 
-let variance t i =
+let[@inline] variance t i =
   let off = i * t.stride in
   let ng = t.dims.Form.n_globals and np = t.dims.Form.n_pcs in
   let g = sum_sq_range t.data (off + 1) ng in
@@ -285,7 +289,7 @@ let variance t i =
 
 let std t i = sqrt (variance t i)
 
-let covariance a ia b ib =
+let[@inline] covariance a ia b ib =
   check_dims a b "covariance";
   let ng = a.dims.Form.n_globals and np = a.dims.Form.n_pcs in
   let oa = ia * a.stride and ob = ib * b.stride in
@@ -293,35 +297,14 @@ let covariance a ia b ib =
   let p = dot_range a.data (oa + 1 + ng) b.data (ob + 1 + ng) np in
   g +. p
 
-(* [Form.tightness (Form.add a f.(i)) b] without building the sum: every
-   element of [a + f] is formed exactly as [Vec.add] forms it and folded in
-   the same order as [Vec.sum_sq]/[Vec.dot], and the sum's random part goes
-   through the same [sqrt] then square, so the result is bit-identical. *)
-let tightness_of_sum (a : Form.t) f i (b : Form.t) =
-  check_slot f i "tightness_of_sum";
-  let ng = f.dims.Form.n_globals and np = f.dims.Form.n_pcs in
-  if Array.length a.Form.globals <> ng || Array.length b.Form.globals <> ng
-     || Array.length a.Form.pcs <> np || Array.length b.Form.pcs <> np
-  then invalid_arg "Form_buf.tightness_of_sum: dimension mismatch";
-  let d = f.data and o = i * f.stride in
-  let sq_g = ref 0.0 and dot_g = ref 0.0 in
-  for k = 0 to ng - 1 do
-    let s = Array.unsafe_get a.Form.globals k +. A1.unsafe_get d (o + 1 + k) in
-    sq_g := !sq_g +. (s *. s);
-    dot_g := !dot_g +. (s *. Array.unsafe_get b.Form.globals k)
-  done;
-  let sq_p = ref 0.0 and dot_p = ref 0.0 in
-  for k = 0 to np - 1 do
-    let s = Array.unsafe_get a.Form.pcs k +. A1.unsafe_get d (o + 1 + ng + k) in
-    sq_p := !sq_p +. (s *. s);
-    dot_p := !dot_p +. (s *. Array.unsafe_get b.Form.pcs k)
-  done;
-  let fr = A1.unsafe_get d (o + f.stride - 1) in
-  let rand = sqrt ((a.Form.rand *. a.Form.rand) +. (fr *. fr)) in
-  (Normal.clark_max ~mean_a:(a.Form.mean +. A1.unsafe_get d o)
-     ~var_a:(!sq_g +. !sq_p +. (rand *. rand))
-     ~mean_b:b.Form.mean ~var_b:(Form.variance b)
-     ~cov:(!dot_g +. !dot_p))
+(* Paper eq. (6) on two slots.  The record-returning [Normal.clark_max]
+   keeps the probe free of writes (the in-place kernels use the
+   destination's scratch), so it is safe on buffers other domains read. *)
+let tightness a ia b ib =
+  check_slot a ia "tightness";
+  check_slot b ib "tightness";
+  (Normal.clark_max ~mean_a:(mean a ia) ~var_a:(variance a ia)
+     ~mean_b:(mean b ib) ~var_b:(variance b ib) ~cov:(covariance a ia b ib))
     .Normal.tightness
 
 (* Validated boundary of the robust layer: [Extract] and [Hier_analysis]
@@ -798,8 +781,8 @@ let add_then_max_into ~acc ~iacc ~a ~ia ~b ~ib =
   check_dims b acc "add_then_max_into";
   let ng = acc.dims.Form.n_globals and np = acc.dims.Form.n_pcs in
   let oc = iacc * acc.stride and oa = ia * a.stride and ob = ib * b.stride in
-  (* Moments of the un-materialized sum s = a + b, in Form.add's order: the
-     random coefficient is rounded through sqrt exactly as the pure op
+  (* Moments of the un-materialized sum s = a + b, in [add_into]'s order:
+     the random coefficient is rounded through sqrt exactly as [add_into]
      stores it, then squared again for the variance. *)
   let mean_s = A1.unsafe_get a.data oa +. A1.unsafe_get b.data ob in
   let ra = A1.unsafe_get a.data (oa + a.stride - 1)

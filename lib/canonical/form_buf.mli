@@ -1,4 +1,4 @@
-(** Allocation-free kernels over a population of canonical forms.
+(** The canonical-form arithmetic of the paper, over slab slots.
 
     A {!t} stores [n] canonical forms (see {!Form}) in one flat unboxed
     float64 bigarray ([Bigarray.Array1], c_layout) with the strided slot
@@ -6,15 +6,26 @@
 
     {v mean | globals[n_globals] | pcs[n_pcs] | rand v}
 
-    so the hot SSTA loops (forward/backward propagation, criticality
-    screening, covariance probes) can run without allocating a single
-    intermediate [Form.t], [globals] or [pcs] array.  Every kernel below is a
-    {e bit-exact} replica of the corresponding pure {!Form} operation: the
-    floating-point accumulation order (globals first, then PCs, then the
-    random part) matches {!Form.variance} / {!Form.covariance} /
-    {!Form.add} / {!Form.max2} term for term, so a propagation rewired onto
-    these kernels reproduces the pure implementation exactly, not just to
-    rounding noise.  [test/test_kernels.ml] pins that property.
+    and this module is the one implementation of the operations the SSTA
+    sweeps, reductions and path reports apply to them, allocating no
+    intermediate [Form.t], [globals] or [pcs] array:
+
+    - statistical sum (paper Section II): means and linear coefficients
+      add, the two private random parts merge into one,
+      [rand = sqrt (ra^2 + rb^2)];
+    - tightness (eq. (6)): [tp = P(a >= b) = Phi ((mu_a - mu_b) / theta)]
+      with [theta^2 = Var a + Var b - 2 Cov(a, b)] (Clark);
+    - statistical max (eqs. (7)-(9)): the mean and variance are Clark's
+      exact moments, the linear coefficients are blended
+      [tp * a + (1 - tp) * b], and the random coefficient makes up the
+      variance the blend misses, [sqrt (max 0 (Var_clark - Var_linear))];
+      at [tp >= 1] (resp. [<= 0]) the max is [a] (resp. [b]) unchanged.
+
+    Moments accumulate in one fixed order (globals, then PCs, then the
+    random part), so every fused kernel below is bit-identical to the
+    plain probes, not merely close.  The boxed per-operation reference
+    these kernels are checked against, bit for bit, is
+    [test/sweep_oracle.ml].
 
     The bigarray backing stores the floats outside the OCaml heap: large
     sweeps no longer contribute to GC scanning, and buffers can be carved
@@ -129,11 +140,10 @@ val covariance : t -> int -> t -> int -> float
     [j] of [b]; the two buffers must have equal dims (they may be the same
     buffer). *)
 
-val tightness_of_sum : Form.t -> t -> int -> Form.t -> float
-(** [tightness_of_sum a f i b] is [Form.tightness (Form.add a f.(i)) b],
-    bit for bit, without materializing the sum or boxing the slot: the
-    hot step of maximum-likelihood path tracing.  Raises
-    [Invalid_argument] on mismatched dimensions. *)
+val tightness : t -> int -> t -> int -> float
+(** [tightness a i b j] is P(a.(i) >= b.(j)), paper eq. (6): Clark's
+    tightness over {!variance} and {!covariance} of the two slots.  Writes
+    nothing, so concurrent calls on shared buffers are safe. *)
 
 (** {1 Validation} *)
 
@@ -169,16 +179,23 @@ val recompose_into :
     this is bit-identical to {!scale_into}. *)
 
 val add_into : a:t -> ia:int -> b:t -> ib:int -> dst:t -> idst:int -> unit
-(** Slot [idst] of [dst] becomes [Form.add a.(ia) b.(ib)]. *)
+(** Slot [idst] of [dst] becomes the statistical sum [a.(ia) + b.(ib)]:
+    means and linear coefficients add, [rand = sqrt (ra^2 + rb^2)].  The
+    buffers may differ (equal dims); [dst] may alias either operand. *)
 
 val max2_into : a:t -> ia:int -> b:t -> ib:int -> dst:t -> idst:int -> unit
-(** Slot [idst] of [dst] becomes [Form.max2 a.(ia) b.(ib)]. *)
+(** Slot [idst] of [dst] becomes the statistical max of [a.(ia)] and
+    [b.(ib)], paper eqs. (7)-(9) (see the module header); a tie (constant
+    difference, equal means) yields [a].  The buffers may differ (equal
+    dims); [dst] may alias either operand. *)
 
 val add_then_max_into : acc:t -> iacc:int -> a:t -> ia:int -> b:t -> ib:int -> unit
 (** The fused inner op of canonical propagation: slot [iacc] of [acc]
-    becomes [Form.max2 acc.(iacc) (Form.add a.(ia) b.(ib))] without
-    materializing the intermediate sum.  The [acc] slot must not alias the
-    [a] slot (in a DAG sweep it never does: [src <> dst] for every edge). *)
+    becomes the max of itself and the sum [a.(ia) + b.(ib)], exactly as
+    {!add_into} into a scratch slot then {!max2_into} with [acc] first,
+    without materializing the intermediate sum.  The [acc] slot must not
+    alias the [a] slot (in a DAG sweep it never does: [src <> dst] for
+    every edge). *)
 
 (** {1 Fused moment gather}
 

@@ -11,11 +11,10 @@ module Form_buf = Ssta_canonical.Form_buf
    statistical max over the port's fanin arcs (paper future work).
 
    The fold runs on Form_buf in-place kernels over one two-slot scratch
-   row: slot 0 accumulates, slot 1 holds the next scaled arc.  The boxed
-   version consed a [Form.scale] list and folded [Form.max_list] per
-   output; this visits the arcs in the same order that fold did (the list
-   head was the LAST fanin arc), so the Clark results are bit-identical,
-   and only the final [get] per output allocates. *)
+   row: slot 0 accumulates, slot 1 holds the next scaled arc.  The arcs
+   are visited last fanin arc first (the order the model's recorded
+   increments were folded in), and only the final [get] per output
+   allocates. *)
 let output_load_increments ~forms:fbuf (b : Build.t) =
   let g = b.Build.graph in
   let fanouts = Ssta_circuit.Netlist.fanout_counts b.Build.netlist in

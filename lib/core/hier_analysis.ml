@@ -27,17 +27,21 @@ let stitch_vertices graphs =
     graphs;
   (offsets, !total)
 
-(* Sweep the edge slab from the graph's inputs and box only the outputs. *)
-let sweep_outputs ws graph forms =
+(* Sweep the edge slab from the graph's inputs into a fresh workspace. *)
+let sweep graph forms =
+  let ws = Propagate.create_workspace () in
   Propagate.forward_into ws graph ~forms ~sources:graph.Tgraph.inputs;
-  Array.map (Propagate.ws_form ws) graph.Tgraph.outputs
+  ws
 
-let max_delay ~operation po =
-  match Propagate.max_reached po with
+(* The design delay: the max over the swept outputs, folded in the
+   workspace. *)
+let max_delay ~operation ws graph =
+  let outputs = graph.Tgraph.outputs in
+  match Propagate.ws_max_over ws outputs with
   | Some d -> d
   | None ->
       Ssta_robust.Robust.fail ~subsystem:"hier_analysis" ~operation
-        ~indices:[ Array.length po ]
+        ~indices:[ Array.length outputs ]
         "no design output is reachable from any design input"
 
 let analyze (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
@@ -169,8 +173,9 @@ let analyze (fp : Floorplan.t) (dg : Design_grid.t) ~mode =
   Obs.span_end sp_setup;
   let sp_prop = Obs.span_begin "hier.propagate" in
   (* Kernel-tier sweep of the slab; only the design outputs are boxed. *)
-  let po_delays = sweep_outputs (Propagate.create_workspace ()) graph forms in
-  let delay = max_delay ~operation:"analyze" po_delays in
+  let ws = sweep graph forms in
+  let po_delays = Array.map (Propagate.ws_form ws) graph.Tgraph.outputs in
+  let delay = max_delay ~operation:"analyze" ws graph in
   let t2 = Unix.gettimeofday () in
   Obs.span_end sp_prop;
   {
@@ -289,5 +294,4 @@ let flat_form (fp : Floorplan.t) (dg : Design_grid.t) =
                   only the load component so the total random sigma matches
                   the module characterization *)))
     payload;
-  max_delay ~operation:"flat_form"
-    (sweep_outputs (Propagate.create_workspace ()) graph forms)
+  max_delay ~operation:"flat_form" (sweep graph forms) graph

@@ -24,8 +24,9 @@ type result = {
           input reaches it.  These and [delay] are the only boxed forms
           an analysis builds. *)
   delay : Form.t;
-      (** design delay: the left fold of [Form.max2] over the reached
-          [po_delays], in output order *)
+      (** design delay: the statistical max (paper eqs. (7)-(9)) of the
+          reached [po_delays], folded left in output order, the
+          accumulator first (see {!Propagate.ws_max_over}) *)
   setup_seconds : float;
       (** one-time design-load cost: stitching + variable replacement *)
   propagate_seconds : float;
@@ -56,6 +57,6 @@ val flat_form :
 (** Canonical SSTA on the flattened design over the design basis (no model
     extraction involved) - the "flat SSTA" reference separating model
     compression error from hierarchical propagation error.  Like
-    {!analyze}, it sweeps one edge slab and boxes only the outputs, and
+    {!analyze}, it sweeps one edge slab and boxes only the design delay, and
     raises the same error (operation ["flat_form"]) if no design output
     is reachable. *)

@@ -27,7 +27,10 @@ type index = {
   ml : int array;
   prefix : Form.t array;
   stack : int array;
-  acc : Form_buf.t;  (** one scratch slot for in-place edge-form folds *)
+  acc : Form_buf.t;
+      (** scratch: slot 0 folds a path's edge forms in place, slot 1 holds
+          the endpoint arrival its criticality is taken against; slots 2
+          and 3 hold a fanin sum and the arrival it is tested against *)
 }
 
 let ml_unknown = -2
@@ -48,7 +51,7 @@ let index g ~forms ~arrival =
     ml = Array.make n ml_unknown;
     prefix = Array.make n no_prefix;
     stack = Array.make n 0;
-    acc = Form_buf.create (Form_buf.dims forms) 1;
+    acc = Form_buf.create (Form_buf.dims forms) 4;
   }
 
 let arrival ix v =
@@ -71,12 +74,17 @@ let ml_edge ix v =
         match arrival ix v with
         | None -> ml_none
         | Some a_v ->
+            let acc = ix.acc in
+            Form_buf.set acc 3 a_v;
             let best = ref ml_none and best_tp = ref 0.0 in
             for e = lo to hi - 1 do
               match arrival ix g.Tgraph.src.(e) with
               | None -> ()
               | Some a_src ->
-                  let tp = Form_buf.tightness_of_sum a_src ix.forms e a_v in
+                  Form_buf.set acc 2 a_src;
+                  Form_buf.add_into ~a:acc ~ia:2 ~b:ix.forms ~ib:e ~dst:acc
+                    ~idst:2;
+                  let tp = Form_buf.tightness acc 2 acc 3 in
                   if !best = ml_none || not (!best_tp >= tp) then begin
                     best := e;
                     best_tp := tp
@@ -139,7 +147,10 @@ let trace ix ~endpoint =
           if ix.ml.(endpoint) = ml_source then empty_delay ix
           else prefix ix endpoint
         in
-        Some { vertices; edges; delay; criticality = Form.tightness delay a }
+        Form_buf.set ix.acc 0 delay;
+        Form_buf.set ix.acc 1 a;
+        let criticality = Form_buf.tightness ix.acc 0 ix.acc 1 in
+        Some { vertices; edges; delay; criticality }
       end
 
 let rec drop n = function
@@ -151,8 +162,9 @@ let top_paths ix ~endpoint ~k =
   | None -> []
   | Some best ->
       let g = ix.g and forms = ix.forms in
-      let a_end = Option.get (arrival ix endpoint) in
       let acc = ix.acc in
+      (* [trace] left the endpoint arrival in slot 1; [prefix] and the
+         folds below write slot 0 only. *)
       let acc_add e =
         Form_buf.add_into ~a:acc ~ia:0 ~b:forms ~ib:e ~dst:acc ~idst:0
       in
@@ -184,12 +196,11 @@ let top_paths ix ~endpoint ~k =
               acc_add earr.(j)
             done;
             let delay = Form_buf.get acc 0 in
+            let criticality = Form_buf.tightness acc 0 acc 1 in
             let vertices, edges =
               chain ix u ~vertices:(v :: !down_v) ~edges:(e :: !down_e)
             in
-            candidates :=
-              { vertices; edges; delay; criticality = Form.tightness delay a_end }
-              :: !candidates
+            candidates := { vertices; edges; delay; criticality } :: !candidates
           end
         done;
         down_v := drop 1 !down_v;

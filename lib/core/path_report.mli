@@ -24,11 +24,11 @@ type path = {
 type index
 (** Per-vertex memo over one arrival state, filled lazily: each visited
     vertex's arrival (fetched once), its maximum-likelihood fanin edge
-    (one {!Form_buf.tightness_of_sum} per fanin arc), and the left-fold sum
-    of the edge forms along its ML chain.  Building one is O(V) words;
-    the memo then makes a {!trace} O(depth) after its first visit and a
-    {!top_paths} O(depth) per candidate plus O(depth * dims) flops for
-    its delay.
+    (one {!Form_buf.tightness} of [arrival(src) + delay] per fanin arc),
+    and the left-fold sum of the edge forms along its ML chain.  Building
+    one is O(V) words; the memo then makes a {!trace} O(depth) after its
+    first visit and a {!top_paths} O(depth) per candidate plus
+    O(depth * dims) flops for its delay.
 
     Lifetime: an index reads [arrival] lazily, so the arrival state it
     was built over (and [forms]) must not change while it is in use;

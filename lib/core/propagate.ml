@@ -27,14 +27,20 @@ type workspace = {
   mutable srcmask : Bytes.t;
       (* per-vertex source-membership scratch of [forward_update_into];
          only meaningful during a call *)
+  mutable fold : Form_buf.t;
+      (* one-slot accumulator of [ws_max_over], off the slab: it is not
+         part of any capacity plan *)
   slab : Form_buf.slab option;
 }
 
+let no_dims = { Form.n_globals = 0; n_pcs = 0 }
+
 let create_workspace ?slab () =
   {
-    buf = Form_buf.create { Form.n_globals = 0; n_pcs = 0 } 0;
+    buf = Form_buf.create no_dims 0;
     reach = Bytes.create 0;
     srcmask = Bytes.create 0;
+    fold = Form_buf.create no_dims 1;
     slab;
   }
 
@@ -313,18 +319,30 @@ let scalar_stats_into ws ~n ~into =
     end
   done
 
-(* Boxed results: sweep with the kernels and box only the vertices a
-   caller reads. *)
+(* Boxed results: sweep with the kernels and box only what a caller
+   reads. *)
 
-let max_reached po =
-  Array.fold_left
-    (fun acc x ->
-      match (acc, x) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (Form.max2 a b))
-    None po
-
-let ws_max_over ws vertices = max_reached (Array.map (ws_form ws) vertices)
+(* Left fold of the statistical max over the reached vertices, in order,
+   into the one-slot accumulator: the first reached vertex is copied in,
+   every later one is maxed in with the accumulator as the first operand.
+   A plain loop, so only the boxed result allocates. *)
+let ws_max_over ws vertices =
+  let buf = ws.buf in
+  if Form_buf.dims ws.fold <> Form_buf.dims buf then
+    ws.fold <- Form_buf.create (Form_buf.dims buf) 1;
+  let acc = ws.fold in
+  let any = ref false in
+  for k = 0 to Array.length vertices - 1 do
+    let v = Array.unsafe_get vertices k in
+    if ws_reached ws v then
+      if !any then
+        Form_buf.max2_into ~a:acc ~ia:0 ~b:buf ~ib:v ~dst:acc ~idst:0
+      else begin
+        Form_buf.blit buf v acc 0;
+        any := true
+      end
+  done;
+  if !any then Some (Form_buf.get acc 0) else None
 
 let ws_worst ws vertices =
   let best = ref (-1) and best_mu = ref nan in
@@ -350,4 +368,20 @@ let forward g ~forms ~sources =
   forward_into ws g ~forms ~sources;
   Array.init (Tgraph.n_vertices g) (ws_form ws)
 
-let max_over arr vertices = max_reached (Array.map (Array.get arr) vertices)
+(* The same fold over boxed forms: slot 1 of a two-slot scratch takes
+   each operand in turn. *)
+let max_over arr vertices =
+  let acc = ref None in
+  Array.iter
+    (fun v ->
+      match (!acc, arr.(v)) with
+      | _, None -> ()
+      | None, Some f ->
+          let b = Form_buf.create (Form.dims f) 2 in
+          Form_buf.set b 0 f;
+          acc := Some b
+      | Some b, Some f ->
+          Form_buf.set b 1 f;
+          Form_buf.max2_into ~a:b ~ia:0 ~b ~ib:1 ~dst:b ~idst:0)
+    vertices;
+  Option.map (fun b -> Form_buf.get b 0) !acc

@@ -138,14 +138,13 @@ val scalar_stats_into : workspace -> n:int -> into:Form_buf.data -> unit
     exactly as {!Form_buf.std} computes it, so every row value is
     bit-identical to the corresponding probe. *)
 
-val max_reached : Form.t option array -> Form.t option
-(** Statistical max of the reached ([Some]) entries: the left fold of
-    {!Form.max2} in array order, [None] if none is reached - e.g. the
-    circuit delay as the max over the outputs' arrivals. *)
-
 val ws_max_over : workspace -> int array -> Form.t option
-(** {!max_reached} over the last sweep's forms at the given vertices,
-    boxing only those. *)
+(** Statistical max (paper eqs. (7)-(9)) of the last sweep's forms at the
+    reached vertices among the given ones: a left fold in array order,
+    the accumulator always the first operand, [None] if none is reached -
+    e.g. the circuit delay as the max over the outputs' arrivals.  The
+    fold runs in a workspace scratch slot ({!Form_buf.max2_into}) and only
+    the result is boxed. *)
 
 val ws_worst : workspace -> int array -> int option
 (** The reached vertex among the given ones with the greatest mean in the
@@ -162,5 +161,6 @@ val forward :
     ([bench/ledger/w_extract.ml]); new code sweeps a workspace. *)
 
 val max_over : Form.t option array -> int array -> Form.t option
-(** {!max_reached} over the given vertices of a boxed arrival array.  Kept
-    only for the frozen benchmark ledger, like {!forward}. *)
+(** The fold of {!ws_max_over} over the given vertices of a boxed arrival
+    array, through a scratch slab.  Kept only for the frozen benchmark
+    ledger, like {!forward}. *)

@@ -1,4 +1,3 @@
-module Form = Ssta_canonical.Form
 module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Obs = Ssta_obs.Obs
@@ -10,14 +9,12 @@ let c_parallel_merges = Obs.counter "reduce.parallel_merges"
 let c_pruned_vertices = Obs.counter "reduce.pruned_vertices"
 let c_passes = Obs.counter "reduce.passes"
 
-(* An edge's weight stays a slot of the input slab until a merge first
-   rewrites it; only merged weights are boxed. *)
-type weight = Slot of int | Merged of Form.t
-
+(* An edge's weight is its own slot of the workspace's private slab:
+   merges rewrite it in place, no slot is ever shared. *)
 type edge = {
   mutable esrc : int;
   mutable edst : int;
-  mutable weight : weight;
+  slot : int;
   mutable alive : bool;
 }
 
@@ -45,7 +42,7 @@ type vertex = {
    increases, one step per grouped vertex; a stale stamp means the cell
    belongs to a previous vertex's grouping and is ignored. *)
 type t = {
-  forms : Form_buf.t;  (** the input edge slab [Slot] weights index *)
+  forms : Form_buf.t;  (** the kept edges' weights, one slot per edge *)
   vertices : vertex array;
   inputs : int array;
   outputs : int array;
@@ -69,9 +66,6 @@ let live_fanout v =
   v.fanout <- l;
   l
 
-let weight t e =
-  match e.weight with Slot i -> Form_buf.get t.forms i | Merged f -> f
-
 let of_graph g ~forms ~keep =
   let n = Tgraph.n_vertices g in
   let is_in = Array.make n false and is_out = Array.make n false in
@@ -87,12 +81,15 @@ let of_graph g ~forms ~keep =
           valive = is_in.(v) || is_out.(v);
         })
   in
+  let n_kept = Array.fold_left (fun k b -> if b then k + 1 else k) 0 keep in
+  let slab = Form_buf.create (Form_buf.dims forms) n_kept in
   let live = ref 0 in
   Array.iteri
     (fun i s ->
       if keep.(i) then begin
         let d = g.Tgraph.dst.(i) in
-        let e = { esrc = s; edst = d; weight = Slot i; alive = true } in
+        Form_buf.blit forms i slab !live;
+        let e = { esrc = s; edst = d; slot = !live; alive = true } in
         vertices.(s).fanout <- e :: vertices.(s).fanout;
         vertices.(d).fanin <- e :: vertices.(d).fanin;
         vertices.(s).valive <- true;
@@ -101,7 +98,7 @@ let of_graph g ~forms ~keep =
       end)
     g.Tgraph.src;
   {
-    forms;
+    forms = slab;
     vertices;
     inputs = Array.copy g.Tgraph.inputs;
     outputs = Array.copy g.Tgraph.outputs;
@@ -172,11 +169,12 @@ let serial_pass t =
         | [ e_in ], (_ :: _ as fanout) ->
             (* Forward serial merge (paper Fig. 1a): route every fanout edge
                of v directly from v's unique predecessor. *)
-            let u = e_in.esrc and w_in = weight t e_in in
+            let u = e_in.esrc in
             List.iter
               (fun f ->
                 f.esrc <- u;
-                f.weight <- Merged (Form.add w_in (weight t f));
+                Form_buf.add_into ~a:t.forms ~ia:e_in.slot ~b:t.forms
+                  ~ib:f.slot ~dst:t.forms ~idst:f.slot;
                 t.vertices.(u).fanout <- f :: t.vertices.(u).fanout)
               fanout;
             v.fanout <- [];
@@ -185,11 +183,12 @@ let serial_pass t =
             incr merged
         | (_ :: _ as fanin), [ e_out ] ->
             (* Reverse serial merge (paper Fig. 1b). *)
-            let w = e_out.edst and w_out = weight t e_out in
+            let w = e_out.edst in
             List.iter
               (fun f ->
                 f.edst <- w;
-                f.weight <- Merged (Form.add (weight t f) w_out);
+                Form_buf.add_into ~a:t.forms ~ia:f.slot ~b:t.forms
+                  ~ib:e_out.slot ~dst:t.forms ~idst:f.slot;
                 t.vertices.(w).fanin <- f :: t.vertices.(w).fanin)
               fanin;
             v.fanin <- [];
@@ -237,11 +236,11 @@ let parallel_pass t =
               match !cell with
               | [] | [ _ ] -> ()
               | first :: rest ->
-                  first.weight <-
-                    Merged
-                      (List.fold_left
-                         (fun acc e -> Form.max2 acc (weight t e))
-                         (weight t first) rest);
+                  List.iter
+                    (fun e ->
+                      Form_buf.max2_into ~a:t.forms ~ia:first.slot ~b:t.forms
+                        ~ib:e.slot ~dst:t.forms ~idst:first.slot)
+                    rest;
                   List.iter (kill_edge t) rest;
                   merged := !merged + List.length rest)
             !cells
@@ -281,28 +280,23 @@ let freeze t =
       incr count
     end
   done;
-  let edges = ref [] and weights = ref [] in
+  let edges = ref [] and slots = ref [] in
   Array.iter
     (fun v ->
       List.iter
         (fun e ->
           if e.alive then begin
             edges := (new_id.(e.esrc), new_id.(e.edst)) :: !edges;
-            weights := e.weight :: !weights
+            slots := e.slot :: !slots
           end)
         v.fanout)
     t.vertices;
-  let edges = Array.of_list !edges and weights = Array.of_list !weights in
+  let edges = Array.of_list !edges and slots = Array.of_list !slots in
   let map_ports ids = Array.map (fun v -> new_id.(v)) ids in
   let inputs = map_ports t.inputs and outputs = map_ports t.outputs in
   let graph, perm =
     Tgraph.make_sorted ~n_vertices:!count ~edges ~inputs ~outputs
   in
   let forms = Form_buf.create (Form_buf.dims t.forms) (Array.length perm) in
-  Array.iteri
-    (fun j i ->
-      match weights.(i) with
-      | Slot k -> Form_buf.blit t.forms k forms j
-      | Merged f -> Form_buf.set forms j f)
-    perm;
+  Array.iteri (fun j i -> Form_buf.blit t.forms slots.(i) forms j) perm;
   (graph, forms, inputs, outputs)

@@ -24,9 +24,10 @@ type t
 val of_graph :
   Tgraph.t -> forms:Form_buf.t -> keep:bool array -> t
 (** Load the surviving edges of a timing graph.  Input/output vertices of
-    the graph become protected ports.  Edge weights stay slots of [forms]
-    until a merge rewrites them; [forms] must not change while the
-    workspace is in use. *)
+    the graph become protected ports.  The kept edges' forms are copied
+    once into a private slab, one slot per edge, which the merges rewrite
+    in place ({!Form_buf.add_into}, {!Form_buf.max2_into}); [forms] itself
+    is only read here. *)
 
 val n_live_edges : t -> int
 val n_live_vertices : t -> int
@@ -36,12 +37,6 @@ val n_live_vertices : t -> int
 val prune : t -> int
 (** One dead-vertex sweep; returns the number of removed vertices. *)
 
-val serial_pass : t -> int
-(** One serial-merge sweep; returns the number of vertices eliminated. *)
-
-val parallel_pass : t -> int
-(** One parallel-merge sweep; returns the number of edges eliminated. *)
-
 val reduce : t -> unit
 (** Prune, then alternate parallel and serial passes to a fixpoint. *)
 
@@ -50,4 +45,5 @@ val freeze :
 (** Compact the workspace into an immutable timing graph:
     [(graph, edge_forms, input_vertices, output_vertices)], where the i-th
     entries of the vertex arrays correspond to the original graph's i-th
-    input/output.  The graph's vertex numbering is fresh. *)
+    input/output.  The graph's vertex numbering is fresh; the edge forms
+    are blitted from the workspace's slab. *)

@@ -11,22 +11,7 @@ let dot a b =
   done;
   !acc
 
-let axpy ~alpha x y =
-  check_len x y "axpy";
-  for i = 0 to Array.length x - 1 do
-    Array.unsafe_set y i
-      (Array.unsafe_get y i +. (alpha *. Array.unsafe_get x i))
-  done
-
 let scale alpha x = Array.map (fun v -> alpha *. v) x
-
-let add a b =
-  check_len a b "add";
-  Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
-let sub a b =
-  check_len a b "sub";
-  Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
 
 let sum_sq a =
   let acc = ref 0.0 in
@@ -37,8 +22,3 @@ let sum_sq a =
   !acc
 
 let norm2 a = sqrt (sum_sq a)
-
-let lerp t a b =
-  check_len a b "lerp";
-  let s = 1.0 -. t in
-  Array.init (Array.length a) (fun i -> (t *. a.(i)) +. (s *. b.(i)))

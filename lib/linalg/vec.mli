@@ -3,24 +3,11 @@
 val dot : float array -> float array -> float
 (** Inner product; the arrays must have equal length. *)
 
-val axpy : alpha:float -> float array -> float array -> unit
-(** [axpy ~alpha x y] performs [y <- alpha * x + y] in place. *)
-
 val scale : float -> float array -> float array
 (** Fresh scaled copy. *)
-
-val add : float array -> float array -> float array
-(** Fresh element-wise sum. *)
-
-val sub : float array -> float array -> float array
-(** Fresh element-wise difference. *)
 
 val norm2 : float array -> float
 (** Euclidean norm. *)
 
 val sum_sq : float array -> float
 (** Sum of squares (squared Euclidean norm). *)
-
-val lerp : float -> float array -> float array -> float array
-(** [lerp t a b] is the fresh vector [t*a + (1-t)*b]; used by the canonical
-    max to blend coefficients with the tightness probability. *)

@@ -74,6 +74,22 @@ let mkdir_p path =
   in
   go path
 
+(* Remove [path] and everything under it (symlinks are removed, never
+   followed); a missing path is fine. *)
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* A state directory left by an earlier run would serve its cached model
+   and change what the crash points see. *)
+let fresh_dir path =
+  rm_rf path;
+  mkdir_p path
+
 let base_env () =
   Unix.environment ()
   |> Array.to_list
@@ -159,7 +175,7 @@ let read_corpus path =
 
 let run_case ~exe ~dir ~corpus ~reference ~checkpoint_every (case : case) =
   let case_dir = Filename.concat dir ("case_" ^ case.label) in
-  mkdir_p case_dir;
+  fresh_dir case_dir;
   let socket = Filename.concat case_dir "serve.sock" in
   let cache_dir = Filename.concat case_dir "state" in
   (* Phase 1: the crashing run. *)
@@ -217,7 +233,7 @@ let run ~exe ~corpus_path ~dir ?(cases = default_cases)
       ("empty chaos corpus: " ^ corpus_path);
   (* Uninterrupted reference run. *)
   let ref_dir = Filename.concat dir "reference" in
-  mkdir_p ref_dir;
+  fresh_dir ref_dir;
   let socket = Filename.concat ref_dir "serve.sock" in
   let pid =
     spawn_daemon ~exe ~socket

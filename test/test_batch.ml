@@ -15,16 +15,10 @@ module Obs = Ssta_obs.Obs
 module Robust = Ssta_robust.Robust
 module H = Hier_ssta
 
-let exactly_equal a b =
-  a.Form.mean = b.Form.mean
-  && a.Form.rand = b.Form.rand
-  && a.Form.globals = b.Form.globals
-  && a.Form.pcs = b.Form.pcs
-
 let opt_equal a b =
   match (a, b) with
   | None, None -> true
-  | Some a, Some b -> exactly_equal a b
+  | Some a, Some b -> Sweep_oracle.same_bits a b
   | _ -> false
 
 (* nan-aware bitwise scalar equality (unreachable outputs are nan). *)

@@ -1,6 +1,8 @@
-(* Tests for the canonical linear delay form (paper Section II): the
-   statistical sum and max operations are validated both against closed-form
-   moments and against direct simulation of the underlying variables. *)
+(* Tests for the canonical linear delay form (paper Section II): its
+   moments, and the boxed statistical sum and max of [Sweep_oracle] - the
+   reference the Form_buf kernels are checked against bit for bit in
+   test_kernels.ml - validated both against closed-form moments and against
+   direct simulation of the underlying variables. *)
 
 module Form = Ssta_canonical.Form
 module Normal = Ssta_gauss.Normal
@@ -30,7 +32,7 @@ let test_covariance () =
     (Form.covariance fa fa)
 
 let test_add () =
-  let s = Form.add fa fb in
+  let s = Sweep_oracle.add fa fb in
   close "sum mean" 21.0 s.Form.mean;
   close "sum global 0" 1.8 s.Form.globals.(0);
   close "sum pc 1" 0.3 s.Form.pcs.(1);
@@ -51,7 +53,7 @@ let test_scale_neg () =
   close "neg variance" (Form.variance fa) (Form.variance n)
 
 let test_max_moments_match_clark () =
-  let mx = Form.max2 fa fb in
+  let mx = Sweep_oracle.max2 fa fb in
   let c =
     Normal.clark_max ~mean_a:fa.Form.mean ~var_a:(Form.variance fa)
       ~mean_b:fb.Form.mean ~var_b:(Form.variance fb)
@@ -61,8 +63,8 @@ let test_max_moments_match_clark () =
   close ~tol:1e-9 "max var = Clark var" c.Normal.variance (Form.variance mx)
 
 let test_max_coefficients_blend () =
-  let mx = Form.max2 fa fb in
-  let tp = Form.tightness fa fb in
+  let mx = Sweep_oracle.max2 fa fb in
+  let tp = Sweep_oracle.tightness fa fb in
   close ~tol:1e-9 "global blended"
     ((tp *. 1.0) +. ((1.0 -. tp) *. 0.8))
     mx.Form.globals.(0);
@@ -73,25 +75,27 @@ let test_max_coefficients_blend () =
 let test_max_dominated () =
   let lo = form 0.0 [| 0.1; 0.0 |] [| 0.0; 0.0; 0.0 |] 0.1 in
   let hi = form 100.0 [| 0.2; 0.0 |] [| 0.0; 0.0; 0.0 |] 0.1 in
-  let mx = Form.max2 lo hi in
-  Alcotest.(check bool) "dominant wins" true (Form.equal ~tol:1e-6 mx hi);
-  close "tightness ~ 0" 0.0 (Form.tightness lo hi)
+  let mx = Sweep_oracle.max2 lo hi in
+  Alcotest.(check bool)
+    "dominant wins" true
+    (Sweep_oracle.equal ~tol:1e-6 mx hi);
+  close "tightness ~ 0" 0.0 (Sweep_oracle.tightness lo hi)
 
 let test_max_symmetric () =
-  let m1 = Form.max2 fa fb and m2 = Form.max2 fb fa in
+  let m1 = Sweep_oracle.max2 fa fb and m2 = Sweep_oracle.max2 fb fa in
   close ~tol:1e-9 "mean symmetric" m1.Form.mean m2.Form.mean;
   close ~tol:1e-9 "var symmetric" (Form.variance m1) (Form.variance m2);
   close ~tol:1e-9 "coeff symmetric" m1.Form.globals.(1) m2.Form.globals.(1)
 
 let test_max_list () =
   let forms = [ fa; fb; form 9.0 [| 0.3; 0.3 |] [| 0.0; 0.1; 0.2 |] 0.2 ] in
-  let m = Form.max_list forms in
+  let m = Sweep_oracle.max_list forms in
   Alcotest.(check bool)
     "max_list >= all means" true
     (List.for_all (fun f -> m.Form.mean >= f.Form.mean -. 1e-9) forms);
   Alcotest.check_raises "empty max_list"
-    (Invalid_argument "Form.max_list: empty list") (fun () ->
-      ignore (Form.max_list []))
+    (Invalid_argument "Sweep_oracle.max_list: empty list") (fun () ->
+      ignore (Sweep_oracle.max_list []))
 
 let test_max_vs_simulation () =
   let rng = Rng.create ~seed:78 in
@@ -101,11 +105,11 @@ let test_max_vs_simulation () =
   for _ = 1 to n do
     Rng.gaussian_fill rng globals;
     Rng.gaussian_fill rng pcs;
-    let va = Form.sample fa ~globals ~pcs ~rand:(Rng.gaussian rng) in
-    let vb = Form.sample fb ~globals ~pcs ~rand:(Rng.gaussian rng) in
+    let va = Sweep_oracle.sample fa ~globals ~pcs ~rand:(Rng.gaussian rng) in
+    let vb = Sweep_oracle.sample fb ~globals ~pcs ~rand:(Rng.gaussian rng) in
     Stats.Welford.add macc (Float.max va vb)
   done;
-  let mx = Form.max2 fa fb in
+  let mx = Sweep_oracle.max2 fa fb in
   close ~tol:0.03 "max mean vs sim" (Stats.Welford.mean macc) mx.Form.mean;
   close ~tol:0.03 "max std vs sim" (Stats.Welford.std macc) (Form.std mx)
 
@@ -140,13 +144,13 @@ let arb_form = QCheck.make ~print:(fun f -> Format.asprintf "%a" Form.pp f) gen_
 let qcheck_max_upper_bound =
   QCheck.Test.make ~count:300 ~name:"max2 mean dominates both means"
     (QCheck.pair arb_form arb_form) (fun (a, b) ->
-      let m = Form.max2 a b in
+      let m = Sweep_oracle.max2 a b in
       m.Form.mean >= a.Form.mean -. 1e-9 && m.Form.mean >= b.Form.mean -. 1e-9)
 
 let qcheck_add_linear =
   QCheck.Test.make ~count:300 ~name:"sum is linear in means and coefficients"
     (QCheck.pair arb_form arb_form) (fun (a, b) ->
-      let s = Form.add a b in
+      let s = Sweep_oracle.add a b in
       abs_float (s.Form.mean -. (a.Form.mean +. b.Form.mean)) < 1e-9
       && abs_float (s.Form.globals.(0) -. (a.Form.globals.(0) +. b.Form.globals.(0)))
          < 1e-9)
@@ -154,14 +158,14 @@ let qcheck_add_linear =
 let qcheck_correlation_bounds =
   QCheck.Test.make ~count:300 ~name:"correlation lies in [-1, 1]"
     (QCheck.pair arb_form arb_form) (fun (a, b) ->
-      let c = Form.correlation a b in
+      let c = Sweep_oracle.correlation a b in
       c >= -1.0 -. 1e-9 && c <= 1.0 +. 1e-9)
 
 let qcheck_max_assoc_approx =
   QCheck.Test.make ~count:200 ~name:"max_list insensitive to order (approx)"
     (QCheck.triple arb_form arb_form arb_form) (fun (a, b, c) ->
-      let m1 = Form.max_list [ a; b; c ] in
-      let m2 = Form.max_list [ c; a; b ] in
+      let m1 = Sweep_oracle.max_list [ a; b; c ] in
+      let m2 = Sweep_oracle.max_list [ c; a; b ] in
       (* Moment matching is order-dependent; means should still agree to a
          small fraction of the spread. *)
       let scale = Float.max 1.0 (Form.std m1) in

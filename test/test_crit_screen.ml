@@ -7,7 +7,7 @@
    threshold and exact modes.  Also pins the tile-knob parsers and their
    precedence, and the Form_buf rewrite of
    Extract.output_load_increments against the boxed Form.scale /
-   Form.max_list fold it replaced. *)
+   Sweep_oracle.max_list fold it replaced. *)
 
 module H = Hier_ssta
 module Form = Ssta_canonical.Form
@@ -310,7 +310,7 @@ let test_tile_precedence () =
         (tiles_of ~tile:2 ()))
 
 (* Extract.output_load_increments was rewritten on Form_buf in-place
-   kernels; it must reproduce the boxed Form.scale list + Form.max_list
+   kernels; it must reproduce the boxed Form.scale list + Sweep_oracle.max_list
    fold bit for bit (the list head was the LAST fanin arc, so the fold
    visits arcs in descending edge order). *)
 let test_output_load_matches_boxed () =
@@ -343,14 +343,14 @@ let test_output_load_matches_boxed () =
               Form.scale slope (Ssta_canonical.Form_buf.get b.Build.forms e)
               :: !arcs
           done;
-          Form.max_list !arcs
+          Sweep_oracle.max_list !arcs
         end)
       g.Tgraph.outputs
   in
   Array.iteri
     (fun k want ->
       let got = model.H.Timing_model.output_load.(k) in
-      if not (Test_kernels.exactly_equal want got) then
+      if not (Sweep_oracle.same_bits want got) then
         Alcotest.failf "output load %d:@.expected %a@.actual   %a" k Form.pp
           want Form.pp got)
     expected

@@ -34,7 +34,10 @@ let test_model_io_roundtrip () =
   (* Forms must round-trip bit-exactly. *)
   Array.iteri
     (fun e f ->
-      if not (Form.equal ~tol:0.0 f (Form_buf.get m'.H.Timing_model.forms e))
+      if
+        not
+          (Sweep_oracle.equal ~tol:0.0 f
+             (Form_buf.get m'.H.Timing_model.forms e))
       then Alcotest.fail (Printf.sprintf "edge %d form drifted" e))
     (Sweep_oracle.unpack m.H.Timing_model.forms);
   (* And so must the serialized text itself (idempotence). *)
@@ -54,7 +57,7 @@ let test_model_io_preserves_io_delays () =
           match (f, io'.(i).(j)) with
           | None, None -> ()
           | Some a, Some b ->
-              if not (Form.equal ~tol:0.0 a b) then
+              if not (Sweep_oracle.equal ~tol:0.0 a b) then
                 Alcotest.fail (Printf.sprintf "io delay (%d,%d) drifted" i j)
           | _ -> Alcotest.fail "connectivity drifted")
         row)
@@ -325,7 +328,8 @@ let test_output_load_roundtrips () =
   let m' = H.Model_io.of_string (H.Model_io.to_string m) in
   Array.iteri
     (fun p f ->
-      if not (Form.equal ~tol:0.0 f m'.H.Timing_model.output_load.(p)) then
+      if not (Sweep_oracle.equal ~tol:0.0 f m'.H.Timing_model.output_load.(p))
+      then
         Alcotest.fail (Printf.sprintf "load increment %d drifted" p))
     m.H.Timing_model.output_load
 

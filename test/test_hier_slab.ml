@@ -89,7 +89,7 @@ let oracle_analyze (fp : Fp.t) (dg : H.Design_grid.t) ~mode =
           (fun e f ->
             let p = port_of_vertex.(g.Tgraph.dst.(e)) in
             if p >= 0 && extra_sinks.(i).(p) > 0 then
-              Form.add f
+              Sweep_oracle.add f
                 (Form.scale (float_of_int extra_sinks.(i).(p)) load_forms.(p))
             else f)
           model_forms
@@ -200,11 +200,6 @@ let form_bits (f : Form.t) =
 
 let form_digest f = Digest.to_hex (Digest.string (form_bits f))
 
-let check_bits msg (expected : Form.t) (actual : Form.t) =
-  if form_bits expected <> form_bits actual then
-    Alcotest.failf "%s: mean %h vs %h, std %h vs %h" msg expected.Form.mean
-      actual.Form.mean (Form.std expected) (Form.std actual)
-
 let check_po msg expected actual =
   Alcotest.(check int) (msg ^ ": PO count") (Array.length expected)
     (Array.length actual);
@@ -212,7 +207,7 @@ let check_po msg expected actual =
     (fun k e ->
       match (e, actual.(k)) with
       | None, None -> ()
-      | Some e, Some a -> check_bits (Printf.sprintf "%s: PO %d" msg k) e a
+      | Some e, Some a -> Sweep_oracle.check_bits (Printf.sprintf "%s: PO %d" msg k) e a
       | _ -> Alcotest.failf "%s: PO %d reachability differs" msg k)
     expected
 
@@ -230,7 +225,7 @@ let check_design ?dg name fp =
             Par.with_domains d (fun () -> H.Hier_analysis.analyze fp dg ~mode)
           in
           check_po msg po r.H.Hier_analysis.po_delays;
-          check_bits (msg ^ ": delay") delay r.H.Hier_analysis.delay;
+          Sweep_oracle.check_bits (msg ^ ": delay") delay r.H.Hier_analysis.delay;
           Alcotest.(check int)
             (msg ^ ": one slab slot per design edge")
             (Tgraph.n_edges r.H.Hier_analysis.graph)
@@ -256,7 +251,7 @@ let test_chain2 () = check_design "chain2" (chain2 ())
 (* ------------------------------------------------------------------ *)
 
 (* Recorded from the boxed flat-SSTA sweep (every vertex boxed, outputs
-   folded with [Form.max2]) before it moved onto one slab. *)
+   folded with [Sweep_oracle.max2]) before it moved onto one slab. *)
 let test_flat_form_pinned () =
   let fp = quad () in
   let f = H.Hier_analysis.flat_form fp (H.Design_grid.build fp) in
@@ -313,7 +308,7 @@ let test_repair_nan_factor () =
   Alcotest.(check bool) "entries repaired" true (n1 > 0);
   Alcotest.(check int) "same repair count at 1 and 4 domains" n1 n4;
   Alcotest.(check bool) "finite delay" true (Robust.is_finite d1.Form.mean);
-  check_bits "same delay at 1 and 4 domains" d1 d4
+  Sweep_oracle.check_bits "same delay at 1 and 4 domains" d1 d4
 
 (* One instance whose model (and netlist graph) keeps its ports but has
    no edge: no design output is reachable from a design input, which both

@@ -1,7 +1,7 @@
 (* Property tests for the allocation-free canonical-form kernels
    (Ssta_canonical.Form_buf) and the workspace-reusing propagation engine:
-   every kernel must agree with the pure Form operations and every sweep
-   with the per-operation boxed sweep of [Sweep_oracle] -
+   every kernel must agree with the boxed reference arithmetic of
+   [Sweep_oracle] and every sweep with its per-operation boxed sweep -
    bit for bit, which is stronger than the 1e-12 the extraction accuracy
    argument needs - over randomized dimensions, including degenerate
    [n_pcs = 0] / [n_globals = 0] layouts and the tightness 0/1 branches of
@@ -14,17 +14,6 @@ module Tgraph = Ssta_timing.Tgraph
 module Rng = Ssta_gauss.Rng
 module Normal = Ssta_gauss.Normal
 module Mat = Ssta_linalg.Mat
-
-let exactly_equal a b =
-  a.Form.mean = b.Form.mean
-  && a.Form.rand = b.Form.rand
-  && a.Form.globals = b.Form.globals
-  && a.Form.pcs = b.Form.pcs
-
-let check_exact msg expected actual =
-  if not (exactly_equal expected actual) then
-    Alcotest.failf "%s:@.expected %a@.actual   %a" msg Form.pp expected
-      Form.pp actual
 
 (* Dimension mix exercised by every property, covering the degenerate
    layouts the strided kernels special-case implicitly. *)
@@ -64,23 +53,48 @@ let with_pairs seed f =
       f dims (Form.add_const lo 1000.0) lo)
     dim_cases
 
-let prop_add_into seed =
+(* Each binary kernel over [a] in slot 0 and [b] in slot 1 of one buffer:
+   into a third slot, in place over either operand, and with the operands
+   in two different buffers (the input slab and a private workspace slab,
+   as in [Reduce]). *)
+let check_binary name kernel oracle seed =
   with_pairs seed (fun dims a b ->
-      let buf = Sweep_oracle.pack dims [| a; b; Form.zero dims |] in
-      Form_buf.add_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
-      check_exact "add_into = Form.add" (Form.add a b) (Form_buf.get buf 2);
-      (* Aliasing: accumulate in place over slot 0. *)
-      Form_buf.add_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:0;
-      check_exact "add_into aliased dst" (Form.add a b) (Form_buf.get buf 0));
+      let want = oracle a b in
+      let fresh () = Sweep_oracle.pack dims [| a; b; Form.zero dims |] in
+      let buf = fresh () in
+      kernel ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
+      Sweep_oracle.check_bits name want (Form_buf.get buf 2);
+      let buf = fresh () in
+      kernel ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:0;
+      Sweep_oracle.check_bits (name ^ ", dst = a") want (Form_buf.get buf 0);
+      let buf = fresh () in
+      kernel ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:1;
+      Sweep_oracle.check_bits (name ^ ", dst = b") want (Form_buf.get buf 1);
+      let other = Sweep_oracle.pack dims [| Form.zero dims; b |] in
+      let buf = fresh () in
+      kernel ~a:buf ~ia:0 ~b:other ~ib:1 ~dst:buf ~idst:0;
+      Sweep_oracle.check_bits (name ^ ", b in another buffer") want (Form_buf.get buf 0);
+      let other = Sweep_oracle.pack dims [| a |] in
+      let buf = fresh () in
+      kernel ~a:other ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:1;
+      Sweep_oracle.check_bits (name ^ ", a in another buffer") want (Form_buf.get buf 1));
   true
 
-let prop_max2_into seed =
+let prop_add_into =
+  check_binary "add_into" Form_buf.add_into Sweep_oracle.add
+
+let prop_max2_into =
+  check_binary "max2_into" Form_buf.max2_into Sweep_oracle.max2
+
+(* The slot-level tightness probe, bit for bit, including the tp = 1 tie
+   and the tp = 0 / tp = 1 constant-offset pairs of [with_pairs]. *)
+let prop_tightness seed =
   with_pairs seed (fun dims a b ->
-      let buf = Sweep_oracle.pack dims [| a; b; Form.zero dims |] in
-      Form_buf.max2_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
-      check_exact "max2_into = Form.max2" (Form.max2 a b) (Form_buf.get buf 2);
-      Form_buf.max2_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:1;
-      check_exact "max2_into aliased dst" (Form.max2 a b) (Form_buf.get buf 1));
+      let buf = Sweep_oracle.pack dims [| a; b |] in
+      let got = Form_buf.tightness buf 0 buf 1
+      and want = Sweep_oracle.tightness a b in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        Alcotest.failf "tightness: kernel %h, oracle %h" got want);
   true
 
 let prop_add_then_max_into seed =
@@ -89,8 +103,8 @@ let prop_add_then_max_into seed =
       let prev = random_form rng dims in
       let buf = Sweep_oracle.pack dims [| a; b; prev |] in
       Form_buf.add_then_max_into ~acc:buf ~iacc:2 ~a:buf ~ia:0 ~b:buf ~ib:1;
-      check_exact "add_then_max_into = max2 prev (add a b)"
-        (Form.max2 prev (Form.add a b))
+      Sweep_oracle.check_bits "add_then_max_into = max2 prev (add a b)"
+        (Sweep_oracle.max2 prev (Sweep_oracle.add a b))
         (Form_buf.get buf 2));
   true
 
@@ -263,7 +277,7 @@ let sweep_equal n ws reference =
     (fun got want ->
       match (got, want) with
       | None, None -> true
-      | Some a, Some b -> exactly_equal a b
+      | Some a, Some b -> Sweep_oracle.same_bits a b
       | _ -> false)
     (Array.init n (fun v -> H.Propagate.ws_form ws v))
     reference
@@ -359,7 +373,7 @@ let prop_circuit_delay seed =
           Sweep_oracle.circuit_delay g ~forms )
       with
       | None, None -> true
-      | Some a, Some b -> exactly_equal a b
+      | Some a, Some b -> Sweep_oracle.same_bits a b
       | _ -> false)
     dim_cases
 
@@ -383,9 +397,10 @@ let prop_slab_carving seed =
         Form_buf.set buf 0 a;
         Form_buf.set buf 1 b;
         Form_buf.add_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
-        check_exact "slab add_into" (Form.add a b) (Form_buf.get buf 2);
+        Sweep_oracle.check_bits "slab add_into" (Sweep_oracle.add a b) (Form_buf.get buf 2);
         Form_buf.max2_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:2;
-        check_exact "slab max2_into" (Form.max2 a b) (Form_buf.get buf 2)
+        Sweep_oracle.check_bits "slab max2_into" (Sweep_oracle.max2 a b)
+          (Form_buf.get buf 2)
       in
       run ();
       (* A second carve fits the remaining capacity (2x the 3-slot need
@@ -409,8 +424,8 @@ let prop_slab_carving seed =
       Form_buf.set more 0 b;
       if Form_buf.slab_grows tiny = 0 then
         Alcotest.fail "undersized slab did not count its growth";
-      check_exact "view survives slab growth" a (Form_buf.get keep 0);
-      check_exact "post-growth carve works" b (Form_buf.get more 0));
+      Sweep_oracle.check_bits "view survives slab growth" a (Form_buf.get keep 0);
+      Sweep_oracle.check_bits "post-growth carve works" b (Form_buf.get more 0));
   true
 
 (* recompose_into is the batch engine's scenario transform: mean replaced,
@@ -426,19 +441,33 @@ let prop_recompose seed =
           ~pcs:(Array.map (fun c -> beta *. c) a.Form.pcs)
           ~rand:(abs_float beta *. a.Form.rand)
       in
-      check_exact "recompose_into" want (Form_buf.get buf 1);
+      Sweep_oracle.check_bits "recompose_into" want (Form_buf.get buf 1);
       (* Aliased: recomposing a slot onto itself. *)
       Form_buf.recompose_into ~mean ~beta ~a:buf ~ia:0 ~dst:buf ~idst:0;
-      check_exact "recompose_into aliased" want (Form_buf.get buf 0));
+      Sweep_oracle.check_bits "recompose_into aliased" want (Form_buf.get buf 0));
   true
 
-(* The kernels' allocation-free claim on a real characterized circuit:
-   with observability disabled and the workspaces warmed up by one sweep,
-   repeated forward and blocked backward sweeps on c432 allocate (almost)
-   nothing on the minor heap - at most one word per sweep, which leaves
-   room for the boxed float the measurement itself may cost. *)
-let test_sweeps_allocation_free () =
+(* Minor words per call of [f] with observability disabled, after one
+   warm-up call. *)
+let minor_words_per f =
   let module Obs = Ssta_obs.Obs in
+  let saved = Obs.enabled () in
+  Fun.protect ~finally:(fun () -> Obs.set_enabled saved) @@ fun () ->
+  Obs.disable ();
+  let calls = 100 in
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+(* The kernels' allocation-free claim on a real characterized circuit:
+   with the workspaces warmed up by one sweep, repeated forward and
+   blocked backward sweeps on c432 allocate (almost) nothing on the minor
+   heap - at most one word per sweep, which leaves room for the boxed
+   float the measurement itself may cost. *)
+let test_sweeps_allocation_free () =
   let b =
     Ssta_timing.Build.characterize (Ssta_circuit.Iscas.build "c432")
   in
@@ -447,30 +476,40 @@ let test_sweeps_allocation_free () =
   let no = Array.length outs in
   let ws = H.Propagate.create_workspace () in
   let wss = Array.init no (fun _ -> H.Propagate.create_workspace ()) in
-  let forward () = H.Propagate.forward_into ws g ~forms:fbuf ~sources:inputs in
-  let backward () =
-    H.Propagate.backward_block_into wss g ~forms:fbuf ~outs ~lo:0 ~hi:no
+  let fw =
+    minor_words_per (fun () ->
+        H.Propagate.forward_into ws g ~forms:fbuf ~sources:inputs)
   in
-  let saved = Obs.enabled () in
-  Fun.protect ~finally:(fun () -> Obs.set_enabled saved) @@ fun () ->
-  Obs.disable ();
-  let sweeps = 100 in
-  let words_per_sweep f =
-    f ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to sweeps do
-      f ()
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int sweeps
+  let bw =
+    minor_words_per (fun () ->
+        H.Propagate.backward_block_into wss g ~forms:fbuf ~outs ~lo:0 ~hi:no)
   in
-  let fw = words_per_sweep forward in
-  let bw = words_per_sweep backward in
   Alcotest.(check bool)
     (Printf.sprintf "forward_into: %.2f minor words/sweep <= 1" fw)
     true (fw <= 1.0);
   Alcotest.(check bool)
     (Printf.sprintf "backward_block_into: %.2f minor words/sweep <= 1" bw)
     true (bw <= 1.0)
+
+(* The worst-output fold every delay answer goes through (serve's
+   [quantile] on each request): after warm-up, [ws_max_over] over c7552's
+   outputs allocates no more minor words than boxing one output form, i.e.
+   only its result. *)
+let test_max_over_allocation () =
+  let b =
+    Ssta_timing.Build.characterize (Ssta_circuit.Iscas.build "c7552")
+  in
+  let g = b.Ssta_timing.Build.graph in
+  let outs = g.Tgraph.outputs in
+  let ws = H.Propagate.create_workspace () in
+  H.Propagate.forward_into ws g ~forms:b.Ssta_timing.Build.forms
+    ~sources:g.Tgraph.inputs;
+  let fold = minor_words_per (fun () -> H.Propagate.ws_max_over ws outs) in
+  let boxed = minor_words_per (fun () -> H.Propagate.ws_form ws outs.(0)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "ws_max_over: %.1f minor words <= one boxed form's %.1f"
+       fold boxed)
+    true (fold <= boxed)
 
 (* Operands of the replacement kernel: mostly Gaussian, with exact zeros
    of both signs and subnormals injected, so the kernel's zero-row skip
@@ -482,16 +521,6 @@ let replace_operand rng =
   | 2 -> ldexp (Rng.gaussian rng) (-1040)
   | 3 -> if Rng.uniform rng < 0.5 then 4.9e-324 else -4.9e-324
   | _ -> Rng.gaussian rng
-
-let bits_of_form (f : Form.t) =
-  List.map Int64.bits_of_float
-    ((f.Form.mean :: Array.to_list f.Form.globals)
-    @ Array.to_list f.Form.pcs @ [ f.Form.rand ])
-
-let check_form_bits msg (expected : Form.t) (actual : Form.t) =
-  if bits_of_form expected <> bits_of_form actual then
-    Alcotest.failf "%s:@.expected %a@.actual   %a" msg Form.pp expected
-      Form.pp actual
 
 (* [replace_into] against the boxed per-block product it replaced: each
    parameter block through [Mat.tmul_vec] (Substitute) or copied into its
@@ -518,10 +547,10 @@ let prop_replace_into seed =
         Sweep_oracle.pack { Form.n_globals = ng; n_pcs = ng * rows } [| src |]
       in
       Form_buf.replace_into ~map ~src:sbuf ~isrc:0 ~dst:buf ~idst:1;
-      check_form_bits "replaced slot" { src with Form.pcs = expected_pcs }
+      Sweep_oracle.check_bits "replaced slot" { src with Form.pcs = expected_pcs }
         (Form_buf.get buf 1);
-      check_form_bits "slot before" (Form.zero dims) (Form_buf.get buf 0);
-      check_form_bits "slot after" (Form.zero dims) (Form_buf.get buf 2)
+      Sweep_oracle.check_bits "slot before" (Form.zero dims) (Form_buf.get buf 0);
+      Sweep_oracle.check_bits "slot after" (Form.zero dims) (Form_buf.get buf 2)
     in
     let cols = Rng.int rng 14 in
     let m = Mat.init rows cols (fun _ _ -> replace_operand rng) in
@@ -551,6 +580,7 @@ let suites =
       [
         test prop_add_into "add_into agrees with Form.add (bit-exact)";
         test prop_max2_into "max2_into agrees with Form.max2 (bit-exact)";
+        test prop_tightness "tightness agrees with the oracle (bit-exact)";
         test prop_add_then_max_into
           "fused add_then_max agrees with max2 o add (bit-exact)";
         test prop_scalar_probes "scalar probes agree with Form";
@@ -574,5 +604,7 @@ let suites =
           "blocked backward = per-output sweeps at every block size";
         Alcotest.test_case "c432 sweeps allocation-free after warm-up" `Quick
           test_sweeps_allocation_free;
+        Alcotest.test_case "c7552 output fold boxes only its result" `Quick
+          test_max_over_allocation;
       ] );
   ]

@@ -24,12 +24,7 @@ let random_spd rng n =
 let test_vec_ops () =
   close "dot" 32.0 (Vec.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |]);
   close "norm2" 5.0 (Vec.norm2 [| 3.0; 4.0 |]);
-  let y = [| 1.0; 1.0 |] in
-  Vec.axpy ~alpha:2.0 [| 1.0; 2.0 |] y;
-  close "axpy.0" 3.0 y.(0);
-  close "axpy.1" 5.0 y.(1);
-  let l = Vec.lerp 0.25 [| 4.0 |] [| 0.0 |] in
-  close "lerp" 1.0 l.(0);
+  close "sum_sq" 25.0 (Vec.sum_sq [| 3.0; 4.0 |]);
   Alcotest.check_raises "dot length mismatch"
     (Invalid_argument "Vec.dot: length mismatch (2 vs 3)") (fun () ->
       ignore (Vec.dot [| 1.0; 2.0 |] [| 1.0; 2.0; 3.0 |]))

@@ -222,7 +222,9 @@ let test_serial_merge_chain () =
   Alcotest.(check int) "frozen edges" 1 (Tgraph.n_edges rg);
   close ~tol:1e-9 "summed mean" 6.0 rforms.(0).Form.mean;
   (* Serial merges are exact: variance adds covariantly. *)
-  let direct = Form.add (Form.add forms.(0) forms.(1)) forms.(2) in
+  let direct =
+    Sweep_oracle.add (Sweep_oracle.add forms.(0) forms.(1)) forms.(2)
+  in
   close ~tol:1e-9 "summed variance" (Form.variance direct)
     (Form.variance rforms.(0))
 
@@ -239,7 +241,7 @@ let test_parallel_merge () =
   Reduce.reduce w;
   Alcotest.(check int) "merged to one edge" 1 (Reduce.n_live_edges w);
   let _, rforms, _, _ = Reduce.freeze w in
-  let direct = Form.max_list (Array.to_list forms) in
+  let direct = Sweep_oracle.max_list (Array.to_list forms) in
   close ~tol:0.2 "max-merged mean" direct.Form.mean
     (Ssta_canonical.Form_buf.mean rforms 0)
 

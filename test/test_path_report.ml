@@ -2,7 +2,8 @@
    against the pre-index engine, kept here verbatim as the oracle (one
    maximum-likelihood re-trace and one re-summed, string-deduplicated
    path per branch), on random DAGs and on every output of four ISCAS
-   circuits; and Form_buf.tightness_of_sum against the composition it fuses. *)
+   circuits; and the tracer's fanin probe, Form_buf.tightness of an
+   add_into sum, against the oracle's boxed tightness of the sum. *)
 
 module H = Hier_ssta
 module Form = Ssta_canonical.Form
@@ -41,7 +42,9 @@ module Oracle = struct
                   match arrival.(v) with
                   | None -> ()
                   | Some a_v ->
-                      let tp = Form.tightness (Form.add a_src forms.(e)) a_v in
+                      let tp =
+                        Sweep_oracle.(tightness (add a_src forms.(e)) a_v)
+                      in
                       (match !best with
                       | Some (_, tp') when tp' >= tp -> ()
                       | _ -> best := Some (e, tp))))
@@ -61,12 +64,14 @@ module Oracle = struct
           | [||] -> Form.constant { Form.n_globals = 0; n_pcs = 0 } 0.0
           | _ -> Form.constant (Form.dims forms.(0)) 0.0)
       | e :: rest ->
-          List.fold_left (fun acc e' -> Form.add acc forms.(e')) forms.(e) rest
+          List.fold_left
+            (fun acc e' -> Sweep_oracle.add acc forms.(e'))
+            forms.(e) rest
     in
     let criticality =
       match arrival.(endpoint) with
       | None -> 0.0
-      | Some a -> Form.tightness delay a
+      | Some a -> Sweep_oracle.tightness delay a
     in
     { vertices; edges; delay; criticality }
 
@@ -125,17 +130,9 @@ end
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let form_bits_equal (a : Form.t) (b : Form.t) =
-  bits_equal a.Form.mean b.Form.mean
-  && bits_equal a.Form.rand b.Form.rand
-  && Array.length a.Form.globals = Array.length b.Form.globals
-  && Array.length a.Form.pcs = Array.length b.Form.pcs
-  && Array.for_all2 bits_equal a.Form.globals b.Form.globals
-  && Array.for_all2 bits_equal a.Form.pcs b.Form.pcs
-
 let path_equal p q =
   p.vertices = q.vertices && p.edges = q.edges
-  && form_bits_equal p.delay q.delay
+  && Sweep_oracle.same_bits p.delay q.delay
   && bits_equal p.criticality q.criticality
 
 let pp_path p =
@@ -274,7 +271,7 @@ let test_iscas_outputs () =
     [ "c432"; "c1908"; "c6288"; "c7552" ]
 
 (* ------------------------------------------------------------------ *)
-(* Form_buf.tightness_of_sum                                           *)
+(* The tracer's fanin probe: Form_buf.tightness of an add_into sum      *)
 (* ------------------------------------------------------------------ *)
 
 (* Coefficients drawn from ordinary values mixed with signed zeros and
@@ -311,18 +308,20 @@ let gen_triple =
     in
     triple form form form)
 
-let qcheck_tightness_of_sum =
+let qcheck_fanin_tightness =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:2000
-       ~name:"tightness_of_sum = tightness (add a f) b, bit for bit"
+       ~name:"slot tightness of a + f against b = oracle, bit for bit"
        (QCheck.make
           ~print:(fun (a, f, b) ->
             Format.asprintf "a=%a f=%a b=%a" Form.pp a Form.pp f Form.pp b)
           gen_triple)
        (fun (a, f, b) ->
+         let buf = Sweep_oracle.pack_like [| a; f; b |] in
+         Form_buf.add_into ~a:buf ~ia:0 ~b:buf ~ib:1 ~dst:buf ~idst:0;
          bits_equal
-           (Form_buf.tightness_of_sum a (Sweep_oracle.pack_like [| f |]) 0 b)
-           (Form.tightness (Form.add a f) b)))
+           (Form_buf.tightness buf 0 buf 2)
+           (Sweep_oracle.tightness (Sweep_oracle.add a f) b)))
 
 let suites =
   [
@@ -331,6 +330,6 @@ let suites =
         qcheck_random_dags;
         Alcotest.test_case "index = oracle on c432/c1908/c6288/c7552 outputs"
           `Quick test_iscas_outputs;
-        qcheck_tightness_of_sum;
+        qcheck_fanin_tightness;
       ] );
   ]

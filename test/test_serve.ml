@@ -22,18 +22,12 @@ module Obs = Ssta_obs.Obs
 (* Incremental re-propagation == full re-sweep (QCheck)               *)
 (* ------------------------------------------------------------------ *)
 
-let exactly_equal (a : Form.t) (b : Form.t) =
-  a.Form.mean = b.Form.mean
-  && a.Form.rand = b.Form.rand
-  && a.Form.globals = b.Form.globals
-  && a.Form.pcs = b.Form.pcs
-
 let sweep_equal n ws reference =
   Array.for_all2
     (fun got want ->
       match (got, want) with
       | None, None -> true
-      | Some a, Some b -> exactly_equal a b
+      | Some a, Some b -> Sweep_oracle.same_bits a b
       | _ -> false)
     (Array.init n (fun v -> H.Propagate.ws_form ws v))
     reference
