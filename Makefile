@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test test-domains bench bench-smoke chaos check ci fmt fmt-check loc clean
+.PHONY: all build test test-domains test-seeds bench bench-smoke chaos check ci fmt fmt-check loc clean
 
 all: build
 
@@ -15,6 +15,17 @@ test: build
 test-domains: build
 	PAR_DOMAINS=1 $(DUNE) runtest --force
 	PAR_DOMAINS=4 $(DUNE) runtest --force
+
+# The suite under the QCheck seeds CI pins: QCheck draws a fresh seed per
+# run, so a generator defect fails one run in many.  908619300 once made
+# the frontend round-trip generator emit a primary input as a primary
+# output, which Verilog export rejects.
+QCHECK_SEEDS = 908619300 42 20261017
+
+test-seeds: build
+	for s in $(QCHECK_SEEDS); do \
+	  QCHECK_SEED=$$s $(DUNE) runtest --force || exit 1; \
+	done
 
 # The paper's evaluation (Table I, Fig. 6/7, ablations) and the ~1M-gate
 # scale run; slow, print-only.  Performance is measured by the ledger
@@ -41,9 +52,9 @@ chaos: build
 
 check: build test bench-smoke
 
-# What CI runs: build, tests at PAR_DOMAINS=1 and 4, the ledger smoke
-# pass, format check.
-ci: build test-domains bench-smoke fmt-check
+# What CI runs: build, tests at PAR_DOMAINS=1 and 4 and under the pinned
+# QCheck seeds, the ledger smoke pass, format check.
+ci: build test-domains test-seeds bench-smoke fmt-check
 
 fmt:
 	$(DUNE) build @fmt --auto-promote

@@ -20,12 +20,13 @@ module Criticality = Hier_ssta.Criticality
    - of this run or of any later run on the same base - reuses scenario
    S's allocation.
 
-   Determinism: the task grid is a pure function of (S, |I|) - never of
-   the domain count - every task writes only its own result slot, and a
-   worker's scratch is fully re-derived per scenario (the scenario-forms
-   cache only skips re-deriving *identical* content), so batch results
-   are bit-identical at every domain count and to S independent
-   single-scenario runs. *)
+   Determinism: Delay mode runs one task per scenario and Io mode runs
+   scenarios in order through Propagate.io_delays (one task per input) -
+   never a layout that depends on the domain count - every task writes
+   only its own result slot, and a worker's scratch is fully re-derived
+   per scenario (the scenario-forms cache only skips re-deriving
+   *identical* content), so batch results are bit-identical at every
+   domain count and to S independent single-scenario runs. *)
 
 let g_slab_peak = Obs.gauge "batch.slab_bytes_peak"
 let c_scenarios = Obs.counter "batch.scenarios"
@@ -108,7 +109,6 @@ type scratch = {
   corner_w : float array;
   tile_f : float array;
   mutable cached : scenario option;
-  source1 : int array;
 }
 
 type base = {
@@ -135,7 +135,6 @@ let make_scratch ~dims ~m ~nv ~nt () =
     corner_w = Array.make (max m 1) 0.0;
     tile_f = Array.make (max nt 1) 1.0;
     cached = None;
-    source1 = [| 0 |];
   }
 
 let prepare (b : Build.t) =
@@ -213,14 +212,11 @@ let summarize_outputs scr outputs =
   in
   (Propagate.ws_max_over ws outputs, stat Form_buf.mean, stat Form_buf.std)
 
-let input_chunk ni = max 1 ((ni + 31) / 32)
-
 let run ?(mode = Delay) ?(screen = false) base scenarios =
   Obs.with_span "batch.run" @@ fun () ->
   let s_n = Array.length scenarios in
   let g = base.build.Build.graph in
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
-  let ni = Array.length inputs in
   let results = Array.make s_n None in
   let pool = base.pool in
   (match mode with
@@ -250,44 +246,26 @@ let run ?(mode = Delay) ?(screen = false) base scenarios =
               })
         ()
   | Io ->
-      (* Scenarios x input-chunks task grid: the chunk layout is a pure
-         function of |I|, consecutive tasks share a scenario so a worker
-         claiming a run of them re-derives the scenario forms once. *)
-      let chunk = input_chunk ni in
-      let n_ichunks = Par.n_chunks ~chunk ni in
-      let io =
-        Array.init s_n (fun _ -> Array.make ni ([||] : Form.t option array))
-      in
-      Par.run_tasks_pool ~n_tasks:(s_n * n_ichunks) ~pool
-        ~task:(fun scr t ->
+      (* One pool scratch holds each scenario's forms in turn; the
+         per-input sweeps are the IO-delay engine's own parallel region. *)
+      let scr = Par.pool_take pool in
+      Fun.protect ~finally:(fun () -> Par.pool_put pool scr) @@ fun () ->
+      Array.iteri
+        (fun k s ->
+          Obs.with_span "batch.scenario" @@ fun () ->
           Ssta_robust.Deadline.check ~operation:"batch.io";
-          let k = t / n_ichunks and c = t mod n_ichunks in
-          let s = scenarios.(k) in
           set_scenario base scr s;
-          let lo, hi = Par.chunk_bounds ~chunk ~n:ni c in
-          let row = io.(k) in
-          for i = lo to hi - 1 do
-            scr.source1.(0) <- inputs.(i);
-            Propagate.forward_into scr.ws g ~forms:scr.sforms
-              ~sources:scr.source1;
-            row.(i) <-
-              Array.map (fun out -> Propagate.ws_form scr.ws out) outputs
-          done)
-        ();
-      for k = 0 to s_n - 1 do
-        let s = scenarios.(k) in
-        Obs.with_span "batch.scenario" @@ fun () ->
-        results.(k) <-
-          Some
-            {
-              scenario = s;
-              delay = None;
-              out_mu = Array.make (Array.length outputs) nan;
-              out_sigma = Array.make (Array.length outputs) nan;
-              io = io.(k);
-              kept_edges = -1;
-            }
-      done);
+          results.(k) <-
+            Some
+              {
+                scenario = s;
+                delay = None;
+                out_mu = Array.make (Array.length outputs) nan;
+                out_sigma = Array.make (Array.length outputs) nan;
+                io = Propagate.io_delays g ~forms:scr.sforms;
+                kept_edges = -1;
+              })
+        scenarios);
   Obs.add c_scenarios s_n;
   (* Criticality screening is itself a parallel region (it builds its own
      pool), so it runs sequentially over scenarios after the batch sweep -

@@ -24,7 +24,7 @@
     ({!Ssta_canonical.Form_buf.floats_needed}); drop the base to free
     them.
 
-    Determinism contract: the task grid is a pure function of the batch
+    Determinism contract: the task layout is a pure function of the batch
     size and the input count (so {!Ssta_par.Par}'s domain-count guarantee
     holds), every task writes only its own result slot, and worker
     scratch is fully re-derived per scenario.  A batch of S scenarios is
@@ -63,10 +63,10 @@ val default_scenarios : int -> scenario array
 type mode =
   | Delay  (** one all-inputs forward sweep per scenario: design delay
                form and per-output summaries *)
-  | Io  (** one exclusive {!Hier_ssta.Propagate.forward_into} sweep per
-            input (paper eq. (15)), the same engine as
-            {!Hier_ssta.Timing_model.io_delays}: the |I| x |O| delay form
-            matrix per scenario *)
+  | Io  (** {!Hier_ssta.Propagate.io_delays} over the scenario forms,
+            the engine of {!Hier_ssta.Timing_model.io_delays}: one
+            exclusive forward sweep per input (paper eq. (15)), the
+            |I| x |O| delay form matrix per scenario *)
 
 type result = {
   scenario : scenario;
@@ -92,8 +92,9 @@ val prepare : Build.t -> base
     Worker scratch is built lazily, on the first run that needs it. *)
 
 val run : ?mode:mode -> ?screen:bool -> base -> scenario array -> result array
-(** Evaluate the batch, scheduled over scenarios (times input chunks in
-    {!Io} mode) on the deterministic domain pool.  [screen] additionally
+(** Evaluate the batch on the deterministic domain pool: one task per
+    scenario in {!Delay} mode; in {!Io} mode the scenarios run in order,
+    each one's per-input sweeps in parallel.  [screen] additionally
     runs the criticality screen per scenario (sequentially — the screen
     parallelizes internally) and fills [kept_edges]; it draws its
     scenario forms from the base's pool too.  Results never depend on

@@ -29,18 +29,15 @@ type t = {
          kernels targeting the SAME destination buffer are not safe. *)
 }
 
-(* A slab is a bump allocator over one bigarray chunk.  Buffers are carved
-   off the front; [slab_reset] rewinds the cursor so the same chunk backs
-   the next scenario's buffers without touching the allocator.  If a carve
-   overflows the chunk, a fresh larger chunk replaces it - buffers carved
-   earlier keep their views of the old chunk (the view keeps the backing
-   alive), so overflow is safe but defeats reuse; callers should capacity-
-   plan with [floats_needed] so steady state never grows. *)
+(* A slab is a bump allocator over one bigarray chunk, carved once and
+   never rewound.  If a carve overflows the chunk, a fresh larger chunk
+   replaces it - buffers carved earlier keep their views of the old chunk
+   (the view keeps the backing alive), so overflow is safe but wasteful;
+   callers capacity-plan with [floats_needed] so the chunk never grows. *)
 type slab = {
   mutable chunk : data;
   mutable off : int;
   mutable peak_floats : int;
-  mutable grows : int;
 }
 
 let floats_needed dims n =
@@ -53,20 +50,15 @@ let slab_create floats =
     chunk = A1.create Bigarray.float64 Bigarray.c_layout cap;
     off = 0;
     peak_floats = cap;
-    grows = 0;
   }
 
-let slab_reset s = s.off <- 0
-let slab_used_floats s = s.off
 let slab_peak_bytes s = 8 * s.peak_floats
-let slab_grows s = s.grows
 
 let slab_alloc s need =
   if s.off + need > A1.dim s.chunk then begin
     let cap = max (2 * A1.dim s.chunk) need in
     s.chunk <- A1.create Bigarray.float64 Bigarray.c_layout cap;
     s.off <- 0;
-    s.grows <- s.grows + 1;
     if cap > s.peak_floats then s.peak_floats <- cap
   end;
   let view = A1.sub s.chunk s.off need in
@@ -372,123 +364,15 @@ let sanitize ~subsystem ~operation t =
   done;
   match !fixed with Some c -> c | None -> t
 
-(* Fused pairwise-moment gather for the criticality exact evaluation: one
-   strided pass over the four slots A (arrival), E (edge delay), R (required)
-   and M (pair maximum) accumulates every variance/covariance the tightness
-   computation needs, instead of nine separate probe calls re-reading the
-   same cache lines.  Results land in the caller's scratch array (indices
-   below) so the kernel allocates nothing.  Accumulation stays segmented
-   (globals, then PCs) to remain bit-identical to [variance]/[covariance]. *)
-
-let quad_var_a = 0
-let quad_var_r = 1
-let quad_cov_ae = 2
-let quad_cov_ar = 3
-let quad_cov_er = 4
-let quad_cov_am = 5
-let quad_cov_em = 6
-let quad_cov_rm = 7
-let quad_rand_a = 8
-let quad_rand_e = 9
-let quad_rand_r = 10
-let quad_rand_m = 11
-let quad_size = 12
-
-let quad_stats_into ~a ~ia ~e ~ie ~r ~ir ~m ~im ~into =
-  check_dims a e "quad_stats_into";
-  check_dims a r "quad_stats_into";
-  check_dims a m "quad_stats_into";
-  if Array.length into < quad_size then
-    invalid_arg "Form_buf.quad_stats_into: scratch array shorter than 12";
-  let ng = a.dims.Form.n_globals and np = a.dims.Form.n_pcs in
-  let da = a.data and de = e.data and dr = r.data and dm = m.data in
-  let oa = ia * a.stride
-  and oe = ie * e.stride
-  and or_ = ir * r.stride
-  and om = im * m.stride in
-  (* Plain non-escaping refs in one function body: the compiler keeps them
-     unboxed in registers.  Wrapping the per-segment loop in a local closure
-     would capture the refs and re-box every float update, which costs more
-     than the twelve probe calls this kernel replaces.  The segment sums are
-     snapshotted between the two loops so the totals combine exactly like
-     [sum_sq globals +. sum_sq pcs] in the scalar probes. *)
-  let s_aa = ref 0.0
-  and s_rr = ref 0.0
-  and s_ae = ref 0.0
-  and s_ar = ref 0.0
-  and s_er = ref 0.0
-  and s_am = ref 0.0
-  and s_em = ref 0.0
-  and s_rm = ref 0.0 in
-  for k = 1 to ng do
-    let va = A1.unsafe_get da (oa + k)
-    and ve = A1.unsafe_get de (oe + k)
-    and vr = A1.unsafe_get dr (or_ + k)
-    and vm = A1.unsafe_get dm (om + k) in
-    s_aa := !s_aa +. (va *. va);
-    s_rr := !s_rr +. (vr *. vr);
-    s_ae := !s_ae +. (va *. ve);
-    s_ar := !s_ar +. (va *. vr);
-    s_er := !s_er +. (ve *. vr);
-    s_am := !s_am +. (va *. vm);
-    s_em := !s_em +. (ve *. vm);
-    s_rm := !s_rm +. (vr *. vm)
-  done;
-  let g_aa = !s_aa
-  and g_rr = !s_rr
-  and g_ae = !s_ae
-  and g_ar = !s_ar
-  and g_er = !s_er
-  and g_am = !s_am
-  and g_em = !s_em
-  and g_rm = !s_rm in
-  s_aa := 0.0;
-  s_rr := 0.0;
-  s_ae := 0.0;
-  s_ar := 0.0;
-  s_er := 0.0;
-  s_am := 0.0;
-  s_em := 0.0;
-  s_rm := 0.0;
-  for k = 1 + ng to ng + np do
-    let va = A1.unsafe_get da (oa + k)
-    and ve = A1.unsafe_get de (oe + k)
-    and vr = A1.unsafe_get dr (or_ + k)
-    and vm = A1.unsafe_get dm (om + k) in
-    s_aa := !s_aa +. (va *. va);
-    s_rr := !s_rr +. (vr *. vr);
-    s_ae := !s_ae +. (va *. ve);
-    s_ar := !s_ar +. (va *. vr);
-    s_er := !s_er +. (ve *. vr);
-    s_am := !s_am +. (va *. vm);
-    s_em := !s_em +. (ve *. vm);
-    s_rm := !s_rm +. (vr *. vm)
-  done;
-  let ra = A1.unsafe_get da (oa + a.stride - 1)
-  and re = A1.unsafe_get de (oe + e.stride - 1)
-  and rr = A1.unsafe_get dr (or_ + r.stride - 1)
-  and rm = A1.unsafe_get dm (om + m.stride - 1) in
-  into.(quad_var_a) <- (g_aa +. !s_aa) +. (ra *. ra);
-  into.(quad_var_r) <- (g_rr +. !s_rr) +. (rr *. rr);
-  into.(quad_cov_ae) <- g_ae +. !s_ae;
-  into.(quad_cov_ar) <- g_ar +. !s_ar;
-  into.(quad_cov_er) <- g_er +. !s_er;
-  into.(quad_cov_am) <- g_am +. !s_am;
-  into.(quad_cov_em) <- g_em +. !s_em;
-  into.(quad_cov_rm) <- g_rm +. !s_rm;
-  into.(quad_rand_a) <- ra;
-  into.(quad_rand_e) <- re;
-  into.(quad_rand_r) <- rr;
-  into.(quad_rand_m) <- rm
-
-(* Split pairwise gathers for the blocked criticality evaluation: most of
-   [quad_stats_into]'s twelve outputs are invariant along one axis of the
-   (output, input, edge) visit nest, so the blocked screen hoists them into
-   per-tile rows and tables and only computes the four truly per-visit
-   covariances - Cov(A,R), Cov(E,M), Cov(A,M) and Cov(R,M) - inside the
-   eval, fused below.  Every kernel writes into caller scratch (no boxed
-   float returns) and keeps the segmented accumulation of [covariance], so
-   each value is bit-identical to the probe it replaces. *)
+(* Per-visit covariance gather for the blocked criticality evaluation:
+   the screen keeps every visit-invariant moment of its exact tightness
+   evaluation in per-tile rows and tables (variances and random
+   coefficients per vertex and edge, Cov(A,E) per input cone, Cov(E,R)
+   per output), so only the four truly per-visit covariances - Cov(A,R),
+   Cov(E,M), Cov(A,M) and Cov(R,M) for arrival A, edge delay E, required
+   time R and pair maximum M - are gathered here, into caller scratch (no
+   boxed float returns), with the segmented accumulation of [covariance]
+   so each value is bit-identical to the probe it replaces. *)
 
 let cov4_ar = 0
 let cov4_em = 1
@@ -496,76 +380,28 @@ let cov4_am = 2
 let cov4_rm = 3
 let cov4_size = 4
 
-(* Why four dots and not fewer: the kernels above are latency-bound, not
-   flop-bound - bit-exactness pins each dot to one serial accumulation
-   chain, so a lone dot stalls on FP-add latency every element, and
-   [quad_stats_into]'s eight interleaved chains hide that latency almost
-   completely (eight dots cost barely twice one).  Splitting the eval into
-   several narrow passes therefore re-pays the chain stall per pass and
-   loses.  Cov(A,M) rides along unconditionally because the cone walk
-   changes source every edge (fanin CSR groups edges by sink), so a
-   source-keyed memo would never hit; Cov(R,M) rides along because its
-   chain multiplies two values the A,R and E,M chains already load - a
-   sink-keyed memo saved zero loads and re-paid the lone-dot stall on
-   every fanin-2 sink change. *)
-let cov4_into ~a ~ia ~e ~ie ~r ~ir ~m ~im ~into =
-  check_dims a r "cov4_into";
-  check_dims e m "cov4_into";
-  check_dims a e "cov4_into";
-  if Array.length into < cov4_size then
-    invalid_arg "Form_buf.cov4_into: scratch array shorter than 4";
-  let ng = a.dims.Form.n_globals and np = a.dims.Form.n_pcs in
-  let da = a.data and de = e.data and dr = r.data and dm = m.data in
-  let oa = ia * a.stride
-  and oe = ie * e.stride
-  and or_ = ir * r.stride
-  and om = im * m.stride in
-  let s_ar = ref 0.0 and s_em = ref 0.0 in
-  let s_am = ref 0.0 and s_rm = ref 0.0 in
-  for k = 1 to ng do
-    let va = A1.unsafe_get da (oa + k)
-    and ve = A1.unsafe_get de (oe + k)
-    and vr = A1.unsafe_get dr (or_ + k)
-    and vm = A1.unsafe_get dm (om + k) in
-    s_ar := !s_ar +. (va *. vr);
-    s_em := !s_em +. (ve *. vm);
-    s_am := !s_am +. (va *. vm);
-    s_rm := !s_rm +. (vr *. vm)
-  done;
-  let g_ar = !s_ar and g_em = !s_em and g_am = !s_am and g_rm = !s_rm in
-  s_ar := 0.0;
-  s_em := 0.0;
-  s_am := 0.0;
-  s_rm := 0.0;
-  for k = 1 + ng to ng + np do
-    let va = A1.unsafe_get da (oa + k)
-    and ve = A1.unsafe_get de (oe + k)
-    and vr = A1.unsafe_get dr (or_ + k)
-    and vm = A1.unsafe_get dm (om + k) in
-    s_ar := !s_ar +. (va *. vr);
-    s_em := !s_em +. (ve *. vm);
-    s_am := !s_am +. (va *. vm);
-    s_rm := !s_rm +. (vr *. vm)
-  done;
-  into.(cov4_ar) <- g_ar +. !s_ar;
-  into.(cov4_em) <- g_em +. !s_em;
-  into.(cov4_am) <- g_am +. !s_am;
-  into.(cov4_rm) <- g_rm +. !s_rm
-
 let cov4_lanes = 2
 
-(* Two independent evals' covariances in one pass: the per-element floor
-   of [cov4_into] is the FP-add latency of its four serial chains (every
-   chain must advance once per element), so interleaving two lanes' eight
-   chains fills those latency slots - and stops there, because eight float
-   accumulators (plus the seven loaded values per element) still fit the
-   register file; a four-lane variant's sixteen accumulators spill, and
-   the spill traffic costs more than the extra latency hiding buys.  Each
-   lane's accumulation order is exactly [cov4_into]'s - segmented, serial
-   in [k] - so lane [j]'s results are bit-identical to a lone call on
-   ([srcs.(j)], [edges.(j)], [dsts.(j)]); the criticality screen's
-   batching is thereby invisible in the results.  The lanes share the [m]
-   slot ([im]). *)
+(* Two independent evals' covariances in one pass.  The kernel is
+   latency-bound, not flop-bound: bit-exactness pins each dot to one
+   serial accumulation chain, so a lone dot stalls on FP-add latency every
+   element, while interleaved chains hide that latency almost completely.
+   Hence four dots per lane and not fewer - splitting the eval into
+   several narrow passes re-pays the chain stall per pass and loses.
+   Cov(A,M) rides along unconditionally because the cone walk changes
+   source every edge (fanin CSR groups edges by sink), so a source-keyed
+   memo would never hit; Cov(R,M) rides along because its chain
+   multiplies two values the A,R and E,M chains already load - a
+   sink-keyed memo saved zero loads and re-paid the lone-dot stall on
+   every fanin-2 sink change.  And two lanes, not more: two lanes' eight
+   chains fill the latency slots while eight float accumulators (plus the
+   seven loaded values per element) still fit the register file; a
+   four-lane variant's sixteen accumulators spill, and the spill traffic
+   costs more than the extra latency hiding buys.  Each lane accumulates
+   segmented and serial in [k], exactly like [covariance], so lane [j]'s
+   results are bit-identical to the probes on ([srcs.(j)], [edges.(j)],
+   [dsts.(j)]) and the criticality screen's batching is invisible in the
+   results.  The lanes share the [m] slot ([im]). *)
 let cov4_batch2_into ~a ~e ~r ~m ~im ~srcs ~dsts ~edges ~into =
   check_dims a r "cov4_batch2_into";
   check_dims e m "cov4_batch2_into";
@@ -791,8 +627,9 @@ let add_then_max_into ~acc ~iacc ~a ~ia ~b ~ib =
   (* One fused pass per coefficient segment accumulates Var(acc), Var(s)
      and Cov(acc, s) side by side; each accumulator sees exactly the terms
      the separate sum_sq/dot loops would feed it, in the same order.  The
-     refs never escape into a closure, so they stay unboxed (see
-     quad_stats_into). *)
+     refs never escape into a closure, so the compiler keeps them unboxed
+     in registers (a local per-segment closure would capture them and
+     re-box every float update). *)
   let s_va = ref 0.0 and s_vs = ref 0.0 and s_cov = ref 0.0 in
   for k = 1 to ng do
     let vc = A1.unsafe_get acc.data (oc + k)

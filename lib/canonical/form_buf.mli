@@ -43,11 +43,11 @@ type data = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
     A {!slab} is a bump allocator over one contiguous float64 chunk.
     {!create} with [~slab] carves the buffer off the slab's cursor instead
-    of allocating; {!slab_reset} rewinds the cursor so the same chunk backs
-    the next scenario's buffers.  Carving past the end replaces the chunk
-    with a larger one ({!slab_grows} counts these) - earlier buffers keep
-    their views of the old chunk, so overflow is safe, but steady-state use
-    should size the slab up front with {!floats_needed} so it never grows. *)
+    of allocating; a slab is carved once and never rewound.  Carving past
+    the end replaces the chunk with a larger one (raising
+    {!slab_peak_bytes}) - earlier buffers keep their views of the old
+    chunk, so overflow is safe, but callers size the slab up front with
+    {!floats_needed} so it never grows. *)
 
 type slab
 
@@ -59,25 +59,15 @@ val floats_needed : Form.dims -> int -> int
 (** Slab floats consumed by [create ~slab dims n]; sum these over every
     buffer a worker carves to capacity-plan its slab. *)
 
-val slab_reset : slab -> unit
-(** Rewind the cursor to 0.  Buffers carved before the reset alias storage
-    that subsequent carves will reuse; callers must not touch them again. *)
-
-val slab_used_floats : slab -> int
-
 val slab_peak_bytes : slab -> int
 (** High-water chunk size in bytes across the slab's lifetime (the resident
     cost of the slab when capacity planning is right). *)
-
-val slab_grows : slab -> int
-(** Number of times a carve overflowed and replaced the chunk (0 when the
-    slab was sized correctly up front). *)
 
 val slab_floats : slab -> int -> data
 (** Carve a raw zero-filled row of [n] floats (at least 1) from the slab's
     cursor — the criticality screen keeps its retained scalar rows and
     covariance tables on the same capacity-planned slab as the tile's
-    backward workspaces.  Same growth/reset semantics as {!create}. *)
+    backward workspaces.  Same growth semantics as {!create}. *)
 
 val create : ?slab:slab -> Form.dims -> int -> t
 (** [create dims n] is a buffer of [n] zero forms of dimension [dims],
@@ -197,53 +187,16 @@ val add_then_max_into : acc:t -> iacc:int -> a:t -> ia:int -> b:t -> ib:int -> u
     alias the [a] slot (in a DAG sweep it never does: [src <> dst] for
     every edge). *)
 
-(** {1 Fused moment gather}
+(** {1 Per-visit covariance gathers}
 
-    The criticality exact evaluation needs eight variances/covariances and
-    four random coefficients over four slots A (arrival), E (edge delay),
-    R (required) and M (pair maximum).  [quad_stats_into] computes all of
-    them in a single strided pass, writing into a caller-owned scratch
-    array of at least {!quad_size} floats at the indices below.  Each value
-    is bit-identical to the corresponding {!variance} / {!covariance} /
-    {!rand_coeff} probe; the fusion only removes redundant memory passes
-    and the float boxing of twelve separate calls. *)
-
-val quad_var_a : int
-val quad_var_r : int
-val quad_cov_ae : int
-val quad_cov_ar : int
-val quad_cov_er : int
-val quad_cov_am : int
-val quad_cov_em : int
-val quad_cov_rm : int
-val quad_rand_a : int
-val quad_rand_e : int
-val quad_rand_r : int
-val quad_rand_m : int
-
-val quad_size : int
-(** Minimum scratch-array length for {!quad_stats_into} (= 12). *)
-
-val quad_stats_into :
-  a:t ->
-  ia:int ->
-  e:t ->
-  ie:int ->
-  r:t ->
-  ir:int ->
-  m:t ->
-  im:int ->
-  into:float array ->
-  unit
-(** All four buffers must share one [dims] (they may alias). *)
-
-(** {1 Split pairwise gathers}
-
-    The blocked criticality screen hoists the visit-invariant outputs of
-    {!quad_stats_into} out of the eval: variances and random coefficients
-    become per-tile scalar rows, Cov(A,E) a per-input cone table and
-    Cov(E,R) a per-output edge table, leaving Cov(A,R), Cov(E,M),
-    Cov(A,M) and Cov(R,M) per visit, fused below.  Every value is
+    The criticality screen's exact tightness evaluation needs the
+    variances, random coefficients and eight pairwise covariances of four
+    slots A (arrival), E (edge delay), R (required) and M (pair maximum).
+    The screen keeps the visit-invariant ones in per-tile rows and tables
+    (variances and random coefficients per vertex and edge, Cov(A,E) per
+    input cone via {!cov_src_cone_into}, Cov(E,R) per output via
+    {!cov_dst_into}), leaving Cov(A,R), Cov(E,M), Cov(A,M) and Cov(R,M)
+    per visit, gathered by {!cov4_batch2_into}.  Every value is
     bit-identical to the corresponding {!covariance} probe (same segmented
     accumulation); all kernels write into caller scratch and allocate
     nothing. *)
@@ -254,28 +207,7 @@ val cov4_am : int
 val cov4_rm : int
 
 val cov4_size : int
-(** Minimum scratch-array length for {!cov4_into} (= 4). *)
-
-val cov4_into :
-  a:t ->
-  ia:int ->
-  e:t ->
-  ie:int ->
-  r:t ->
-  ir:int ->
-  m:t ->
-  im:int ->
-  into:float array ->
-  unit
-(** The four per-visit covariances of the exact tightness evaluation:
-    [into.(cov4_ar) = Cov(a.(ia), r.(ir))],
-    [into.(cov4_em) = Cov(e.(ie), m.(im))],
-    [into.(cov4_am) = Cov(a.(ia), m.(im))] and
-    [into.(cov4_rm) = Cov(r.(ir), m.(im))], fused into one strided pass
-    whose four accumulation chains pipeline each other (a lone bit-exact
-    dot is FP-add-latency bound, and the R,M chain multiplies two values
-    the other chains already load).  All four buffers must share one
-    [dims]. *)
+(** Scratch floats per lane of {!cov4_batch2_into} (= 4). *)
 
 val cov4_lanes : int
 (** Lane count of {!cov4_batch2_into} (= 2). *)
@@ -291,16 +223,20 @@ val cov4_batch2_into :
   edges:int array ->
   into:float array ->
   unit
-(** {!cov4_into} for two independent evaluations at once, sharing the [m]
-    slot: lane [j] (indices [srcs.(j)], [edges.(j)], [dsts.(j)], all
-    arrays of length >= {!cov4_lanes}) writes
-    [into.(j * cov4_size + cov4_{ar,em,am,rm})], each value bit-identical
-    to a lone {!cov4_into} on that lane.  A serial bit-exact chain
-    advances once per element and stalls on FP-add latency; eight
-    interleaved chains fill those slots while still fitting the register
-    file (wider batches spill accumulators and lose), which is where the
-    criticality screen's eval throughput comes from.  [into] must be at
-    least [cov4_lanes * cov4_size] long. *)
+(** The four per-visit covariances of two independent evaluations at
+    once, sharing the [m] slot: lane [j] (indices [srcs.(j)], [edges.(j)],
+    [dsts.(j)], all arrays of length >= {!cov4_lanes}) writes
+    [into.(j * cov4_size + cov4_ar) = Cov(a.(srcs.(j)), r.(dsts.(j)))],
+    [into.(j * cov4_size + cov4_em) = Cov(e.(edges.(j)), m.(im))],
+    [into.(j * cov4_size + cov4_am) = Cov(a.(srcs.(j)), m.(im))] and
+    [into.(j * cov4_size + cov4_rm) = Cov(r.(dsts.(j)), m.(im))], each
+    value bit-identical to the {!covariance} probe.  A bit-exact dot is
+    one serial chain that stalls on FP-add latency every element; four
+    dots times two lanes keep eight chains in flight and still fit the
+    register file (the implementation explains both widths).  A single
+    pending evaluation runs with lane 1 a copy of lane 0.  All four
+    buffers must share one [dims]; [into] must be at least
+    [cov4_lanes * cov4_size] long. *)
 
 val cov_src_cone_into :
   verts:t ->

@@ -9,10 +9,9 @@ type corner =
   | Fast of float
   | Global_slow of float
 
-(* Allocation-free core: the batch engine re-derives corner means per
-   scenario into pooled worker scratch, so the per-edge evaluation writes
-   into a caller-owned row.  [corner_weights] keeps its allocating API on
-   top. *)
+(* Allocation-free: the batch engine re-derives corner means per scenario
+   into pooled worker scratch, so the per-edge evaluation writes into a
+   caller-owned row. *)
 let corner_weights_into (b : Build.t) corner ~into =
   let sparse = b.Build.sparse in
   if Array.length into < Array.length sparse then
@@ -44,13 +43,10 @@ let corner_weights_into (b : Build.t) corner ~into =
             s.Build.nominal *. (1.0 +. param)))
     sparse
 
-let corner_weights (b : Build.t) corner =
-  let into = Array.make (Array.length b.Build.sparse) 0.0 in
-  corner_weights_into b corner ~into;
-  into
-
 let corner_delay b corner =
-  Ssta_timing.Sta.design_delay b.Build.graph ~weights:(corner_weights b corner)
+  let weights = Array.make (Array.length b.Build.sparse) 0.0 in
+  corner_weights_into b corner ~into:weights;
+  Ssta_timing.Sta.design_delay b.Build.graph ~weights
 
 type pessimism = {
   nominal : float;

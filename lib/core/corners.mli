@@ -13,15 +13,12 @@ type corner =
       (** only the global (die-to-die) part at +k sigma; local and random
           at nominal - the "realistic" corner methodology *)
 
-val corner_weights :
-  Ssta_timing.Build.t -> corner -> float array
-(** Per-edge deterministic delays at the corner. *)
-
 val corner_weights_into :
   Ssta_timing.Build.t -> corner -> into:float array -> unit
-(** As {!corner_weights}, written into a caller-owned row (length at least
-    the edge count) - the batch engine re-derives corner means per scenario
-    into pooled worker scratch without allocating. *)
+(** Per-edge deterministic delays at the corner, written into a
+    caller-owned row (length at least the edge count) - the batch engine
+    re-derives corner means per scenario into pooled worker scratch
+    without allocating. *)
 
 val corner_delay : Ssta_timing.Build.t -> corner -> float
 (** Longest-path design delay at the corner. *)

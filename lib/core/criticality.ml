@@ -144,16 +144,15 @@ type chunk_state = {
 (* Per-domain scratch drawn from a pool and reused across every tile's
    screen region: one forward workspace per input slot of a chunk, its
    four arrival scalar rows and Cov(arrival, edge) cone table - all carved
-   from the worker's capacity-planned slab - plus the active cone list,
-   the quad gather row and the survivor lanes of the eval batch.  The
-   whole screen builds at most [domains] of these. *)
+   from the worker's capacity-planned slab - plus the active cone list
+   and the survivor lanes of the eval batch.  The whole screen builds at
+   most [domains] of these. *)
 type scratch = {
   fwd : Propagate.workspace array;
   a_st : Form_buf.data array;
   cov_ae : Form_buf.data array;
   cone : int array array;
   cone_len : int array;
-  quad : float array;
   (* Survivor lanes of the blocked eval batch: edge/source/sink indices
      and the bound-test mu_de of up to [Form_buf.cov4_lanes] pending
      evals, plus the batch kernel's lanes-by-four covariance output
@@ -289,35 +288,41 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
         ~cone ~len:!k ~into:scratch.cov_ae.(slot)
     done;
     let pending = ref 0 in
-    (* Decision tail: [scratch.quad] holds the twelve gathered moments,
-       and this commits z, keep, cm_z, bar and settled for edge [e].
-       [bar.(e)] is reloaded here rather than threaded from the bound
-       test: an edge appears at most once per (output, input) walk, so
-       nothing can have changed it in between even though judgement is
-       deferred to a batch flush. *)
-    let judge ~e ~j =
-      let quad = scratch.quad in
+    (* Decision tail of lane [j] of the eval batch: reads the moments of
+       de = a + d + r and of M from where the screen keeps them - the
+       arrival and required-time stat rows at the source [s] and sink [d],
+       the edge stat row, the Cov(A,E) and Cov(E,R) tables, lane [j] of
+       [b_cov] and M's row at [out] - and commits z, keep, cm_z, bar and
+       settled for edge [e].  [bar.(e)] is reloaded here rather than
+       threaded from the bound test: an edge appears at most once per
+       (output, input) walk, so nothing can have changed it in between
+       even though judgement is deferred to a batch flush. *)
+    let judge ~e ~j ~s ~d ~out ~(ast : Form_buf.data) ~(rst : Form_buf.data)
+        ~(cov_ae_row : Form_buf.data) ~(cov_er_row : Form_buf.data) =
       (* Floats come in through scratch ([b_mu.(j)], [wk]) rather than as
          arguments: this call is not inlined, and float arguments to a
          non-inlined OCaml function are boxed - three young-heap
-         allocations per exact evaluation otherwise. *)
+         allocations per exact evaluation otherwise.  The rows are
+         annotated so their loads compile to direct float64 reads. *)
       let mu_de = Array.unsafe_get scratch.b_mu j in
       let m_mu = Array.unsafe_get scratch.wk 0 in
       let m_sig = Array.unsafe_get scratch.wk 1 in
       let bar_e = if exact then Array.unsafe_get bar e else bar0 in
+      let b_cov = scratch.b_cov and base = j * Form_buf.cov4_size in
+      let o_a = dst4 * s and o_r = dst4 * d in
       let var_de =
-        Array.unsafe_get quad Form_buf.quad_var_a
+        A1.unsafe_get ast (o_a + st_vr)
         +. Array.unsafe_get d_st ((dst4 * e) + st_vr)
-        +. Array.unsafe_get quad Form_buf.quad_var_r
+        +. A1.unsafe_get rst (o_r + st_vr)
         +. 2.0
-           *. (Array.unsafe_get quad Form_buf.quad_cov_ae
-              +. Array.unsafe_get quad Form_buf.quad_cov_ar
-              +. Array.unsafe_get quad Form_buf.quad_cov_er)
+           *. (A1.unsafe_get cov_ae_row e
+              +. Array.unsafe_get b_cov (base + Form_buf.cov4_ar)
+              +. A1.unsafe_get cov_er_row e)
       in
       let cov_dem =
-        Array.unsafe_get quad Form_buf.quad_cov_am
-        +. Array.unsafe_get quad Form_buf.quad_cov_em
-        +. Array.unsafe_get quad Form_buf.quad_cov_rm
+        Array.unsafe_get b_cov (base + Form_buf.cov4_am)
+        +. Array.unsafe_get b_cov (base + Form_buf.cov4_em)
+        +. Array.unsafe_get b_cov (base + Form_buf.cov4_rm)
       in
       let m_var = m_sig *. m_sig in
       let theta2 = var_de +. m_var -. (2.0 *. cov_dem) in
@@ -329,12 +334,12 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
          (P(de >= de) = 1). *)
       let scale = var_de +. m_var +. 1e-30 in
       let rand_de2 =
-        let ra = Array.unsafe_get quad Form_buf.quad_rand_a
-        and rd = Array.unsafe_get quad Form_buf.quad_rand_e
-        and rr = Array.unsafe_get quad Form_buf.quad_rand_r in
+        let ra = A1.unsafe_get ast (o_a + st_rd)
+        and rd = Array.unsafe_get d_st ((dst4 * e) + st_rd)
+        and rr = A1.unsafe_get rst (o_r + st_rd) in
         (ra *. ra) +. (rd *. rd) +. (rr *. rr)
       in
-      let m_rand = Array.unsafe_get quad Form_buf.quad_rand_m in
+      let m_rand = A1.unsafe_get ast ((dst4 * out) + st_rd) in
       let linear_dist2 =
         var_de -. rand_de2 +. m_var -. (m_rand *. m_rand)
         -. (2.0 *. cov_dem)
@@ -390,7 +395,6 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
           let cov_ae_row = scratch.cov_ae.(slot) in
           let cone = scratch.cone.(slot) in
           let clen = scratch.cone_len.(slot) in
-          let m_rand = A1.unsafe_get ast ((dst4 * out) + st_rd) in
           (* Survivor batching: a walk's evals all touch
              distinct edges (a cone lists each edge once), and the screen
              state an eval writes - keep, cm_z, bar, settled, all
@@ -403,47 +407,21 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
           let bn = ref 0 in
           let flush () =
             let n = !bn in
-            if n = Form_buf.cov4_lanes then
-              Form_buf.cov4_batch2_into ~a:abuf ~e:fbuf ~r:rbuf ~m:abuf
-                ~im:out ~srcs:scratch.b_s ~dsts:scratch.b_d
-                ~edges:scratch.b_e ~into:scratch.b_cov
-            else
-              (* The only partial batch is a single lane (lanes = 2),
-                 whose base offset in [b_cov] is 0 - the lone-eval kernel
-                 writes it in place. *)
-              Form_buf.cov4_into ~a:abuf ~ia:scratch.b_s.(0) ~e:fbuf
-                ~ie:scratch.b_e.(0) ~r:rbuf ~ir:scratch.b_d.(0) ~m:abuf
-                ~im:out ~into:scratch.b_cov;
+            (* A lone tail survivor runs as lane 1 = lane 0; only lane 0
+               is judged. *)
+            if n < Form_buf.cov4_lanes then begin
+              scratch.b_s.(1) <- scratch.b_s.(0);
+              scratch.b_d.(1) <- scratch.b_d.(0);
+              scratch.b_e.(1) <- scratch.b_e.(0)
+            end;
+            Form_buf.cov4_batch2_into ~a:abuf ~e:fbuf ~r:rbuf ~m:abuf ~im:out
+              ~srcs:scratch.b_s ~dsts:scratch.b_d ~edges:scratch.b_e
+              ~into:scratch.b_cov;
             for j = 0 to n - 1 do
-              let e = Array.unsafe_get scratch.b_e j in
-              let s = Array.unsafe_get scratch.b_s j in
-              let d = Array.unsafe_get scratch.b_d j in
-              let quad = scratch.quad in
-              let base = j * Form_buf.cov4_size in
-              Array.unsafe_set quad Form_buf.quad_var_a
-                (A1.unsafe_get ast ((dst4 * s) + st_vr));
-              Array.unsafe_set quad Form_buf.quad_var_r
-                (A1.unsafe_get rst ((dst4 * d) + st_vr));
-              Array.unsafe_set quad Form_buf.quad_cov_ae
-                (A1.unsafe_get cov_ae_row e);
-              Array.unsafe_set quad Form_buf.quad_cov_er
-                (A1.unsafe_get cov_er_row e);
-              Array.unsafe_set quad Form_buf.quad_cov_ar
-                (Array.unsafe_get scratch.b_cov (base + Form_buf.cov4_ar));
-              Array.unsafe_set quad Form_buf.quad_cov_em
-                (Array.unsafe_get scratch.b_cov (base + Form_buf.cov4_em));
-              Array.unsafe_set quad Form_buf.quad_cov_am
-                (Array.unsafe_get scratch.b_cov (base + Form_buf.cov4_am));
-              Array.unsafe_set quad Form_buf.quad_cov_rm
-                (Array.unsafe_get scratch.b_cov (base + Form_buf.cov4_rm));
-              Array.unsafe_set quad Form_buf.quad_rand_a
-                (A1.unsafe_get ast ((dst4 * s) + st_rd));
-              Array.unsafe_set quad Form_buf.quad_rand_e
-                (Array.unsafe_get d_st ((dst4 * e) + st_rd));
-              Array.unsafe_set quad Form_buf.quad_rand_r
-                (A1.unsafe_get rst ((dst4 * d) + st_rd));
-              Array.unsafe_set quad Form_buf.quad_rand_m m_rand;
-              judge ~e ~j
+              judge ~e:(Array.unsafe_get scratch.b_e j) ~j
+                ~s:(Array.unsafe_get scratch.b_s j)
+                ~d:(Array.unsafe_get scratch.b_d j)
+                ~out ~ast ~rst ~cov_ae_row ~cov_er_row
             done;
             bn := 0
           in
@@ -562,7 +540,6 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
                 Form_buf.slab_floats slab tab_floats);
           cone = Array.init input_chunk (fun _ -> Array.make (max m 1) 0);
           cone_len = Array.make input_chunk 0;
-          quad = Array.make Form_buf.quad_size 0.0;
           b_s = Array.make Form_buf.cov4_lanes 0;
           b_d = Array.make Form_buf.cov4_lanes 0;
           b_e = Array.make Form_buf.cov4_lanes 0;

@@ -98,7 +98,8 @@ val compute :
 
     The backward phase runs multi-output blocks
     ({!Propagate.backward_block_into}) and survivors are evaluated from
-    precomputed covariance tables in two-lane batches.  The test suite
-    checks every result field and counter bit for bit against a naive
-    full-scan oracle built on {!Propagate.backward_to_into} and
-    {!Ssta_canonical.Form_buf.quad_stats_into}. *)
+    the retained stat rows and covariance tables plus the per-visit
+    covariances of {!Ssta_canonical.Form_buf.cov4_batch2_into}, two lanes
+    at a time.  The test suite checks every result field and counter bit
+    for bit against a naive full-scan oracle built only on the boxed
+    reference sweeps and [Form] moments. *)

@@ -200,39 +200,18 @@ let forward_update_into ws g ~forms ~sources ~dirty =
   end;
   (!n_dirty, !n_visited)
 
-let backward_to_into ws g ~forms out =
-  check_buf g forms;
-  prepare ws ~dims:(Form_buf.dims forms) ~n:(Tgraph.n_vertices g);
-  let buf = ws.buf in
-  Form_buf.clear_slot buf out;
-  mark ws out;
-  let src = g.Tgraph.src and dst = g.Tgraph.dst in
-  for i = Array.length src - 1 downto 0 do
-    let d = Array.unsafe_get dst i in
-    if ws_reached ws d then begin
-      let s = Array.unsafe_get src i in
-      if ws_reached ws s then
-        Form_buf.add_then_max_into ~acc:buf ~iacc:s ~a:buf ~ia:d ~b:forms ~ib:i
-      else begin
-        Form_buf.add_into ~a:buf ~ia:d ~b:forms ~ib:i ~dst:buf ~idst:s;
-        mark ws s
-      end
-    end
-  done;
-  if Obs.enabled () then
-    account ws g ~n_seeds:1 ~upstream:dst ~sweeps:c_backward_sweeps
-
 (* Blocked multi-output backward propagation: one pass over the reversed
    topological edge order advances a whole block of output sweeps at once,
    so the edge table (src/dst loads) is traversed once per block instead
    of once per output.  Workspace [k] of [wss.(lo..hi-1)] receives exactly
-   the kernel-call sequence of [backward_to_into wss.(k) g ~forms
-   outs.(k)]: the workspaces are disjoint and the per-edge inner loop
-   visits them in a fixed order, so each output's accumulation order — and
-   therefore every result bit — is unchanged (test_crit_screen.ml pins
-   this over random DAGs).  Accounting stays per output sweep
-   ([backward_sweeps] still counts outputs); [backward_blocks] counts the
-   amortized passes. *)
+   the kernel-call sequence of a lone sweep from [outs.(k)] (seed the
+   output, then per edge in reversed order the fused add-then-max into the
+   source): the workspaces are disjoint and the per-edge inner loop visits
+   them in a fixed order, so each output's accumulation order - and
+   therefore every result bit - does not depend on the block (test_kernels
+   pins every block size against the boxed oracle sweep).  Accounting
+   stays per output sweep ([backward_sweeps] still counts outputs);
+   [backward_blocks] counts the amortized passes. *)
 let backward_block_into wss g ~forms ~outs ~lo ~hi =
   check_buf g forms;
   if
@@ -272,25 +251,13 @@ let backward_block_into wss g ~forms ~outs ~lo ~hi =
     if hi > lo then Obs.incr c_backward_blocks
   end
 
-let scalar_summaries_into ws ~n ~mu ~sigma =
-  for v = 0 to n - 1 do
-    if ws_reached ws v then begin
-      mu.(v) <- Form_buf.mean ws.buf v;
-      sigma.(v) <- Form_buf.std ws.buf v
-    end
-    else begin
-      mu.(v) <- nan;
-      sigma.(v) <- nan
-    end
-  done
-
-(* As [scalar_summaries_into], but four statistics into one interleaved
-   unboxed slab row: the blocked criticality screen retains mean, std,
-   variance and the random coefficient per vertex so its eval fast path
-   reads rows instead of probing the form buffer, and interleaving them at
-   [stat_stride] puts all four in the cache line the visit's first load
-   already fetched (the screen's vertex accesses are scattered, so four
-   parallel rows cost four misses where one interleaved row costs one).
+(* Per-vertex mean, std, variance and random coefficient of the last
+   sweep in one interleaved unboxed slab row: the blocked criticality
+   screen retains these so its eval fast path reads rows instead of
+   probing the form buffer, and interleaving them at [stat_stride] puts
+   all four in the cache line the visit's first load already fetched (the
+   screen's vertex accesses are scattered, so four parallel rows cost four
+   misses where one interleaved row costs one).
    [sigma = sqrt var] exactly as [Form_buf.std], so the row values are
    bit-identical to the probes. *)
 let stat_mu = 0
@@ -357,6 +324,19 @@ let ws_worst ws vertices =
       end)
     vertices;
   if !best < 0 then None else Some !best
+
+(* One task per input, each sweeping into its pool domain's workspace;
+   tasks write only their own row, so the rows come back in input order
+   at every domain count. *)
+let io_delays g ~forms =
+  let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
+  Ssta_par.Par.map_tasks
+    ~init:(fun () -> (create_workspace (), [| 0 |]))
+    (Array.length inputs)
+    (fun (ws, source1) i ->
+      source1.(0) <- inputs.(i);
+      forward_into ws g ~forms ~sources:source1;
+      Array.map (ws_form ws) outputs)
 
 let circuit_delay g ~forms =
   let ws = create_workspace () in

@@ -2,8 +2,8 @@
     a single PERT-like sweep over the timing graph computing, per vertex,
     the statistical maximum over fanin edges of [arrival(src) + delay].
 
-    One engine: {!forward_into} / {!backward_to_into} propagate through a
-    caller-owned {!workspace} over the {!Form_buf.t} slab of edge forms,
+    One engine: {!forward_into} / {!backward_block_into} propagate through
+    caller-owned {!workspace}s over the {!Form_buf.t} slab of edge forms,
     allocating nothing per call — criticality analysis runs one forward
     sweep per input and one backward sweep per output on the same graph.
     Callers box only the vertices they read, through {!ws_form}; the
@@ -83,12 +83,6 @@ val forward_update_into :
     fanin edges) form operations plus an O(vertices) mask reset - the
     [hssta serve] what-if hot path. *)
 
-val backward_to_into :
-  workspace -> Tgraph.t -> forms:Form_buf.t -> int -> unit
-(** Per vertex, the canonical maximum path delay from the vertex to the
-    given output, left in the workspace - the negated required time with
-    required time 0 at the output (paper eq. (15)'s [r_e]). *)
-
 val backward_block_into :
   workspace array ->
   Tgraph.t ->
@@ -98,10 +92,12 @@ val backward_block_into :
   hi:int ->
   unit
 (** Blocked multi-output backward propagation: for each [k] in [lo, hi),
-    workspace [wss.(k)] ends up bit-identical to
-    [backward_to_into wss.(k) g ~forms outs.(k)], but all sweeps of the
-    block advance through {e one} pass over the reversed topological edge
-    order, amortizing the edge-table traversal across the block.  The
+    workspace [wss.(k)] ends up holding, per vertex, the canonical maximum
+    path delay from the vertex to output [outs.(k)] - the negated required
+    time with required time 0 at the output (paper eq. (15)'s [r_e]).
+    All sweeps of the block advance through {e one} pass over the reversed
+    topological edge order, amortizing the edge-table traversal across the
+    block; every workspace is bit-identical to a block of one.  The
     workspaces must be distinct.  Per-output accounting is unchanged
     ([propagate.backward_sweeps] still counts outputs); each non-empty
     block bumps [propagate.backward_blocks] once.
@@ -115,11 +111,6 @@ val reserve : workspace -> dims:Form.dims -> n:int -> unit
     sweeps never regrow.  Sweeps re-prepare themselves regardless; this
     only front-loads the allocation. *)
 
-val scalar_summaries_into :
-  workspace -> n:int -> mu:float array -> sigma:float array -> unit
-(** Fill [mu]/[sigma] (length >= [n]) with per-vertex mean and standard
-    deviation of the last sweep, [nan] at unreached vertices. *)
-
 val stat_mu : int
 val stat_sigma : int
 val stat_var : int
@@ -130,11 +121,12 @@ val stat_stride : int
     at [into.{stat_stride * v + stat_x}] (= 4 floats per vertex). *)
 
 val scalar_stats_into : workspace -> n:int -> into:Form_buf.data -> unit
-(** As {!scalar_summaries_into} plus per-vertex variance and random
-    coefficient, written into one interleaved unboxed slab row of length
-    >= [stat_stride * n] — the retained per-vertex statistics of the
-    blocked criticality screen, interleaved so a visit's scattered vertex
-    access costs one cache line instead of four.  [sigma] is [sqrt var]
+(** Per-vertex mean, standard deviation, variance and random coefficient
+    of the last sweep ([nan] at unreached vertices), written into one
+    interleaved unboxed slab row of length >= [stat_stride * n] — the
+    retained per-vertex statistics of the blocked criticality screen,
+    interleaved so a visit's scattered vertex access costs one cache line
+    instead of four.  [sigma] is [sqrt var]
     exactly as {!Form_buf.std} computes it, so every row value is
     bit-identical to the corresponding probe. *)
 
@@ -149,6 +141,13 @@ val ws_max_over : workspace -> int array -> Form.t option
 val ws_worst : workspace -> int array -> int option
 (** The reached vertex among the given ones with the greatest mean in the
     last sweep, the first on ties; [None] if none is reached. *)
+
+val io_delays : Tgraph.t -> forms:Form_buf.t -> Form.t option array array
+(** The IO delay matrix: [(io_delays g ~forms).(i).(j)] is the arrival at
+    output [j] of a {!forward_into} sweep from input [i] alone, [None]
+    where unreachable.  One {!Ssta_par.Par} task per input, one workspace
+    per pool domain; the rows come back in input order at every domain
+    count. *)
 
 val circuit_delay : Tgraph.t -> forms:Form_buf.t -> Form.t option
 (** Sweep the edge slab from every input and take {!ws_max_over} the

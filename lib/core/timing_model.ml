@@ -28,19 +28,7 @@ let n_outputs t = Array.length t.graph.Tgraph.outputs
 
 let io_delays t =
   Ssta_obs.Obs.with_span "timing_model.io_delays" (fun () ->
-      let inputs = t.graph.Tgraph.inputs in
-      let outputs = t.graph.Tgraph.outputs in
-      (* The edge slab is shared by all per-input sweeps, one workspace
-         per pool domain; only the |I| x |O| result forms are
-         materialized.  Each sweep is an independent task, so the rows
-         come back in input order no matter how many domains ran them. *)
-      Ssta_par.Par.map_tasks
-        ~init:(fun () -> (Propagate.create_workspace (), [| 0 |]))
-        (Array.length inputs)
-        (fun (ws, source1) i ->
-          source1.(0) <- inputs.(i);
-          Propagate.forward_into ws t.graph ~forms:t.forms ~sources:source1;
-          Array.map (fun out -> Propagate.ws_form ws out) outputs))
+      Propagate.io_delays t.graph ~forms:t.forms)
 
 let compression t =
   ( float_of_int t.stats.model_edges /. float_of_int t.stats.original_edges,

@@ -43,9 +43,8 @@ val n_inputs : t -> int
 val n_outputs : t -> int
 
 val io_delays : t -> Form.t option array array
-(** The model's delay matrix [M_ij]: per input, a canonical propagation
-    through the (small) model graph; [None] for unconnected pairs.  The
-    per-input sweeps are one {!Ssta_par.Par} region. *)
+(** The model's delay matrix [M_ij]: {!Propagate.io_delays} over the
+    (small) model graph; [None] for unconnected pairs. *)
 
 val compression : t -> float * float
 (** [(pe, pv)] = model edges / original edges, model vertices / original

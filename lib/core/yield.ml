@@ -1,7 +1,5 @@
 module Form = Ssta_canonical.Form
 
-let of_form f ~clock = Form.cdf f clock
-
 let clock_for_yield f ~yield =
   if not (yield > 0.0 && yield < 1.0) then
     invalid_arg "Yield.clock_for_yield: yield must lie in (0, 1)";
@@ -12,14 +10,3 @@ let empirical samples ~clock =
   if n = 0 then invalid_arg "Yield.empirical: no samples";
   let hits = Array.fold_left (fun k d -> if d <= clock then k + 1 else k) 0 samples in
   float_of_int hits /. float_of_int n
-
-let cdf_series ?(points = 101) ~lo ~hi f =
-  if points < 2 then invalid_arg "Yield.cdf_series: need at least two points";
-  Array.init points (fun i ->
-      let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int (points - 1)) in
-      (x, f x))
-
-let normalize series ~lo ~hi =
-  let span = hi -. lo in
-  if span <= 0.0 then invalid_arg "Yield.normalize: empty range";
-  Array.map (fun (x, y) -> ((x -. lo) /. span, y)) series

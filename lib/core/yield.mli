@@ -3,21 +3,8 @@
 
 module Form = Ssta_canonical.Form
 
-val of_form : Form.t -> clock:float -> float
-(** Probability that the design meets the clock period. *)
-
 val clock_for_yield : Form.t -> yield:float -> float
 (** Smallest clock period achieving the target yield (Gaussian quantile). *)
 
 val empirical : float array -> clock:float -> float
 (** Fraction of Monte Carlo samples meeting the clock. *)
-
-val cdf_series :
-  ?points:int -> lo:float -> hi:float -> (float -> float) -> (float * float) array
-(** Sampled CDF curve [(x, F x)] on a uniform grid - the series plotted in
-    the paper's Fig. 7. *)
-
-val normalize : (float * float) array -> lo:float -> hi:float ->
-  (float * float) array
-(** Rescale the x-axis to [0, 1] over [lo, hi] (the paper plots normalized
-    delay). *)

@@ -10,9 +10,6 @@ type t
 val create : seed:int -> t
 (** [create ~seed] expands [seed] with splitmix64 into a full 256-bit state. *)
 
-val create64 : int64 -> t
-(** As {!create} from a full 64-bit seed. *)
-
 val stream : seed:int -> index:int -> t
 (** [stream ~seed ~index] is the [index]-th generator of a deterministic
     substream family: a pure function of [(seed, index)], independent of

@@ -20,9 +20,6 @@ module Robust = Ssta_robust.Robust
 type format = Verilog | Liberty | Sdc
 type klass = Byte_truncate | Token_mutate | Line_shuffle
 
-val format_name : format -> string
-val klass_name : klass -> string
-
 type verdict = {
   format : format;
   klass : klass;

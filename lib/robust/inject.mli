@@ -29,12 +29,6 @@ val faults : string array
     [zero_variance_cell], [near_singular_cov], [rank_deficient_cov],
     [corrupt_model_float], [negative_model_eigenvalue]. *)
 
-val expected_subsystem : fault:string -> flow -> string
-(** The [Robust.Error.subsystem] a [Strict] run of the case must name. *)
-
-val expected_counter : fault:string -> string
-(** The repair counter a [Repair]/[Warn] run of the case must increment. *)
-
 type verdict = {
   circuit : string;
   fault : string;

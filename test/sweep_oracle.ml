@@ -166,5 +166,6 @@ let kernel_forward g ~forms ~sources =
 
 let kernel_backward_to g ~forms out =
   let ws = Propagate.create_workspace () in
-  Propagate.backward_to_into ws g ~forms:(pack_like forms) out;
+  Propagate.backward_block_into [| ws |] g ~forms:(pack_like forms)
+    ~outs:[| out |] ~lo:0 ~hi:1;
   boxed ws g

@@ -2,9 +2,9 @@
    DAGs the production screen (edge cones, destination bitmasks, settled
    compaction, output tiling, pooled scratch) must return bit-identical
    keep / cm / exact_evals / screened_pairs versus a naive full-scan
-   reference that shares only the chunk layout and the per-pair
-   arithmetic - at 1/2/4 domains, several tile sizes, and in both
-   threshold and exact modes.  Also pins the tile-knob parsers and their
+   reference on the boxed oracle that shares only the chunk layout and
+   the per-pair arithmetic - at 1/2/4 domains, several tile sizes, and in
+   both threshold and exact modes.  Also pins the tile-knob parsers and their
    precedence, and the Form_buf rewrite of
    Extract.output_load_increments against the boxed Form.scale /
    Sweep_oracle.max_list fold it replaced. *)
@@ -16,17 +16,20 @@ module Tgraph = Ssta_timing.Tgraph
 module Normal = Ssta_gauss.Normal
 module Build = Ssta_timing.Build
 
-(* Naive full-scan reference for the screen.  Structure deliberately kept
-   dumb: chunks run sequentially, every chunk input gets its own retained
-   workspace, every backward pass stays resident, and the inner loop walks
-   all m edges per (output, input) pair rejecting unreachable endpoints by
-   NaN-sentinel loads.  What it shares with the production screen is the
-   semantics: the chunk layout (ceil(|I|/32)-sized input chunks), the
-   per-chunk (output, input, edge) visit order, the settled-edge skip
-   (bar = infinity: visited nowhere, counted nowhere), the disposal-only
-   screened_pairs counter, and the exact per-pair arithmetic. *)
+(* Naive full-scan reference for the screen, on boxed forms only: every
+   arrival and required time comes from the per-operation boxed sweeps of
+   Sweep_oracle and every moment from Form.variance / Form.covariance, so
+   it shares no kernel with the code it checks.  Structure deliberately
+   kept dumb: chunks run sequentially, every arrival and backward pass
+   stays resident, and the inner loop walks all m edges per (output,
+   input) pair rejecting unreachable endpoints.  What it shares with the
+   production screen is the semantics: the chunk layout (ceil(|I|/32)-sized
+   input chunks), the per-chunk (output, input, edge) visit order, the
+   settled-edge skip (bar = infinity: visited nowhere, counted nowhere),
+   the disposal-only screened_pairs counter, and the exact per-pair
+   arithmetic. *)
 let reference ?(exact = false) ~delta g ~forms =
-  let m = Tgraph.n_edges g and nv = Tgraph.n_vertices g in
+  let m = Tgraph.n_edges g in
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
   let ni = Array.length inputs and no = Array.length outputs in
   let z_delta = Normal.quantile delta in
@@ -35,27 +38,14 @@ let reference ?(exact = false) ~delta g ~forms =
   let d_mu = Array.map (fun f -> f.Form.mean) forms in
   let d_var = Array.map Form.variance forms in
   let d_sig = Array.map sqrt d_var in
-  let dims =
-    if m = 0 then { Form.n_globals = 0; n_pcs = 0 } else Form.dims forms.(0)
-  in
-  let fbuf = Sweep_oracle.pack dims forms in
   let src = g.Tgraph.src and dst = g.Tgraph.dst in
-  let req_mu = Array.make_matrix no (max nv 1) nan in
-  let req_sig = Array.make_matrix no (max nv 1) nan in
-  let passes =
-    Array.init no (fun j ->
-        let ws = H.Propagate.create_workspace () in
-        H.Propagate.backward_to_into ws g ~forms:fbuf outputs.(j);
-        H.Propagate.scalar_summaries_into ws ~n:nv ~mu:req_mu.(j)
-          ~sigma:req_sig.(j);
-        ws)
-  in
+  let req = Array.map (Sweep_oracle.backward_to g ~forms) outputs in
+  let req_st = Array.map Sweep_oracle.scalar_summaries req in
   let input_chunk = max 1 ((ni + 31) / 32) in
   let n_chunks = if ni = 0 then 0 else (ni + input_chunk - 1) / input_chunk in
   let keep = Array.make m false in
   let cm_z = Array.make m neg_infinity in
   let exact_evals = ref 0 and screened = ref 0 in
-  let quad = Array.make Form_buf.quad_size 0.0 in
   for c = 0 to n_chunks - 1 do
     let lo = c * input_chunk in
     let hi = min ni (lo + input_chunk) in
@@ -64,28 +54,19 @@ let reference ?(exact = false) ~delta g ~forms =
     let ckeep = Array.make m false in
     let fwd =
       Array.init n_in (fun slot ->
-          let ws = H.Propagate.create_workspace () in
-          H.Propagate.forward_into ws g ~forms:fbuf
-            ~sources:[| inputs.(lo + slot) |];
-          ws)
+          Sweep_oracle.forward g ~forms ~sources:[| inputs.(lo + slot) |])
     in
-    let a_mu = Array.make_matrix (max n_in 1) (max nv 1) nan in
-    let a_sig = Array.make_matrix (max n_in 1) (max nv 1) nan in
-    Array.iteri
-      (fun slot ws ->
-        H.Propagate.scalar_summaries_into ws ~n:nv ~mu:a_mu.(slot)
-          ~sigma:a_sig.(slot))
-      fwd;
+    let fwd_st = Array.map Sweep_oracle.scalar_summaries fwd in
     for j = 0 to no - 1 do
       let out = outputs.(j) in
-      let rmu = req_mu.(j) and rsig = req_sig.(j) in
+      let rmu, rsig = req_st.(j) in
       for slot = 0 to n_in - 1 do
-        let ws = fwd.(slot) in
-        if H.Propagate.ws_reached ws out then begin
-          let abuf = H.Propagate.ws_buf ws in
-          let m_mu = Form_buf.mean abuf out in
-          let m_sig = Form_buf.std abuf out in
-          let amu_row = a_mu.(slot) and asig_row = a_sig.(slot) in
+        match fwd.(slot).(out) with
+        | None -> ()
+        | Some mf ->
+          let m_mu = mf.Form.mean in
+          let m_sig = Form.std mf in
+          let amu_row, asig_row = fwd_st.(slot) in
           for e = 0 to m - 1 do
             let s = src.(e) in
             let amu = amu_row.(s) in
@@ -104,33 +85,28 @@ let reference ?(exact = false) ~delta g ~forms =
                 in
                 if survivor then begin
                   incr exact_evals;
-                  let rbuf = H.Propagate.ws_buf passes.(j) in
-                  Form_buf.quad_stats_into ~a:abuf ~ia:s ~e:fbuf ~ie:e
-                    ~r:rbuf ~ir:d ~m:abuf ~im:out ~into:quad;
+                  let get = function Some f -> f | None -> assert false in
+                  let a = get fwd.(slot).(s) and r = get req.(j).(d) in
+                  let ef = forms.(e) in
                   let var_de =
-                    quad.(Form_buf.quad_var_a)
-                    +. d_var.(e)
-                    +. quad.(Form_buf.quad_var_r)
+                    Form.variance a +. d_var.(e) +. Form.variance r
                     +. 2.0
-                       *. (quad.(Form_buf.quad_cov_ae)
-                          +. quad.(Form_buf.quad_cov_ar)
-                          +. quad.(Form_buf.quad_cov_er))
+                       *. (Form.covariance a ef +. Form.covariance a r
+                          +. Form.covariance ef r)
                   in
                   let cov_dem =
-                    quad.(Form_buf.quad_cov_am)
-                    +. quad.(Form_buf.quad_cov_em)
-                    +. quad.(Form_buf.quad_cov_rm)
+                    Form.covariance a mf +. Form.covariance ef mf
+                    +. Form.covariance r mf
                   in
                   let m_var = m_sig *. m_sig in
                   let theta2 = var_de +. m_var -. (2.0 *. cov_dem) in
                   let scale = var_de +. m_var +. 1e-30 in
                   let rand_de2 =
-                    let ra = quad.(Form_buf.quad_rand_a)
-                    and rd = quad.(Form_buf.quad_rand_e)
-                    and rr = quad.(Form_buf.quad_rand_r) in
-                    (ra *. ra) +. (rd *. rd) +. (rr *. rr)
+                    (a.Form.rand *. a.Form.rand)
+                    +. (ef.Form.rand *. ef.Form.rand)
+                    +. (r.Form.rand *. r.Form.rand)
                   in
-                  let m_rand = quad.(Form_buf.quad_rand_m) in
+                  let m_rand = mf.Form.rand in
                   let linear_dist2 =
                     var_de -. rand_de2 +. m_var -. (m_rand *. m_rand)
                     -. (2.0 *. cov_dem)
@@ -155,7 +131,6 @@ let reference ?(exact = false) ~delta g ~forms =
               end
             end
           done
-        end
       done
     done;
     for e = 0 to m - 1 do
@@ -340,7 +315,7 @@ let test_output_load_matches_boxed () =
           let arcs = ref [] in
           for e = lo to hi - 1 do
             arcs :=
-              Form.scale slope (Ssta_canonical.Form_buf.get b.Build.forms e)
+              Form.scale slope (Form_buf.get b.Build.forms e)
               :: !arcs
           done;
           Sweep_oracle.max_list !arcs

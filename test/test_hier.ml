@@ -339,15 +339,11 @@ let test_yield () =
   let f =
     Form.make ~mean:100.0 ~globals:[| 5.0 |] ~pcs:[| 0.0 |] ~rand:0.0
   in
-  close ~tol:1e-6 "yield at mean" 0.5 (H.Yield.of_form f ~clock:100.0);
+  close ~tol:1e-6 "yield at mean" 0.5 (Form.cdf f 100.0);
   let c = H.Yield.clock_for_yield f ~yield:0.9 in
-  close ~tol:1e-6 "clock roundtrip" 0.9 (H.Yield.of_form f ~clock:c);
+  close ~tol:1e-6 "clock roundtrip" 0.9 (Form.cdf f c);
   close "empirical" 0.75
-    (H.Yield.empirical [| 1.0; 2.0; 3.0; 4.0 |] ~clock:3.0);
-  let series = H.Yield.cdf_series ~points:11 ~lo:0.0 ~hi:10.0 (fun x -> x /. 10.0) in
-  Alcotest.(check int) "series length" 11 (Array.length series);
-  let nx, _ = (H.Yield.normalize series ~lo:0.0 ~hi:10.0).(10) in
-  close "normalized end" 1.0 nx
+    (H.Yield.empirical [| 1.0; 2.0; 3.0; 4.0 |] ~clock:3.0)
 
 let suites =
   [

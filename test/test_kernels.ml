@@ -108,44 +108,11 @@ let prop_add_then_max_into seed =
         (Form_buf.get buf 2));
   true
 
-(* The fused moment gather must agree with the twelve scalar probes it
-   replaces in the criticality exact-evaluation loop. *)
-let prop_quad_stats seed =
-  List.iter
-    (fun dims ->
-      let rng = Rng.create ~seed in
-      for _ = 1 to 25 do
-        let a = random_form rng dims
-        and e = random_form rng dims
-        and r = random_form rng dims
-        and m = random_form rng dims in
-        let buf = Sweep_oracle.pack dims [| a; e; r; m |] in
-        let q = Array.make Form_buf.quad_size nan in
-        Form_buf.quad_stats_into ~a:buf ~ia:0 ~e:buf ~ie:1 ~r:buf ~ir:2
-          ~m:buf ~im:3 ~into:q;
-        if
-          not
-            (q.(Form_buf.quad_var_a) = Form.variance a
-            && q.(Form_buf.quad_var_r) = Form.variance r
-            && q.(Form_buf.quad_cov_ae) = Form.covariance a e
-            && q.(Form_buf.quad_cov_ar) = Form.covariance a r
-            && q.(Form_buf.quad_cov_er) = Form.covariance e r
-            && q.(Form_buf.quad_cov_am) = Form.covariance a m
-            && q.(Form_buf.quad_cov_em) = Form.covariance e m
-            && q.(Form_buf.quad_cov_rm) = Form.covariance r m
-            && q.(Form_buf.quad_rand_a) = a.Form.rand
-            && q.(Form_buf.quad_rand_e) = e.Form.rand
-            && q.(Form_buf.quad_rand_r) = r.Form.rand
-            && q.(Form_buf.quad_rand_m) = m.Form.rand)
-        then Alcotest.fail "quad_stats_into disagrees with scalar probes"
-      done)
-    dim_cases;
-  true
-
-(* The per-visit covariance gather of the blocked screen: both the lone
-   kernel and the two-lane batch must agree with the Form.covariance
-   probes bit for bit — the batch is pure instruction scheduling, never a
-   different accumulation. *)
+(* The per-visit covariance gather of the blocked screen: both lanes of
+   the batch must agree with the Form.covariance probes bit for bit - the
+   batch is pure instruction scheduling, never a different accumulation -
+   including the screen's lone-survivor tail, where lane 1 repeats
+   lane 0. *)
 let prop_cov4 seed =
   List.iter
     (fun dims ->
@@ -167,19 +134,18 @@ let prop_cov4 seed =
           c "rm" got.(base + Form_buf.cov4_rm)
             (Form.covariance forms.(ir) forms.(im))
         in
-        let lone = Array.make Form_buf.cov4_size nan in
-        Form_buf.cov4_into ~a:buf ~ia:0 ~e:buf ~ie:1 ~r:buf ~ir:2 ~m:buf
-          ~im:6 ~into:lone;
-        check ~ia:0 ~ie:1 ~ir:2 ~im:6 lone 0;
-        (* Two independent lanes sharing the m slot, exactly as the screen
-           batches survivors of one walk. *)
         let batched =
           Array.make (Form_buf.cov4_lanes * Form_buf.cov4_size) nan
         in
+        (* Two independent lanes sharing the m slot, exactly as the screen
+           batches survivors of one walk. *)
         Form_buf.cov4_batch2_into ~a:buf ~e:buf ~r:buf ~m:buf ~im:6
           ~srcs:[| 0; 3 |] ~dsts:[| 2; 5 |] ~edges:[| 1; 4 |] ~into:batched;
         check ~ia:0 ~ie:1 ~ir:2 ~im:6 batched 0;
-        check ~ia:3 ~ie:4 ~ir:5 ~im:6 batched Form_buf.cov4_size
+        check ~ia:3 ~ie:4 ~ir:5 ~im:6 batched Form_buf.cov4_size;
+        Form_buf.cov4_batch2_into ~a:buf ~e:buf ~r:buf ~m:buf ~im:6
+          ~srcs:[| 3; 3 |] ~dsts:[| 5; 5 |] ~edges:[| 4; 4 |] ~into:batched;
+        check ~ia:3 ~ie:4 ~ir:5 ~im:6 batched 0
       done)
     dim_cases;
   true
@@ -306,15 +272,16 @@ let prop_workspace_reuse seed =
       Array.iter
         (fun o ->
           let reference = Sweep_oracle.backward_to g ~forms o in
-          H.Propagate.backward_to_into ws g ~forms:fbuf o;
+          H.Propagate.backward_block_into [| ws |] g ~forms:fbuf
+            ~outs:[| o |] ~lo:0 ~hi:1;
           if not (sweep_equal n ws reference) then ok := false)
         g.Tgraph.outputs)
     dim_cases;
   !ok
 
 (* Blocked multi-output backward propagation: every workspace of a block
-   must be bit-identical to its own backward_to_into sweep, whatever the
-   block size and wherever the block boundaries fall - the tentpole
+   must be bit-identical to the boxed oracle's sweep from its output,
+   whatever the block size and wherever the block boundaries fall - the
    guarantee the tiled criticality screen's backward phase rests on. *)
 let prop_backward_block seed =
   let ok = ref true in
@@ -325,14 +292,7 @@ let prop_backward_block seed =
       let n = Tgraph.n_vertices g in
       let outs = g.Tgraph.outputs in
       let no = Array.length outs in
-      let reference =
-        Array.map
-          (fun o ->
-            let ws = H.Propagate.create_workspace () in
-            H.Propagate.backward_to_into ws g ~forms:fbuf o;
-            Array.init n (fun v -> H.Propagate.ws_form ws v))
-          outs
-      in
+      let reference = Array.map (Sweep_oracle.backward_to g ~forms) outs in
       List.iter
         (fun block ->
           let wss =
@@ -378,21 +338,19 @@ let prop_circuit_delay seed =
     dim_cases
 
 (* Slab-carved buffers must be indistinguishable from freshly allocated
-   ones: same kernel results bit for bit, at arbitrary carve offsets,
-   across a reset/reuse cycle - the storage guarantee the batch engine's
-   per-worker slabs rely on. *)
+   ones: same kernel results bit for bit, at arbitrary carve offsets -
+   the storage guarantee the batch engine's per-worker slabs rely on. *)
 let prop_slab_carving seed =
   with_pairs seed (fun dims a b ->
       (* Capacity-planned: a junk buffer first so the operands land at a
-         nonzero slab offset, then the 3-slot working buffer. *)
+         nonzero slab offset, then two 3-slot working buffers. *)
       let junk = 2 + (seed mod 5) in
-      let slab =
-        Form_buf.slab_create
-          (Form_buf.floats_needed dims junk
-          + (2 * Form_buf.floats_needed dims 3))
+      let planned =
+        Form_buf.floats_needed dims junk + (2 * Form_buf.floats_needed dims 3)
       in
-      let run () =
-        let _pad = Form_buf.create ~slab dims junk in
+      let slab = Form_buf.slab_create planned in
+      let run pad =
+        if pad > 0 then ignore (Form_buf.create ~slab dims pad);
         let buf = Form_buf.create ~slab dims 3 in
         Form_buf.set buf 0 a;
         Form_buf.set buf 1 b;
@@ -402,28 +360,20 @@ let prop_slab_carving seed =
         Sweep_oracle.check_bits "slab max2_into" (Sweep_oracle.max2 a b)
           (Form_buf.get buf 2)
       in
-      run ();
-      (* A second carve fits the remaining capacity (2x the 3-slot need
-         was planned), so the slab must not have grown... *)
-      if Form_buf.slab_grows slab <> 0 then
+      run junk;
+      run 0;
+      (* Both carves fit the plan, so the slab never grew. *)
+      if Form_buf.slab_peak_bytes slab <> 8 * planned then
         Alcotest.fail "capacity-planned slab grew";
-      (* ...and a reset rewinds the cursor: the same carves replay on the
-         same storage with the same results. *)
-      Form_buf.slab_reset slab;
-      let used0 = Form_buf.slab_used_floats slab in
-      if used0 <> 0 then Alcotest.fail "slab_reset left a nonzero cursor";
-      run ();
-      if Form_buf.slab_grows slab <> 0 then
-        Alcotest.fail "slab grew after reset";
-      (* An undersized slab grows (counted) but stays correct: old views
-         keep their backing alive. *)
+      (* An undersized slab grows (its peak rises) but stays correct: old
+         views keep their backing alive. *)
       let tiny = Form_buf.slab_create 1 in
       let keep = Form_buf.create ~slab:tiny dims 1 in
       Form_buf.set keep 0 a;
       let more = Form_buf.create ~slab:tiny dims 3 in
       Form_buf.set more 0 b;
-      if Form_buf.slab_grows tiny = 0 then
-        Alcotest.fail "undersized slab did not count its growth";
+      if Form_buf.slab_peak_bytes tiny <= 8 then
+        Alcotest.fail "undersized slab did not grow";
       Sweep_oracle.check_bits "view survives slab growth" a (Form_buf.get keep 0);
       Sweep_oracle.check_bits "post-growth carve works" b (Form_buf.get more 0));
   true
@@ -584,7 +534,6 @@ let suites =
         test prop_add_then_max_into
           "fused add_then_max agrees with max2 o add (bit-exact)";
         test prop_scalar_probes "scalar probes agree with Form";
-        test prop_quad_stats "fused moment gather agrees with probes";
         test prop_cov4
           "cov4 gather and two-lane batch agree with probes (bit-exact)";
         test prop_clark_into "clark_max_into agrees with clark_max";

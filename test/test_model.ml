@@ -89,9 +89,15 @@ let test_scalar_summaries () =
   let n = Tgraph.n_vertices g in
   let ws = Propagate.create_workspace () in
   Propagate.forward_into ws g ~forms:(Sweep_oracle.pack_like forms) ~sources:[| 1 |];
-  let mu = Array.make n 0.0 and sigma = Array.make n 0.0 in
-  Propagate.scalar_summaries_into ws ~n ~mu ~sigma;
-  Alcotest.(check bool) "unreachable is nan" true (Float.is_nan mu.(2));
+  let row = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+      (Propagate.stat_stride * n) in
+  Propagate.scalar_stats_into ws ~n ~into:row;
+  let col k = Array.init n (fun v -> row.{(Propagate.stat_stride * v) + k}) in
+  let mu = col Propagate.stat_mu and sigma = col Propagate.stat_sigma in
+  Alcotest.(check bool) "unreachable is nan" true
+    (List.for_all
+       (fun k -> Float.is_nan (col k).(2))
+       Propagate.[ stat_mu; stat_sigma; stat_var; stat_rand ]);
   close "mu at 4" 3.0 mu.(4);
   close "sigma deterministic" 0.0 sigma.(4);
   let want_mu, want_sigma =
