@@ -118,6 +118,9 @@ type base = {
   tile_fx : float array;
   tile_fy : float array;
   pool : scratch Par.pool;
+  io_pool : Propagate.workspace Par.pool;
+      (** per-input sweep workspaces of Io mode, kept across scenarios and
+          runs *)
 }
 
 let make_scratch ~dims ~m ~nv ~nt () =
@@ -164,6 +167,7 @@ let prepare (b : Build.t) =
     tile_fx;
     tile_fy;
     pool = Par.pool (make_scratch ~dims ~m ~nv ~nt);
+    io_pool = Par.pool (fun () -> Propagate.create_workspace ());
   }
 
 (* Materialize scenario [s]'s edge forms into the worker's slab-backed
@@ -262,7 +266,7 @@ let run ?(mode = Delay) ?(screen = false) base scenarios =
                 delay = None;
                 out_mu = Array.make (Array.length outputs) nan;
                 out_sigma = Array.make (Array.length outputs) nan;
-                io = Propagate.io_delays g ~forms:scr.sforms;
+                io = Propagate.io_delays ~pool:base.io_pool g ~forms:scr.sforms;
                 kept_edges = -1;
               })
         scenarios);

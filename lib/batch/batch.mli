@@ -83,9 +83,10 @@ type result = {
 
 type base
 (** Scenario-invariant state shared by every scenario of a batch, and by
-    every batch run on it: the base edge slab, the grid geometry and
-    the pool of worker scratch.  Runs on one base may be issued
-    concurrently; each worker scratch is held by one run at a time. *)
+    every batch run on it: the base edge slab, the grid geometry, the
+    pool of worker scratch and the pool of {!Io}-mode sweep workspaces.
+    Runs on one base may be issued concurrently; each worker scratch is
+    held by one run at a time. *)
 
 val prepare : Build.t -> base
 (** Share the base design's edge slab and compute its grid geometry once.

@@ -325,17 +325,13 @@ let ws_worst ws vertices =
     vertices;
   if !best < 0 then None else Some !best
 
-(* One task per input, each sweeping into its pool domain's workspace;
-   tasks write only their own row, so the rows come back in input order
-   at every domain count. *)
-let io_delays g ~forms =
+(* One task per input, each sweeping into the workspace its worker drew
+   from the caller's pool; tasks write only their own row, so the rows
+   come back in input order at every domain count. *)
+let io_delays ~pool g ~forms =
   let inputs = g.Tgraph.inputs and outputs = g.Tgraph.outputs in
-  Ssta_par.Par.map_tasks
-    ~init:(fun () -> (create_workspace (), [| 0 |]))
-    (Array.length inputs)
-    (fun (ws, source1) i ->
-      source1.(0) <- inputs.(i);
-      forward_into ws g ~forms ~sources:source1;
+  Ssta_par.Par.map_tasks_pool ~pool (Array.length inputs) (fun ws i ->
+      forward_into ws g ~forms ~sources:[| inputs.(i) |];
       Array.map (ws_form ws) outputs)
 
 let circuit_delay g ~forms =

@@ -142,12 +142,18 @@ val ws_worst : workspace -> int array -> int option
 (** The reached vertex among the given ones with the greatest mean in the
     last sweep, the first on ties; [None] if none is reached. *)
 
-val io_delays : Tgraph.t -> forms:Form_buf.t -> Form.t option array array
-(** The IO delay matrix: [(io_delays g ~forms).(i).(j)] is the arrival at
-    output [j] of a {!forward_into} sweep from input [i] alone, [None]
-    where unreachable.  One {!Ssta_par.Par} task per input, one workspace
-    per pool domain; the rows come back in input order at every domain
-    count. *)
+val io_delays :
+  pool:workspace Ssta_par.Par.pool ->
+  Tgraph.t ->
+  forms:Form_buf.t ->
+  Form.t option array array
+(** The IO delay matrix: [(io_delays ~pool g ~forms).(i).(j)] is the
+    arrival at output [j] of a {!forward_into} sweep from input [i] alone,
+    [None] where unreachable.  One {!Ssta_par.Par} task per input; each
+    worker sweeps a workspace drawn from [pool], so a caller that keeps
+    the pool across calls builds at most one workspace per domain in all.
+    The rows come back in input order at every domain count, whatever the
+    workspaces held before. *)
 
 val circuit_delay : Tgraph.t -> forms:Form_buf.t -> Form.t option
 (** Sweep the edge slab from every input and take {!ws_max_over} the

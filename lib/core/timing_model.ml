@@ -28,7 +28,9 @@ let n_outputs t = Array.length t.graph.Tgraph.outputs
 
 let io_delays t =
   Ssta_obs.Obs.with_span "timing_model.io_delays" (fun () ->
-      Propagate.io_delays t.graph ~forms:t.forms)
+      Propagate.io_delays
+        ~pool:(Ssta_par.Par.pool (fun () -> Propagate.create_workspace ()))
+        t.graph ~forms:t.forms)
 
 let compression t =
   ( float_of_int t.stats.model_edges /. float_of_int t.stats.original_edges,

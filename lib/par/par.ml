@@ -148,12 +148,13 @@ let run_tasks_pool ~n_tasks ~pool:p ~task () =
 let run_tasks ~n_tasks ~init ~task () =
   run_tasks_pool ~n_tasks ~pool:(pool init) ~task ()
 
-(* As [run_tasks], but collect each task's return value, in task order. *)
-let map_tasks ~init n f =
+(* As [run_tasks_pool], but collect each task's return value, in task
+   order. *)
+let map_tasks_pool ~pool n f =
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    run_tasks ~n_tasks:n ~init ~task:(fun w i -> out.(i) <- Some (f w i)) ();
+    run_tasks_pool ~n_tasks:n ~pool ~task:(fun w i -> out.(i) <- Some (f w i)) ();
     Array.map (function Some v -> v | None -> assert false) out
   end
 
@@ -190,8 +191,8 @@ let run_blocks ~block ~n ~task () =
 (* Map [f ~chunk ~lo ~hi] over every chunk of [0, n); the result array is
    in chunk-index order regardless of the domain count. *)
 let map_chunks ~chunk ~n f =
-  map_tasks
-    ~init:(fun () -> ())
+  map_tasks_pool
+    ~pool:(pool (fun () -> ()))
     (n_chunks ~chunk n)
     (fun () i ->
       let lo, hi = chunk_bounds ~chunk ~n i in

@@ -25,6 +25,7 @@ let c_cache_hits = Obs.counter "serve.cache_hits"
 let c_cache_misses = Obs.counter "serve.cache_misses"
 let c_batched = Obs.counter "serve.batched_requests"
 let c_shared = Obs.counter "serve.shared_sweeps"
+let c_memo_hits = Obs.counter "serve.scenario_memo_hits"
 let c_whatif_incr = Obs.counter "serve.whatif_incremental"
 let c_whatif_full = Obs.counter "serve.whatif_full"
 let g_queue_depth = Obs.gauge "serve.queue_depth"
@@ -59,6 +60,9 @@ type session = {
   ws : Propagate.workspace;  (** holds the current completed arrival sweep *)
   dirty : Bytes.t;  (** per-vertex dirty mask scratch *)
   mutable base : Batch.base option;  (** lazy, over the pristine forms *)
+  memo : (string, Batch.result) Hashtbl.t;
+      (** scenario results over [base], keyed on the scenario's JSON (see
+          [memo_add]) *)
   mutable edited : bool;  (** committed edits pending a [revert] *)
   committed : (int, Form.t) Hashtbl.t;
       (** committed edge edits (absolute forms) - the checkpoint's diff
@@ -87,9 +91,6 @@ type t = {
       (** set by recovery: a re-sent logged-but-unanswered request gets
           its logged response back instead of being applied twice *)
   mutable ewma_ms : float;  (** smoothed per-request service time *)
-  shared : (string, Batch.result) Hashtbl.t;
-      (** sweeps shared by the current run of scenario quantiles in a
-          request group, keyed on the scenario's JSON (share_sweeps) *)
 }
 
 let make ?cache_dir ?(max_queue = 256) ?(checkpoint_every = 64) () =
@@ -104,7 +105,6 @@ let make ?cache_dir ?(max_queue = 256) ?(checkpoint_every = 64) () =
     last_commit = None;
     dedup = None;
     ewma_ms = 1.0;
-    shared = Hashtbl.create 7;
   }
 
 let cache_size t = Hashtbl.length t.cache
@@ -247,6 +247,7 @@ let load_origin ~replay t origin =
       ws;
       dirty = Bytes.create (Tgraph.n_vertices g);
       base = None;
+      memo = Hashtbl.create 16;
       edited = false;
       committed = Hashtbl.create 7;
       sdc;
@@ -306,6 +307,34 @@ let batch_base s =
       let b = Batch.prepare s.build in
       s.base <- Some b;
       b
+
+(* ---- scenario memo -------------------------------------------------- *)
+
+(* A scenario quantile reads only the batch base, which is built over the
+   pristine forms [s.build.forms] and never over the edited [s.fbuf], so
+   its result is a pure function of (session, scenario): commits,
+   transient what-ifs and reverts leave every memo entry valid, and a new
+   session starts with an empty memo.  Only scenarios that decode without
+   a repair are memoized - a repaired one is decoded by each request under
+   the current policy, so repair counters stay per request - and a request
+   with deadline_ms never reads or fills the memo: it runs its own sweep
+   under its own deadline.  The memo holds at most [memo_cap] entries
+   between inserts: an insert that would exceed the cap starts it over. *)
+let memo_cap = 64
+
+let memo_add s entries =
+  if Hashtbl.length s.memo + List.length entries > memo_cap then
+    Hashtbl.reset s.memo;
+  List.iter (fun (key, r) -> Hashtbl.replace s.memo key r) entries
+
+let has_deadline j = Json.find "deadline_ms" j <> None
+
+(* The scenario if it decodes without a repair.  Strict raises before a
+   repair counter moves, so a failed probe leaves no trace. *)
+let strict_scenario sj =
+  match Robust.with_policy Robust.Strict (fun () -> Batch.scenario_of_json 0 sj) with
+  | sc -> Some sc
+  | exception Robust.Error _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Analysis helpers                                                   *)
@@ -427,11 +456,23 @@ let op_quantile t j =
       | None ->
           Robust.fail ~subsystem:"serve" ~operation "no output reachable"
       | Some f -> delay_fields f ~yield)
+  | Some sj when has_deadline j ->
+      scenario_result_fields ~yield
+        (Batch.run_one (batch_base s) (Batch.scenario_of_json 0 sj))
   | Some sj ->
+      let key = Json.to_string sj in
       let r =
-        match Hashtbl.find_opt t.shared (Json.to_string sj) with
-        | Some r -> r
-        | None -> Batch.run_one (batch_base s) (Batch.scenario_of_json 0 sj)
+        match Hashtbl.find_opt s.memo key with
+        | Some r ->
+            Obs.incr c_memo_hits;
+            r
+        | None -> (
+            match strict_scenario sj with
+            | Some sc ->
+                let r = Batch.run_one (batch_base s) sc in
+                memo_add s [ (key, r) ];
+                r
+            | None -> Batch.run_one (batch_base s) (Batch.scenario_of_json 0 sj))
       in
       scenario_result_fields r ~yield
 
@@ -726,13 +767,24 @@ let op_whatif t j =
   end;
   reply
 
+(* Only committed edges differ from the pristine forms (a transient
+   what-if rolls itself back), so a revert is one more edit: restore those
+   slots and re-time their fanout closure, bit-identical to a full
+   re-sweep like every incremental update. *)
 let op_revert t =
   let s = session_exn t ~operation:"revert" in
-  let g = s.build.Build.graph in
-  for i = 0 to Tgraph.n_edges g - 1 do
-    Form_buf.blit s.build.Build.forms i s.fbuf i
-  done;
-  Propagate.forward_into s.ws g ~forms:s.fbuf ~sources:g.Tgraph.inputs;
+  let edits =
+    Hashtbl.fold
+      (fun edge _ acc ->
+        {
+          edge;
+          prev = Form_buf.get s.fbuf edge;
+          next = Form_buf.get s.build.Build.forms edge;
+        }
+        :: acc)
+      s.committed []
+  in
+  if edits <> [] then ignore (apply_edits s ~incremental:true edits);
   s.edited <- false;
   Hashtbl.reset s.committed;
   t.pending_wal <- Some [ ("kind", Json.Str "revert") ];
@@ -1066,21 +1118,23 @@ let create ?cache_dir ?max_queue ?checkpoint_every () =
    sweep under its own deadline). *)
 let shareable_scenario = function
   | Ok j when Json.str_field ~default:"" "op" j = Ok "quantile"
-              && Json.find "deadline_ms" j = None -> (
+              && not (has_deadline j) -> (
       match Json.find "scenario" j with
       | Some (Json.Obj _ as sj) -> Some sj
       | _ -> None)
   | _ -> None
 
-(* Sweep sharing for a maximal run of shareable scenario quantiles: they
-   all read the pristine batch base, so every distinct scenario runs
-   once, in one Batch.run, and op_quantile answers each request of the
-   run from t.shared instead of its own sweep.  The batch engine is
-   bit-identical to independent runs, so sharing never changes a
-   response.  Scenarios are decoded under Strict: one that needs a
-   repair stays out of the table and is decoded by its own request, so
-   repair counters match an ungrouped stream.  A failed run fills
-   nothing and each request runs alone. *)
+(* Sweep sharing for a maximal run of shareable scenario quantiles: every
+   distinct memoizable scenario of the run that the session memo lacks
+   runs once, in one Batch.run, into the memo, and op_quantile answers
+   each request of the run from there.  The batch engine is bit-identical
+   to independent runs, so sharing never changes a response.  When the
+   misses would overflow the memo, it starts over with all of the run's
+   scenarios, so even a run wider than the cap sweeps once and answers
+   every request from the memo.  A failed run fills nothing and each
+   request runs alone.  [serve.batched_requests] counts the requests the
+   run's sweep answers, [serve.shared_sweeps] those beyond one per
+   swept scenario. *)
 let share_sweeps t scenarios =
   match t.session with
   | None -> ()
@@ -1089,22 +1143,20 @@ let share_sweeps t scenarios =
       let decoded =
         List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed
         |> List.filter_map (fun (key, sj) ->
-               match
-                 Robust.with_policy Robust.Strict (fun () ->
-                     Batch.scenario_of_json 0 sj)
-               with
-               | sc -> Some (key, sc)
-               | exception Robust.Error _ -> None)
+               Option.map (fun sc -> (key, sc)) (strict_scenario sj))
       in
-      if decoded <> [] then
-        match Batch.run (batch_base s) (Array.of_list (List.map snd decoded)) with
+      let misses = List.filter (fun (key, _) -> not (Hashtbl.mem s.memo key)) decoded in
+      let todo =
+        if Hashtbl.length s.memo + List.length misses > memo_cap then decoded
+        else misses
+      in
+      if todo <> [] then
+        match Batch.run (batch_base s) (Array.of_list (List.map snd todo)) with
         | results ->
-            List.iteri
-              (fun i (key, _) -> Hashtbl.replace t.shared key results.(i))
-              decoded;
-            let served = List.filter (fun (key, _) -> Hashtbl.mem t.shared key) keyed in
+            memo_add s (List.mapi (fun i (key, _) -> (key, results.(i))) todo);
+            let served = List.filter (fun (key, _) -> List.mem_assoc key todo) keyed in
             Obs.add c_batched (List.length served);
-            Obs.add c_shared (List.length served - List.length decoded)
+            Obs.add c_shared (List.length served - List.length todo)
         | exception _ -> ())
 
 (* Load shedding: a structured refusal, not a dropped connection.  The
@@ -1140,9 +1192,8 @@ let handle_lines t lines =
   let shed = List.filteri (fun i _ -> i >= t.max_queue) lines in
   let t0 = Unix.gettimeofday () in
   (* Each line is parsed once and answered by handle_parsed.  A maximal
-     run of shareable scenario quantiles first shares its sweeps; the
-     table lives for that run only, since the next request may change
-     the session. *)
+     run of shareable scenario quantiles first runs its memo misses in
+     one shared sweep. *)
   let rec go acc = function
     | [] -> List.rev acc
     | (line, p, None) :: rest -> go (handle_parsed t line p :: acc) rest
@@ -1156,7 +1207,6 @@ let handle_lines t lines =
         let acc =
           List.fold_left (fun acc (line, p, _) -> handle_parsed t line p :: acc) acc run
         in
-        Hashtbl.reset t.shared;
         go acc rest
   in
   let responses =
@@ -1177,6 +1227,8 @@ let handle_lines t lines =
       in
       t.ewma_ms <- (0.8 *. t.ewma_ms) +. (0.2 *. per_ms));
   responses @ List.map (overloaded_response t) shed
+
+let session_state t = Option.map (fun s -> (s.build, s.fbuf, s.ws)) t.session
 
 (* ------------------------------------------------------------------ *)
 (* Daemon: unix-domain socket, JSONL framing                          *)

@@ -29,7 +29,18 @@
       what-if-edited) arrival state.  The session's batch base is built
       on the first scenario query and keeps its worker scratch (one
       slab per worker, see {!Ssta_batch.Batch}) for the life of the
-      session, so later scenario queries allocate no slab.
+      session, so later scenario queries allocate no slab.  Because the
+      base never sees what-if edits, a scenario's result is a pure
+      function of (session, scenario): the session keeps a memo of up to
+      64 results keyed on the scenario object's JSON text, so a repeated
+      scenario is answered without a sweep, across commits, transient
+      what-ifs and reverts alike ([load]/[swap]/[load_files] start a new,
+      empty memo; an insert that would exceed 64 entries starts it over;
+      counter [serve.scenario_memo_hits]).  Two kinds of request bypass
+      it: one that carries [deadline_ms] runs its own sweep under its own
+      deadline, and one whose scenario needs a repair is decoded afresh
+      by each request, so repair counters stay per request.  [yield] and
+      [clock] are computed per request from the memoized delay form.
     - [{"op":"report","clock":C?,"yield":Y?}] — per-output arrival mean,
       sigma and yield-clock; with [clock], per-output slack against it.
     - [{"op":"paths","output":V?,"k":K?}] — top-[K] statistically
@@ -45,7 +56,9 @@
       re-sweep — the reference the incremental path is bit-identical
       to).  Uncommitted edits ([B] false, the default) are rolled back
       after the response, leaving the session state untouched.
-    - [{"op":"revert"}] — drop committed edits, restore pristine forms.
+    - [{"op":"revert"}] — drop committed edits, restore pristine forms:
+      only the committed edges are restored, and their fanout closure
+      re-timed by the incremental path (bit-identical to a full sweep).
     - [{"op":"batch","scenarios":A}] — evaluate a scenario array through
       {!Ssta_batch.Batch.run} over the shared base.
     - [{"op":"stats"}], [{"op":"ping"}], [{"op":"shutdown"}].
@@ -107,14 +120,23 @@ val handle_lines : t -> string list -> string list
 (** Process a pipelined group of request lines, in order, each through
     the request path of {!handle_line}.  Sharing is an optimisation
     inside that path: before a maximal run of consecutive
-    [quantile]-with-scenario requests, each distinct scenario runs once
-    in one {!Ssta_batch.Batch.run}, and each request of the run reads its
-    result instead of sweeping again.  A request that carries
-    [deadline_ms] is never shared: it runs its own sweep under its own
-    deadline.  The batch engine is bit-identical to independent runs, so
+    [quantile]-with-scenario requests, each distinct scenario that the
+    session's scenario memo lacks runs once, in one
+    {!Ssta_batch.Batch.run}, into the memo, and each request of the run
+    reads its result there instead of sweeping again.  A request that
+    carries [deadline_ms] is never shared: it runs its own sweep under
+    its own deadline.  The batch engine is bit-identical to independent runs, so
     the responses, and the [requests] / [errors] / [timeouts] counts in
     [stats], equal those of [List.map (handle_line t)] — grouping only
     trades wall clock.  [test/test_serve.ml] pins that equivalence. *)
+
+val session_state :
+  t ->
+  (Ssta_timing.Build.t * Ssta_canonical.Form_buf.t * Hier_ssta.Propagate.workspace)
+  option
+(** The current session's pristine model, current (what-if-edited) edge
+    forms and resident arrival sweep; [None] before the first load.  For
+    tests that pin the session state bit for bit. *)
 
 val run_daemon : ?socket:string -> ?preload:string list -> t -> unit
 (** Bind a unix-domain socket at [socket] (default ["hssta.sock"];

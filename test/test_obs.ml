@@ -416,7 +416,8 @@ let test_trace_jsonl_wellformed () =
 
 (* A serve session builds its batch base once, and the base keeps its
    worker scratch: 20 scenario quantiles in a row, each a fresh scenario
-   record, build one slab between them. *)
+   record, build one slab between them.  Sent again, all 20 are answered
+   from the session's scenario memo without a sweep. *)
 let test_serve_scratch_builds () =
   with_obs @@ fun () ->
   Obs.enable ();
@@ -429,17 +430,27 @@ let test_serve_scratch_builds () =
     | _ -> Alcotest.failf "request %s failed: %s" line r
   in
   ok {|{"op":"load","design":"c432"}|};
-  for i = 1 to 20 do
-    ok
-      (Printf.sprintf
-         {|{"op":"quantile","yield":0.99,"scenario":{"corner":"%s","delay_scale":%g}}|}
-         (if i mod 2 = 0 then "slow" else "fast")
-         (1.0 +. (0.01 *. float_of_int i)))
-  done;
+  let quantiles () =
+    for i = 1 to 20 do
+      ok
+        (Printf.sprintf
+           {|{"op":"quantile","yield":0.99,"scenario":{"corner":"%s","delay_scale":%g}}|}
+           (if i mod 2 = 0 then "slow" else "fast")
+           (1.0 +. (0.01 *. float_of_int i)))
+    done
+  in
+  quantiles ();
   Alcotest.(check int) "batch.scenarios" 20
     (Obs.find_counter "batch.scenarios");
   Alcotest.(check int) "batch.scratch_builds" 1
-    (Obs.find_counter "batch.scratch_builds")
+    (Obs.find_counter "batch.scratch_builds");
+  Alcotest.(check int) "no memo hit on first sight" 0
+    (Obs.find_counter "serve.scenario_memo_hits");
+  quantiles ();
+  Alcotest.(check int) "repeats add no batch.scenarios" 20
+    (Obs.find_counter "batch.scenarios");
+  Alcotest.(check int) "serve.scenario_memo_hits" 20
+    (Obs.find_counter "serve.scenario_memo_hits")
 
 (* ------------------------------------------------------------------ *)
 (* Disabled-mode identity                                              *)

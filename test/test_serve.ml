@@ -257,6 +257,75 @@ let test_whatif_bad_edits () =
     (check_ok "engine alive after bad edits"
        (Serve.handle_line t (req [ ("op", Json.Str "quantile") ])))
 
+(* Revert restores only the committed edges and re-times their fanout
+   closure.  After random sequences of commits, transient what-ifs and
+   reverts, every edge slot must be bit-equal to the pristine model's and
+   the arrival sweep bit-equal to a freshly loaded session's, at every
+   vertex. *)
+let test_revert_restores_pristine () =
+  List.iter
+    (fun design ->
+      let load t =
+        ignore
+          (check_ok "load"
+             (Serve.handle_line t
+                (req [ ("op", Json.Str "load"); ("design", Json.Str design) ])));
+        Option.get (Serve.session_state t)
+      in
+      let _, _, fresh_ws = load (Serve.create ()) in
+      let t = Serve.create () in
+      let build, fbuf, ws = load t in
+      let g = build.Ssta_timing.Build.graph in
+      let m = Tgraph.n_edges g in
+      let rng = Rng.create ~seed:(Hashtbl.hash design) in
+      let whatif ~commit =
+        let edits =
+          List.init (1 + Rng.int rng 3) (fun _ ->
+              Json.Obj
+                [
+                  ("edge", Json.Num (float_of_int (Rng.int rng m)));
+                  ("scale", Json.Num (0.5 +. (2.0 *. Rng.uniform rng)));
+                ])
+        in
+        ignore
+          (check_ok "whatif"
+             (Serve.handle_line t
+                (req
+                   [
+                     ("op", Json.Str "whatif");
+                     ("edits", Json.Arr edits);
+                     ("commit", Json.Bool commit);
+                   ])))
+      in
+      let reverts = ref 0 in
+      for step = 1 to 60 do
+        match Rng.int rng 4 with
+        | 0 | 1 -> whatif ~commit:true
+        | 2 -> whatif ~commit:false
+        | _ ->
+            ignore (check_ok "revert" (Serve.handle_line t (req [ ("op", Json.Str "revert") ])));
+            incr reverts;
+            for e = 0 to m - 1 do
+              Sweep_oracle.check_bits
+                (Printf.sprintf "%s step %d: edge %d pristine" design step e)
+                (Form_buf.get build.Ssta_timing.Build.forms e)
+                (Form_buf.get fbuf e)
+            done;
+            for v = 0 to Tgraph.n_vertices g - 1 do
+              match (H.Propagate.ws_form fresh_ws v, H.Propagate.ws_form ws v) with
+              | None, None -> ()
+              | Some want, Some got ->
+                  Sweep_oracle.check_bits
+                    (Printf.sprintf "%s step %d: arrival %d" design step v)
+                    want got
+              | _ ->
+                  Alcotest.failf "%s step %d: vertex %d reachability differs"
+                    design step v
+            done
+      done;
+      Alcotest.(check bool) (design ^ ": the sequence reverted") true (!reverts > 0))
+    [ "c432"; "c1908" ]
+
 (* ------------------------------------------------------------------ *)
 (* Grouped (pipelined) handling == sequential handling                 *)
 (* ------------------------------------------------------------------ *)
@@ -391,6 +460,106 @@ let test_grouping_equals_sequential () =
           Alcotest.(check (float 0.0)) "shared sweeps" 1.0
             (num "stats" "shared_sweeps" j)
       | _ -> Alcotest.fail "expected one stats line")
+
+(* The scenario-memo corpus: repeated scenario quantiles around a commit,
+   a transient what-if and a revert, a repairable scenario sent twice, an
+   expired-deadline repeat of a memoized scenario, more distinct scenarios
+   than the memo holds, a load of another design and a swap back.  Its
+   response stream was recorded before the memo existed; sequential,
+   grouped and at 1 vs 4 domains it must match byte for byte. *)
+let scenario_corpus () =
+  In_channel.with_open_text "serve_scenario_corpus_c1908.jsonl" In_channel.input_lines
+
+let run_scenario_corpus ~grouped =
+  let t = Serve.create () in
+  let corpus = scenario_corpus () in
+  if grouped then Serve.handle_lines t corpus
+  else List.map (Serve.handle_line t) corpus
+
+let test_scenario_corpus_golden () =
+  let want =
+    In_channel.with_open_text "golden/serve_scenario_corpus_c1908.responses.jsonl"
+      In_channel.input_lines
+  in
+  List.iter
+    (fun (label, domains, grouped) ->
+      let got = Par.with_domains domains (fun () -> run_scenario_corpus ~grouped) in
+      Alcotest.(check int) (label ^ ": responses") (List.length want) (List.length got);
+      List.iteri
+        (fun i (w, g) ->
+          Alcotest.(check string) (Printf.sprintf "%s: line %d" label (i + 1)) w g)
+        (List.combine want got))
+    [
+      ("sequential d1", 1, false);
+      ("sequential d4", 4, false);
+      ("grouped d1", 1, true);
+      ("grouped d4", 4, true);
+    ];
+  (* What the memo did on the sequential stream: 7 repeats of the two
+     early scenarios are hits, across the commit, the what-if and the
+     revert; every other scenario request sweeps - the repairable one both
+     times, the 66 distinct ones (the memo starts over at the 63rd), the
+     repeat of the first of them and of the early scenario after the cap
+     run, and the three after the load and the swap back, each of which
+     starts a new memo. *)
+  with_obs (fun () ->
+      Obs.reset ();
+      ignore (Par.with_domains 1 (fun () -> run_scenario_corpus ~grouped:false));
+      Alcotest.(check int) "memo hits" 7 (Obs.find_counter "serve.scenario_memo_hits");
+      Alcotest.(check int) "scenario sweeps" 75 (Obs.find_counter "batch.scenarios"));
+  (* Grouped, the run of 68 requests after the deadline request holds 67
+     distinct scenarios, more than the memo's cap: still one Batch.run,
+     and the one repeat in the run is its only shared sweep. *)
+  with_obs (fun () ->
+      Obs.reset ();
+      let t = Serve.create () in
+      let corpus = scenario_corpus () in
+      let head = List.filteri (fun i _ -> i < 18) corpus
+      and run = List.filteri (fun i _ -> i >= 18 && i < 86) corpus in
+      ignore (Serve.handle_lines t head);
+      let shared0 = Obs.find_counter "serve.shared_sweeps" in
+      let batched0 = Obs.find_counter "serve.batched_requests" in
+      let sweeps0 = Obs.find_counter "batch.scenarios" in
+      ignore (Serve.handle_lines t run);
+      Alcotest.(check int) "one sweep per distinct scenario" 67
+        (Obs.find_counter "batch.scenarios" - sweeps0);
+      Alcotest.(check int) "every request of the run batched" 68
+        (Obs.find_counter "serve.batched_requests" - batched0);
+      Alcotest.(check int) "one shared sweep" 1
+        (Obs.find_counter "serve.shared_sweeps" - shared0))
+
+(* Allocation pin for the request path on c1908, after warm-up: a
+   memo-hit scenario quantile and a plain quantile each stay under a fixed
+   minor-word budget.  Measured at 970 and 824 words per request (parse,
+   response and the boxed delay form); the budgets leave about 50 %
+   headroom.  A scenario request that bypasses the memo (a far deadline)
+   and re-sweeps allocates about 42 000 words, so a hit that silently
+   re-swept would fail. *)
+let test_quantile_allocation () =
+  Par.with_domains 1 @@ fun () ->
+  let t = Serve.create () in
+  ignore
+    (check_ok "load"
+       (Serve.handle_line t (req [ ("op", Json.Str "load"); ("design", Json.Str "c1908") ])));
+  let scenario = Json.Obj [ ("corner", Json.Str "slow"); ("delay_scale", Json.Num 1.02) ] in
+  let line fields = req (("op", Json.Str "quantile") :: fields) in
+  let per fields =
+    let l = line fields in
+    Test_kernels.minor_words_per (fun () -> Serve.handle_line t l)
+  in
+  let hit = per [ ("scenario", scenario) ] in
+  let plain = per [ ("yield", Json.Num 0.99) ] in
+  let sweep = per [ ("scenario", scenario); ("deadline_ms", Json.Num 1e9) ] in
+  let hit_budget = 1500.0 and plain_budget = 1250.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "memo hit: %.0f minor words <= %.0f" hit hit_budget)
+    true (hit <= hit_budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "plain quantile: %.0f minor words <= %.0f" plain plain_budget)
+    true (plain <= plain_budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "a re-sweep (%.0f minor words) exceeds the hit budget" sweep)
+    true (sweep > hit_budget)
 
 let test_responses_identical_across_domains () =
   let at n = Par.with_domains n (fun () -> run_corpus grouping_corpus true) in
@@ -993,6 +1162,8 @@ let suites =
           test_whatif_incremental_vs_full;
         Alcotest.test_case "whatif rollback/commit/revert" `Quick
           test_whatif_rollback_and_commit;
+        Alcotest.test_case "revert restores pristine bits" `Quick
+          test_revert_restores_pristine;
         Alcotest.test_case "errors degrade, daemon survives" `Quick
           test_errors_do_not_kill_engine;
         Alcotest.test_case "bad what-if edits" `Quick test_whatif_bad_edits;
@@ -1002,6 +1173,10 @@ let suites =
           test_grouping_equals_sequential;
         Alcotest.test_case "byte-identical across domains" `Quick
           test_responses_identical_across_domains;
+        Alcotest.test_case "scenario memo corpus = golden stream" `Quick
+          test_scenario_corpus_golden;
+        Alcotest.test_case "quantile allocation pinned" `Quick
+          test_quantile_allocation;
         Alcotest.test_case "batch op strict/repair" `Quick
           test_batch_op_policies;
       ] );
