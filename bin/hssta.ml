@@ -833,19 +833,8 @@ let client_cmd =
   in
   let run () () socket replay_file out latency_out pipeline retry retry_seed
       =
-    let requests =
-      let ic = open_in replay_file in
-      let rec go acc =
-        match input_line ic with
-        | line ->
-            go (if String.trim line = "" then acc else line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go []
-    in
-    let responses, lat, total =
+    let requests = Serve.read_corpus replay_file in
+    let responses, lat, total, stopped =
       Serve.replay ~pipeline ~retry ~retry_seed ~socket ~requests ()
     in
     (match out with
@@ -867,7 +856,13 @@ let client_cmd =
           lat;
         close_out oc);
     Printf.eprintf "hssta client: %d requests, %d responses, %.3f s total\n%!"
-      (List.length requests) (List.length responses) total
+      (List.length requests) (List.length responses) total;
+    (* The responses received so far are written; the missing rest fails. *)
+    Option.iter
+      (fun i ->
+        Ssta_robust.Robust.fail ~subsystem:"serve" ~operation:"replay"
+          ~indices:[ i ] "daemon closed the connection mid-replay")
+      stopped
   in
   Cmd.v
     (Cmd.info "client"

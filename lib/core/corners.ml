@@ -11,37 +11,46 @@ type corner =
 
 (* Allocation-free: the batch engine re-derives corner means per scenario
    into pooled worker scratch, so the per-edge evaluation writes into a
-   caller-owned row. *)
+   caller-owned row with plain loops (no per-edge closure, no boxed fold
+   accumulator). *)
 let corner_weights_into (b : Build.t) corner ~into =
   let sparse = b.Build.sparse in
   if Array.length into < Array.length sparse then
     invalid_arg "Corners.corner_weights_into: row shorter than edge count";
   let corr = b.Build.basis.Basis.corr in
   let sg = sqrt corr.Correlation.var_global in
-  Array.iteri
-    (fun i (s : Build.sparse_edge) ->
-      let full_shift k =
-        (* Every variation source pushed k sigma the same way: the parameter
-           itself moves k sigma in total, and the load random adds its own
-           k sigma worth of delay. *)
-        let param =
-          Array.fold_left (fun acc sv -> acc +. (sv *. k)) 0.0 s.Build.sens
-        in
-        (s.Build.nominal *. (1.0 +. param)) +. (k *. s.Build.random_sigma)
-      in
+  (* Every variation source pushed k sigma the same way: the parameter
+     itself moves k sigma in total, and the load random adds its own k
+     sigma worth of delay. *)
+  let full_shift k =
+    for i = 0 to Array.length sparse - 1 do
+      let s = sparse.(i) in
+      let sens = s.Build.sens in
+      let param = ref 0.0 in
+      for j = 0 to Array.length sens - 1 do
+        param := !param +. (sens.(j) *. k)
+      done;
       into.(i) <-
-        (match corner with
-        | Nominal -> s.Build.nominal
-        | Slow k -> full_shift k
-        | Fast k -> full_shift (-.k)
-        | Global_slow k ->
-            let param =
-              Array.fold_left
-                (fun acc sv -> acc +. (sv *. sg *. k))
-                0.0 s.Build.sens
-            in
-            s.Build.nominal *. (1.0 +. param)))
-    sparse
+        (s.Build.nominal *. (1.0 +. !param)) +. (k *. s.Build.random_sigma)
+    done
+  in
+  match corner with
+  | Nominal ->
+      for i = 0 to Array.length sparse - 1 do
+        into.(i) <- sparse.(i).Build.nominal
+      done
+  | Slow k -> full_shift k
+  | Fast k -> full_shift (-.k)
+  | Global_slow k ->
+      for i = 0 to Array.length sparse - 1 do
+        let s = sparse.(i) in
+        let sens = s.Build.sens in
+        let param = ref 0.0 in
+        for j = 0 to Array.length sens - 1 do
+          param := !param +. (sens.(j) *. sg *. k)
+        done;
+        into.(i) <- s.Build.nominal *. (1.0 +. !param)
+      done
 
 let corner_delay b corner =
   let weights = Array.make (Array.length b.Build.sparse) 0.0 in

@@ -14,9 +14,12 @@
    answered-request counts are a function of the corpus and the crash
    spec, and responses are bit-deterministic), so the JSONL is committed
    as a golden and replayed in CI; the recovery wall-clock is reported
-   separately, never in the golden. *)
+   separately, never in the golden.  Every replay goes through
+   Serve.replay, the loop [hssta client] uses, which stops at the first
+   request a dead daemon leaves unanswered. *)
 
 module Serve = Ssta_serve.Serve
+module Store = Ssta_serve.Store
 module Json = Ssta_json.Json
 module Robust = Ssta_robust.Robust
 
@@ -45,7 +48,7 @@ type verdict = {
   answered : int;  (** responses received before the connection died *)
   recovered : bool;  (** restart came up and served the tail *)
   identical : bool;  (** head @ tail responses = uninterrupted reference *)
-  recovery_ms : float;  (** restart -> first tail response (informational) *)
+  recovery_ms : float;  (** restart -> tail answered (informational) *)
 }
 
 let verdict_json v =
@@ -65,15 +68,6 @@ let jsonl_of_verdicts vs = String.concat "\n" (List.map verdict_json vs) ^ "\n"
 
 (* ---- subprocess plumbing ------------------------------------------ *)
 
-let mkdir_p path =
-  let rec go p =
-    if p <> "" && p <> "." && p <> "/" && not (Sys.file_exists p) then begin
-      go (Filename.dirname p);
-      try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path
-
 (* Remove [path] and everything under it (symlinks are removed, never
    followed); a missing path is fine. *)
 let rec rm_rf path =
@@ -88,7 +82,7 @@ let rec rm_rf path =
    and change what the crash points see. *)
 let fresh_dir path =
   rm_rf path;
-  mkdir_p path
+  Store.mkdir_p path
 
 let base_env () =
   Unix.environment ()
@@ -124,54 +118,7 @@ let reap pid =
   | _, Unix.WSIGNALED s -> -s
   | _, Unix.WSTOPPED s -> -s
 
-(* Sequential replay that tolerates the daemon dying mid-stream: returns
-   the responses received plus the index of the first unanswered request
-   (None if the whole corpus was served). *)
-let replay_until ?(on_first = fun () -> ()) ~socket requests =
-  let fd = Serve.connect_retry socket in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let r = Serve.reader fd in
-      let rec go acc i = function
-        | [] -> (List.rev acc, None)
-        | req :: tl -> (
-            let resp =
-              try
-                Serve.write_all fd (req ^ "\n");
-                Serve.read_line r
-              with
-              | Unix.Unix_error
-                  ((Unix.EPIPE | Unix.ECONNRESET | Unix.ECONNREFUSED), _, _)
-              ->
-                None
-            in
-            match resp with
-            | Some line ->
-                if i = 0 then on_first ();
-                go (line :: acc) (i + 1) tl
-            | None -> (List.rev acc, Some i))
-      in
-      go [] 0 requests)
-
-let rec drop n l =
-  if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
 (* ---- the harness --------------------------------------------------- *)
-
-let read_corpus path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           let l = input_line ic in
-           if String.trim l <> "" then lines := l :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
 
 let run_case ~exe ~dir ~corpus ~reference ~checkpoint_every (case : case) =
   let case_dir = Filename.concat dir ("case_" ^ case.label) in
@@ -183,7 +130,7 @@ let run_case ~exe ~dir ~corpus ~reference ~checkpoint_every (case : case) =
     spawn_daemon ~exe ~socket ~cache_dir ~checkpoint_every
       ~crash_at:(case.point, case.index) ()
   in
-  let head, died = replay_until ~socket corpus in
+  let head, _, _, died = Serve.replay ~socket ~requests:corpus () in
   let crash_exit = reap pid in
   match died with
   | None ->
@@ -203,10 +150,9 @@ let run_case ~exe ~dir ~corpus ~reference ~checkpoint_every (case : case) =
       (* Phase 2: restart on the same state dir, replay the tail. *)
       let t0 = Unix.gettimeofday () in
       let pid = spawn_daemon ~exe ~socket ~cache_dir ~checkpoint_every () in
-      let first_ms = ref 0.0 in
-      let on_first () = first_ms := (Unix.gettimeofday () -. t0) *. 1000.0 in
-      let tail_reqs = drop i corpus in
-      let tail, died2 = replay_until ~on_first ~socket tail_reqs in
+      let requests = List.filteri (fun j _ -> j >= i) corpus in
+      let tail, _, _, died2 = Serve.replay ~socket ~requests () in
+      let recovery_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
       let exit2 = reap pid in
       let recovered = died2 = None && exit2 = 0 in
       {
@@ -217,17 +163,13 @@ let run_case ~exe ~dir ~corpus ~reference ~checkpoint_every (case : case) =
         answered = List.length head;
         recovered;
         identical = head @ tail = reference;
-        recovery_ms = !first_ms;
+        recovery_ms;
       }
 
 let run ~exe ~corpus_path ~dir ?(cases = default_cases)
     ?(checkpoint_every = 3) () =
-  (* A dead daemon must surface as a closed connection, not a SIGPIPE
-     death of the harness itself. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  mkdir_p dir;
-  let corpus = read_corpus corpus_path in
+  Store.mkdir_p dir;
+  let corpus = Serve.read_corpus corpus_path in
   if corpus = [] then
     Robust.fail ~subsystem:"chaos" ~operation:"run"
       ("empty chaos corpus: " ^ corpus_path);
@@ -240,7 +182,7 @@ let run ~exe ~corpus_path ~dir ?(cases = default_cases)
       ~cache_dir:(Filename.concat ref_dir "state")
       ~checkpoint_every ()
   in
-  let reference, ref_died = replay_until ~socket corpus in
+  let reference, _, _, ref_died = Serve.replay ~socket ~requests:corpus () in
   let ref_exit = reap pid in
   if ref_died <> None || ref_exit <> 0 then
     Robust.fail ~subsystem:"chaos" ~operation:"reference"

@@ -23,8 +23,6 @@ let c_requests = Obs.counter "serve.requests"
 let c_errors = Obs.counter "serve.request_errors"
 let c_cache_hits = Obs.counter "serve.cache_hits"
 let c_cache_misses = Obs.counter "serve.cache_misses"
-let c_batched = Obs.counter "serve.batched_requests"
-let c_shared = Obs.counter "serve.shared_sweeps"
 let c_memo_hits = Obs.counter "serve.scenario_memo_hits"
 let c_whatif_incr = Obs.counter "serve.whatif_incremental"
 let c_whatif_full = Obs.counter "serve.whatif_full"
@@ -63,7 +61,6 @@ type session = {
   memo : (string, Batch.result) Hashtbl.t;
       (** scenario results over [base], keyed on the scenario's JSON (see
           [memo_add]) *)
-  mutable edited : bool;  (** committed edits pending a [revert] *)
   committed : (int, Form.t) Hashtbl.t;
       (** committed edge edits (absolute forms) - the checkpoint's diff
           against the pristine build *)
@@ -80,7 +77,7 @@ type t = {
   mutable stop : bool;
   mutable pending_wal : (string * Json.t) list option;
       (** armed by a state-changing op: the kind-specific WAL record
-          fields; handle_parsed adds the request digest and response and
+          fields; handle_line adds the request digest and response and
           appends after the response is built, before it is sent *)
   mutable pending_spill : (string * Build.t) option;
       (** freshly characterized model awaiting its disk spill (deferred to
@@ -224,7 +221,7 @@ let flush_spill t =
    WAL replay and checkpoint restore all come here.  Recovery has no
    response to wait for, so [~replay:true] spills a freshly
    characterized model at once; a request's spill waits until its WAL
-   record is durable (handle_parsed). *)
+   record is durable (handle_line). *)
 let load_origin ~replay t origin =
   let nl, sdc =
     match origin with
@@ -248,7 +245,6 @@ let load_origin ~replay t origin =
       dirty = Bytes.create (Tgraph.n_vertices g);
       base = None;
       memo = Hashtbl.create 16;
-      edited = false;
       committed = Hashtbl.create 7;
       sdc;
     }
@@ -318,16 +314,13 @@ let batch_base s =
    a repair are memoized - a repaired one is decoded by each request under
    the current policy, so repair counters stay per request - and a request
    with deadline_ms never reads or fills the memo: it runs its own sweep
-   under its own deadline.  The memo holds at most [memo_cap] entries
-   between inserts: an insert that would exceed the cap starts it over. *)
+   under its own deadline.  The memo holds at most [memo_cap] entries:
+   an insert into a full memo starts it over. *)
 let memo_cap = 64
 
-let memo_add s entries =
-  if Hashtbl.length s.memo + List.length entries > memo_cap then
-    Hashtbl.reset s.memo;
-  List.iter (fun (key, r) -> Hashtbl.replace s.memo key r) entries
-
-let has_deadline j = Json.find "deadline_ms" j <> None
+let memo_add s key r =
+  if Hashtbl.length s.memo >= memo_cap then Hashtbl.reset s.memo;
+  Hashtbl.replace s.memo key r
 
 (* The scenario if it decodes without a repair.  Strict raises before a
    repair counter moves, so a failed probe leaves no trace. *)
@@ -456,7 +449,7 @@ let op_quantile t j =
       | None ->
           Robust.fail ~subsystem:"serve" ~operation "no output reachable"
       | Some f -> delay_fields f ~yield)
-  | Some sj when has_deadline j ->
+  | Some sj when Json.mem "deadline_ms" j ->
       scenario_result_fields ~yield
         (Batch.run_one (batch_base s) (Batch.scenario_of_json 0 sj))
   | Some sj ->
@@ -470,7 +463,7 @@ let op_quantile t j =
             match strict_scenario sj with
             | Some sc ->
                 let r = Batch.run_one (batch_base s) sc in
-                memo_add s [ (key, r) ];
+                memo_add s key r;
                 r
             | None -> Batch.run_one (batch_base s) (Batch.scenario_of_json 0 sj))
       in
@@ -745,7 +738,6 @@ let op_whatif t j =
           ]
   in
   if commit then begin
-    s.edited <- true;
     (* The committed diff is tracked as absolute forms: the WAL record
        and the checkpoint both replay [set this edge to exactly these
        coefficients], so recovery is independent of the edit operator
@@ -785,7 +777,6 @@ let op_revert t =
       s.committed []
   in
   if edits <> [] then ignore (apply_edits s ~incremental:true edits);
-  s.edited <- false;
   Hashtbl.reset s.committed;
   t.pending_wal <- Some [ ("kind", Json.Str "revert") ];
   [ ("design", Json.Str s.design); ("reverted", Json.Bool true) ]
@@ -820,7 +811,7 @@ let op_stats t =
     | Some s ->
         [
           ("design", Json.Str s.design);
-          ("edited", Json.Bool s.edited);
+          ("edited", Json.Bool (Hashtbl.length s.committed > 0));
           ( "n_edges",
             Json.Num (float_of_int (Tgraph.n_edges s.build.Build.graph)) );
         ]
@@ -833,9 +824,6 @@ let op_stats t =
       ("cache_hits", Json.Num (float_of_int (Obs.counter_value c_cache_hits)));
       ( "cache_misses",
         Json.Num (float_of_int (Obs.counter_value c_cache_misses)) );
-      ( "batched_requests",
-        Json.Num (float_of_int (Obs.counter_value c_batched)) );
-      ("shared_sweeps", Json.Num (float_of_int (Obs.counter_value c_shared)));
       ("durable", Json.Bool (t.store <> None));
       ( "cache_disk_hits",
         Json.Num (float_of_int (Obs.counter_value c_disk_hits)) );
@@ -976,10 +964,10 @@ let request_deadline_ms j =
    here.  Parse failures, dedup, the deadline, the serve.op.<op> span,
    the WAL append and the exception-to-envelope mapping all live in this
    function. *)
-let handle_parsed t line parsed =
+let handle_line t line =
   Obs.incr c_requests;
   Obs.with_span "serve.request" @@ fun () ->
-  match parsed with
+  match Json.parse line with
   | Error msg ->
       (* Under Strict the repair raises this same context. *)
       (try protocol_repair ~operation:"parse" msg with Robust.Error _ -> ());
@@ -1028,8 +1016,6 @@ let handle_parsed t line parsed =
                     ~operation:(if op = "" then "dispatch" else op)
                     ("unexpected exception: " ^ Printexc.to_string e))))
 
-let handle_line t line = handle_parsed t line (Json.parse line)
-
 (* ---- recovery ------------------------------------------------------ *)
 
 (* Replayed commits apply absolute forms through the same incremental
@@ -1050,8 +1036,7 @@ let apply_absolute_edits t ~operation edits =
   in
   if eds <> [] then begin
     ignore (apply_edits s ~incremental:true eds);
-    List.iter (fun e -> Hashtbl.replace s.committed e.edge e.next) eds;
-    s.edited <- true
+    List.iter (fun e -> Hashtbl.replace s.committed e.edge e.next) eds
   end
 
 let record_dedup t ~req ~resp j =
@@ -1111,53 +1096,7 @@ let create ?cache_dir ?max_queue ?checkpoint_every () =
   recover t;
   t
 
-(* ---- pipelined batching ------------------------------------------- *)
-
-(* The scenario of a quantile request that may share its sweep: one with
-   a scenario object and no deadline_ms (a deadline request runs its own
-   sweep under its own deadline). *)
-let shareable_scenario = function
-  | Ok j when Json.str_field ~default:"" "op" j = Ok "quantile"
-              && not (has_deadline j) -> (
-      match Json.find "scenario" j with
-      | Some (Json.Obj _ as sj) -> Some sj
-      | _ -> None)
-  | _ -> None
-
-(* Sweep sharing for a maximal run of shareable scenario quantiles: every
-   distinct memoizable scenario of the run that the session memo lacks
-   runs once, in one Batch.run, into the memo, and op_quantile answers
-   each request of the run from there.  The batch engine is bit-identical
-   to independent runs, so sharing never changes a response.  When the
-   misses would overflow the memo, it starts over with all of the run's
-   scenarios, so even a run wider than the cap sweeps once and answers
-   every request from the memo.  A failed run fills nothing and each
-   request runs alone.  [serve.batched_requests] counts the requests the
-   run's sweep answers, [serve.shared_sweeps] those beyond one per
-   swept scenario. *)
-let share_sweeps t scenarios =
-  match t.session with
-  | None -> ()
-  | Some s -> (
-      let keyed = List.map (fun sj -> (Json.to_string sj, sj)) scenarios in
-      let decoded =
-        List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed
-        |> List.filter_map (fun (key, sj) ->
-               Option.map (fun sc -> (key, sc)) (strict_scenario sj))
-      in
-      let misses = List.filter (fun (key, _) -> not (Hashtbl.mem s.memo key)) decoded in
-      let todo =
-        if Hashtbl.length s.memo + List.length misses > memo_cap then decoded
-        else misses
-      in
-      if todo <> [] then
-        match Batch.run (batch_base s) (Array.of_list (List.map snd todo)) with
-        | results ->
-            memo_add s (List.mapi (fun i (key, _) -> (key, results.(i))) todo);
-            let served = List.filter (fun (key, _) -> List.mem_assoc key todo) keyed in
-            Obs.add c_batched (List.length served);
-            Obs.add c_shared (List.length served - List.length todo)
-        | exception _ -> ())
+(* ---- admission ---------------------------------------------------- *)
 
 (* Load shedding: a structured refusal, not a dropped connection.  The
    retry-after hint is the queue bound times the smoothed per-request
@@ -1191,32 +1130,7 @@ let handle_lines t lines =
   let accepted = List.filteri (fun i _ -> i < t.max_queue) lines in
   let shed = List.filteri (fun i _ -> i >= t.max_queue) lines in
   let t0 = Unix.gettimeofday () in
-  (* Each line is parsed once and answered by handle_parsed.  A maximal
-     run of shareable scenario quantiles first runs its memo misses in
-     one shared sweep. *)
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (line, p, None) :: rest -> go (handle_parsed t line p :: acc) rest
-    | items ->
-        let rec split run = function
-          | ((_, _, Some _) as item) :: rest -> split (item :: run) rest
-          | rest -> (List.rev run, rest)
-        in
-        let run, rest = split [] items in
-        share_sweeps t (List.filter_map (fun (_, _, sj) -> sj) run);
-        let acc =
-          List.fold_left (fun acc (line, p, _) -> handle_parsed t line p :: acc) acc run
-        in
-        go acc rest
-  in
-  let responses =
-    go []
-      (List.map
-         (fun line ->
-           let p = Json.parse line in
-           (line, p, shareable_scenario p))
-         accepted)
-  in
+  let responses = List.map (handle_line t) accepted in
   (match accepted with
   | [] -> ()
   | _ ->
@@ -1242,10 +1156,10 @@ let write_all fd s =
   done
 
 (* Read whatever is available, split into complete lines.  Lines that
-   arrive together in one read are handed to [handle_lines] as a group —
-   a pipelining client naturally gets sweep sharing, an interactive
-   client gets request/response, and because grouping never changes
-   response bytes the distinction is invisible in the stream. *)
+   arrive together in one read are handed to [handle_lines] as a group,
+   which admits, answers in order and writes them back in one write;
+   each line is still answered alone, so grouping never changes a
+   response byte. *)
 let serve_connection t fd =
   let pending = Buffer.create 4096 in
   let chunk = Bytes.create 65536 in
@@ -1366,77 +1280,94 @@ let rec read_line r =
           Buffer.add_subbytes r.buf r.chunk 0 n;
           read_line r)
 
+(* [f ()], or None once the daemon is gone: a broken, reset or refused
+   connection reads like the end of the stream. *)
+let unless_gone f =
+  try f ()
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.ECONNREFUSED), _, _) ->
+    None
+
+(* The request corpus of a replay: one request per non-blank line. *)
+let read_corpus path =
+  In_channel.with_open_text path In_channel.input_lines
+  |> List.filter (fun l -> String.trim l <> "")
+
 (* [retry] > 0 re-sends a request answered with a structured overloaded
    response up to that many times, sleeping a seeded exponential backoff
    with jitter between attempts: delay_k = hint * 2^k * (0.5 + U[0,1)),
    where hint is the server's retry_after_ms (25 ms when absent).  Only
    meaningful in sequential mode; a pipelined replay sends everything up
-   front, so there is nothing left to pace. *)
+   front, so there is nothing left to pace.  Either mode stops at the
+   first request the daemon leaves unanswered and returns its index. *)
 let replay ?(pipeline = false) ?(retry = 0) ?(retry_seed = 42) ~socket
     ~requests () =
+  (* A daemon that dies mid-replay must surface as a closed connection,
+     not as a SIGPIPE death of the client. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
   let fd = connect_retry socket in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let r = reader fd in
       let t0 = Unix.gettimeofday () in
-      if pipeline then begin
-        write_all fd (String.concat "\n" requests ^ "\n");
-        Unix.shutdown fd Unix.SHUTDOWN_SEND;
-        let responses = ref [] in
-        let rec drain () =
-          match read_line r with
-          | Some line ->
-              responses := line :: !responses;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        (List.rev !responses, [||], Unix.gettimeofday () -. t0)
-      end
-      else begin
-        let rng = Rng.create ~seed:retry_seed in
-        let lat = Array.make (List.length requests) 0.0 in
-        let overload_hint resp =
-          match Json.parse resp with
-          | Error _ -> None
-          | Ok j -> (
-              match Json.find "overloaded" j with
-              | Some (Json.Bool true) -> (
-                  match Json.find "retry_after_ms" j with
-                  | Some (Json.Num ms) when ms > 0.0 -> Some ms
-                  | _ -> Some 25.0)
-              | _ -> None)
-        in
-        let responses =
-          List.mapi
-            (fun i req ->
-              let s = Unix.gettimeofday () in
-              let rec attempt k =
-                write_all fd (req ^ "\n");
-                let resp =
-                  match read_line r with
-                  | Some line -> line
-                  | None ->
-                      Robust.fail ~subsystem:"serve" ~operation:"replay"
-                        ~indices:[ i ]
-                        "daemon closed the connection mid-replay"
-                in
+      let responses, lat =
+        if pipeline then begin
+          ignore
+            (unless_gone (fun () ->
+                 write_all fd (String.concat "\n" requests ^ "\n");
+                 Unix.shutdown fd Unix.SHUTDOWN_SEND;
+                 None));
+          let rec drain acc =
+            match unless_gone (fun () -> read_line r) with
+            | Some line -> drain (line :: acc)
+            | None -> acc
+          in
+          (List.rev (drain []), [||])
+        end
+        else begin
+          let rng = Rng.create ~seed:retry_seed in
+          let overload_hint resp =
+            match Json.parse resp with
+            | Error _ -> None
+            | Ok j -> (
+                match Json.find "overloaded" j with
+                | Some (Json.Bool true) -> (
+                    match Json.find "retry_after_ms" j with
+                    | Some (Json.Num ms) when ms > 0.0 -> Some ms
+                    | _ -> Some 25.0)
+                | _ -> None)
+          in
+          let rec attempt req k =
+            match
+              unless_gone (fun () ->
+                  write_all fd (req ^ "\n");
+                  read_line r)
+            with
+            | None -> None
+            | Some resp -> (
                 match overload_hint resp with
                 | Some hint when k < retry ->
                     let backoff =
-                      hint
-                      *. Float.pow 2.0 (float_of_int k)
-                      *. (0.5 +. Rng.uniform rng)
+                      hint *. Float.pow 2.0 (float_of_int k) *. (0.5 +. Rng.uniform rng)
                     in
                     Unix.sleepf (backoff /. 1000.0);
-                    attempt (k + 1)
-                | _ -> resp
-              in
-              let resp = attempt 0 in
-              lat.(i) <- Unix.gettimeofday () -. s;
-              resp)
-            requests
-        in
-        (responses, lat, Unix.gettimeofday () -. t0)
-      end)
+                    attempt req (k + 1)
+                | _ -> Some resp)
+          in
+          let rec go acc lat = function
+            | [] -> (List.rev acc, Array.of_list (List.rev lat))
+            | req :: rest -> (
+                let s = Unix.gettimeofday () in
+                match attempt req 0 with
+                | Some resp -> go (resp :: acc) ((Unix.gettimeofday () -. s) :: lat) rest
+                | None -> go acc lat [] (* the daemon is gone: stop here *))
+          in
+          go [] [] requests
+        end
+      in
+      let answered = List.length responses in
+      ( responses,
+        lat,
+        Unix.gettimeofday () -. t0,
+        if answered < List.length requests then Some answered else None ))

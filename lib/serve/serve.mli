@@ -35,7 +35,7 @@
       64 results keyed on the scenario object's JSON text, so a repeated
       scenario is answered without a sweep, across commits, transient
       what-ifs and reverts alike ([load]/[swap]/[load_files] start a new,
-      empty memo; an insert that would exceed 64 entries starts it over;
+      empty memo; an insert into a full memo starts it over;
       counter [serve.scenario_memo_hits]).  Two kinds of request bypass
       it: one that carries [deadline_ms] runs its own sweep under its own
       deadline, and one whose scenario needs a repair is decoded afresh
@@ -117,18 +117,12 @@ val handle_line : t -> string -> string
     group through it too. *)
 
 val handle_lines : t -> string list -> string list
-(** Process a pipelined group of request lines, in order, each through
-    the request path of {!handle_line}.  Sharing is an optimisation
-    inside that path: before a maximal run of consecutive
-    [quantile]-with-scenario requests, each distinct scenario that the
-    session's scenario memo lacks runs once, in one
-    {!Ssta_batch.Batch.run}, into the memo, and each request of the run
-    reads its result there instead of sweeping again.  A request that
-    carries [deadline_ms] is never shared: it runs its own sweep under
-    its own deadline.  The batch engine is bit-identical to independent runs, so
-    the responses, and the [requests] / [errors] / [timeouts] counts in
-    [stats], equal those of [List.map (handle_line t)] — grouping only
-    trades wall clock.  [test/test_serve.ml] pins that equivalence. *)
+(** Process a pipelined group of request lines: admit the first
+    [max_queue] (see {!create}) and answer each alone, in order, through
+    {!handle_line}; shed the rest.  The accepted lines' responses equal
+    [List.map (handle_line t)] byte for byte, so grouping never changes
+    a response ([test/test_serve.ml] pins it).  A client that wants
+    several scenarios swept in parallel sends one [batch] request. *)
 
 val session_state :
   t ->
@@ -154,31 +148,28 @@ val replay :
   socket:string ->
   requests:string list ->
   unit ->
-  string list * float array * float
-(** Client side: connect to [socket] (retrying while the daemon boots)
-    and replay [requests].  Sequential mode (default) writes one request
-    and waits for its response — the returned array holds one latency in
-    seconds per request.  [~pipeline:true] writes the whole corpus, then
-    half-closes and drains — per-request latencies are not defined
-    (the array is empty) but batching on the daemon side is exercised.
-    [~retry:n] (sequential mode) resends a request shed with an
-    [overloaded] response up to [n] times, sleeping the daemon's
-    [retry_after_ms] hint scaled by seeded ([retry_seed]) exponential
-    backoff with jitter between attempts; the recorded latency spans all
-    attempts.  Returns (responses, latencies, total wall seconds). *)
+  string list * float array * float * int option
+(** Client side: connect to [socket] (retrying while the daemon boots,
+    15 s budget) and replay [requests].  Sequential mode (default) writes
+    one request and waits for its response — the returned array holds
+    one latency in seconds per answered request.  [~pipeline:true]
+    writes the whole corpus, then half-closes and drains — per-request
+    latencies are not defined (the array is empty) but request groups on
+    the daemon side are exercised.  [~retry:n] (sequential mode) resends
+    a request shed with an [overloaded] response up to [n] times,
+    sleeping the daemon's [retry_after_ms] hint scaled by seeded
+    ([retry_seed]) exponential backoff with jitter between attempts; the
+    recorded latency spans all attempts.
 
-(** {1 Raw client plumbing}
+    A daemon that goes away (EOF, [EPIPE], [ECONNRESET] or
+    [ECONNREFUSED]) ends the replay at the first request it left
+    unanswered: sequential mode sends nothing after it.  SIGPIPE is
+    ignored process-wide so that a dead daemon reads as a closed
+    connection.  Returns (responses of the answered prefix, latencies,
+    total wall seconds, [Some i] if request [i] was the first left
+    unanswered).  The chaos harness ({!Ssta_robust_inject.Chaos}) replays
+    through this same loop. *)
 
-    Exposed for the chaos harness ({!Ssta_robust_inject.Chaos}), which
-    needs a sequential client that survives the daemon dying
-    mid-request. *)
-
-type reader
-
-val connect_retry : string -> Unix.file_descr
-(** Connect to a unix socket path, retrying while the daemon boots
-    (15 s budget). *)
-
-val reader : Unix.file_descr -> reader
-val read_line : reader -> string option
-val write_all : Unix.file_descr -> string -> unit
+val read_corpus : string -> string list
+(** The request lines of a corpus file, blank lines dropped: what
+    [hssta client] and the chaos harness replay. *)

@@ -297,6 +297,29 @@ let test_slab_peak_is_capacity_plan () =
   Alcotest.(check bool) "at most two workers built" true (warm <= 2);
   Alcotest.(check int) "no slab built by warm runs" warm (builds ())
 
+(* Allocation pin for one scenario the worker has not materialized yet:
+   a slow-corner Batch.run_one on c1908 at one domain re-derives every
+   edge's corner mean (Corners.corner_weights_into) and sweeps.  Each call
+   gets a fresh scenario record, so the worker's cached-scenario skip
+   never fires.  Measured at 7 436 words per call (the result's arrays and
+   forms); the budget leaves about 50 % headroom.  A per-edge closure or a
+   boxed fold accumulator in the corner loop costs about 33 500 more, so
+   either fails the pin. *)
+let test_slow_run_one_allocation () =
+  let base = Batch.prepare (Lazy.force c1908) in
+  let slow =
+    { (Batch.nominal ~label:"slow" ()) with Batch.corner = H.Corners.Slow 1.0 }
+  in
+  Par.with_domains 1 @@ fun () ->
+  let words =
+    Test_kernels.minor_words_per (fun () ->
+        Batch.run_one base { slow with Batch.label = "slow" })
+  in
+  let budget = 11000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "slow run_one: %.0f minor words <= %.0f" words budget)
+    true (words <= budget)
+
 let test_span_granularity () =
   with_obs @@ fun () ->
   Obs.enable ();
@@ -502,6 +525,8 @@ let suites =
           test_span_granularity;
         Alcotest.test_case "results identical with obs on/off" `Quick
           test_obs_identity;
+        Alcotest.test_case "slow run_one allocation" `Quick
+          test_slow_run_one_allocation;
       ] );
     ( "batch.spec",
       [
