@@ -972,7 +972,8 @@ let () =
   let code =
     try Cmd.eval ~catch:false ~err group with
     | Ssta_robust.Robust.Error c ->
-        Printf.eprintf "hssta: robustness error (strict policy):\n  %s\n%!"
+        Printf.eprintf "hssta: robustness error (%s policy):\n  %s\n%!"
+          Ssta_robust.Robust.(policy_name (policy ()))
           (Ssta_robust.Robust.to_string c);
         3
     | e ->

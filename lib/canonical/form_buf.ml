@@ -289,15 +289,20 @@ let[@inline] covariance a ia b ib =
   let p = dot_range a.data (oa + 1 + ng) b.data (ob + 1 + ng) np in
   g +. p
 
-(* Paper eq. (6) on two slots.  The record-returning [Normal.clark_max]
-   keeps the probe free of writes (the in-place kernels use the
-   destination's scratch), so it is safe on buffers other domains read. *)
-let tightness a ia b ib =
+(* Paper eq. (6) on two slots, through [a]'s Clark scratch like the max
+   kernels: the record-returning [Normal.clark_max] would box its five
+   float arguments and its result on every probe. *)
+let[@inline] tightness a ia b ib =
   check_slot a ia "tightness";
   check_slot b ib "tightness";
-  (Normal.clark_max ~mean_a:(mean a ia) ~var_a:(variance a ia)
-     ~mean_b:(mean b ib) ~var_b:(variance b ib) ~cov:(covariance a ia b ib))
-    .Normal.tightness
+  let s = a.clark in
+  s.(0) <- mean a ia;
+  s.(1) <- variance a ia;
+  s.(2) <- mean b ib;
+  s.(3) <- variance b ib;
+  s.(4) <- covariance a ia b ib;
+  Normal.clark_max_into s;
+  s.(0)
 
 (* Validated boundary of the robust layer: [Extract] and [Hier_analysis]
    pass their incoming slabs through here before entering the kernels.
@@ -550,15 +555,29 @@ let add_into ~a ~ia ~b ~ib ~dst ~idst =
   check_dims b dst "add_into";
   let nc = a.dims.Form.n_globals + a.dims.Form.n_pcs in
   let oa = ia * a.stride and ob = ib * b.stride and od = idst * dst.stride in
-  A1.unsafe_set dst.data od
-    (A1.unsafe_get a.data oa +. A1.unsafe_get b.data ob);
-  for k = 1 to nc do
-    A1.unsafe_set dst.data (od + k)
-      (A1.unsafe_get a.data (oa + k) +. A1.unsafe_get b.data (ob + k))
+  let da = a.data and db = b.data and dd = dst.data in
+  A1.unsafe_set dd od (A1.unsafe_get da oa +. A1.unsafe_get db ob);
+  (* Four independent element sums per iteration: the slots' elements do
+     not interact, so only the loop overhead changes. *)
+  let k = ref 1 in
+  while !k + 3 <= nc do
+    let i = !k in
+    let x0 = A1.unsafe_get da (oa + i) +. A1.unsafe_get db (ob + i)
+    and x1 = A1.unsafe_get da (oa + i + 1) +. A1.unsafe_get db (ob + i + 1)
+    and x2 = A1.unsafe_get da (oa + i + 2) +. A1.unsafe_get db (ob + i + 2)
+    and x3 = A1.unsafe_get da (oa + i + 3) +. A1.unsafe_get db (ob + i + 3) in
+    A1.unsafe_set dd (od + i) x0;
+    A1.unsafe_set dd (od + i + 1) x1;
+    A1.unsafe_set dd (od + i + 2) x2;
+    A1.unsafe_set dd (od + i + 3) x3;
+    k := i + 4
   done;
-  let ra = A1.unsafe_get a.data (oa + a.stride - 1)
-  and rb = A1.unsafe_get b.data (ob + b.stride - 1) in
-  A1.unsafe_set dst.data (od + dst.stride - 1) (sqrt ((ra *. ra) +. (rb *. rb)))
+  for i = !k to nc do
+    A1.unsafe_set dd (od + i) (A1.unsafe_get da (oa + i) +. A1.unsafe_get db (ob + i))
+  done;
+  let ra = A1.unsafe_get da (oa + a.stride - 1)
+  and rb = A1.unsafe_get db (ob + b.stride - 1) in
+  A1.unsafe_set dd (od + dst.stride - 1) (sqrt ((ra *. ra) +. (rb *. rb)))
 
 let max2_into ~a ~ia ~b ~ib ~dst ~idst =
   check_dims a dst "max2_into";

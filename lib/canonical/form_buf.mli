@@ -132,8 +132,11 @@ val covariance : t -> int -> t -> int -> float
 
 val tightness : t -> int -> t -> int -> float
 (** [tightness a i b j] is P(a.(i) >= b.(j)), paper eq. (6): Clark's
-    tightness over {!variance} and {!covariance} of the two slots.  Writes
-    nothing, so concurrent calls on shared buffers are safe. *)
+    tightness over {!variance} and {!covariance} of the two slots, as
+    {!Ssta_gauss.Normal.clark_max} computes it.  Allocates nothing: it
+    runs in [a]'s Clark scratch, so like the in-place kernels it is not
+    safe concurrently with another kernel using the same [a] buffer
+    ([b] is only read). *)
 
 (** {1 Validation} *)
 

@@ -9,90 +9,126 @@ type path = {
   criticality : float;
 }
 
-(* Per-vertex memo over one arrival state.  [ml.(v)] is the
-   maximum-likelihood fanin edge of [v]: the fanin arc whose
-   [arrival(src) + delay] is tightest against [v]'s own arrival, the first
-   one on ties.  A vertex without fanin arcs is a source; a vertex whose
-   fanin arcs all come from unreached vertices has no ML edge, and neither
-   it nor anything whose ML chain runs through it can be traced.
-   [prefix.(v)] is the left-fold sum of the edge forms along the ML chain
-   from its source to [v] - the delay of the path [trace] reports into
-   [v] - so it is only defined for traceable vertices with an ML edge. *)
+(* Per-vertex memo over one arrival state, all of it in scratch the index
+   owns and [reset] empties.  [ml.(v)] is the maximum-likelihood fanin
+   edge of [v]: the fanin arc whose [arrival(src) + delay] is tightest
+   against [v]'s own arrival, the first one on ties.  A vertex without
+   fanin arcs is a source; a vertex whose fanin arcs all come from
+   unreached vertices has no ML edge, and neither it nor anything whose
+   ML chain runs through it can be traced.  [slot.(v)] is [v]'s slot in
+   the [prefix] slab, which holds the left-fold sum of the edge forms
+   along the ML chain from its source to [v] - the delay of the path
+   [trace] reports into [v] - so it is only defined for traceable
+   vertices with an ML edge.  Slots are handed out in first-use order and
+   the slab doubles when full, so it holds only the vertices a query
+   visits.
+
+   A query's candidate paths fold their delays into the [cand] slab:
+   candidate 0 is the ML path into the endpoint ([path_v]/[path_e], [len]
+   edges), candidate [c > 0] diverts onto fanin edge [via.(c)] at
+   position [at.(c)] of it.  Only the candidates a query returns are
+   boxed into [path]s. *)
 type index = {
   g : Tgraph.t;
   forms : Form_buf.t;
-  arrival_of : int -> Form.t option;
-  arrival : Form.t option array;
-  fetched : Bytes.t;
+  arrival : Propagate.workspace;
   ml : int array;
-  prefix : Form.t array;
+  slot : int array;
+  touched : int array;  (** the vertices whose [ml] is set, for [reset] *)
+  mutable n_touched : int;
+  mutable prefix : Form_buf.t;
+  mutable n_prefix : int;
   stack : int array;
-  acc : Form_buf.t;
-      (** scratch: slot 0 folds a path's edge forms in place, slot 1 holds
-          the endpoint arrival its criticality is taken against; slots 2
-          and 3 hold a fanin sum and the arrival it is tested against *)
+  path_v : int array;
+  path_e : int array;
+  mutable len : int;
+  mutable cand : Form_buf.t;
+  mutable crit : float array;
+  mutable at : int array;
+  mutable via : int array;
+  mutable n_cand : int;
+  sum : Form_buf.t;  (** one slot: the fanin sum an ML probe tests *)
 }
 
 let ml_unknown = -2
 let ml_source = -1
 let ml_none = -3
 
-(* Physical sentinel for a [prefix] slot not yet filled. *)
-let no_prefix = Form.constant { Form.n_globals = 0; n_pcs = 0 } nan
-
 let index g ~forms ~arrival =
-  let n = Tgraph.n_vertices g in
+  let n = Tgraph.n_vertices g and dims = Form_buf.dims forms in
   {
     g;
     forms;
-    arrival_of = arrival;
-    arrival = Array.make n None;
-    fetched = Bytes.make n '\000';
+    arrival;
     ml = Array.make n ml_unknown;
-    prefix = Array.make n no_prefix;
+    slot = Array.make n (-1);
+    touched = Array.make n 0;
+    n_touched = 0;
+    prefix = Form_buf.create dims 64;
+    n_prefix = 0;
     stack = Array.make n 0;
-    acc = Form_buf.create (Form_buf.dims forms) 4;
+    path_v = Array.make n 0;
+    path_e = Array.make n 0;
+    len = 0;
+    cand = Form_buf.create dims 16;
+    crit = Array.make 16 0.0;
+    at = Array.make 16 0;
+    via = Array.make 16 0;
+    n_cand = 0;
+    sum = Form_buf.create dims 1;
   }
 
-let arrival ix v =
-  if Bytes.unsafe_get ix.fetched v = '\000' then begin
-    ix.arrival.(v) <- ix.arrival_of v;
-    Bytes.unsafe_set ix.fetched v '\001'
-  end;
-  ix.arrival.(v)
+let reset ix =
+  for k = 0 to ix.n_touched - 1 do
+    let v = ix.touched.(k) in
+    ix.ml.(v) <- ml_unknown;
+    ix.slot.(v) <- -1
+  done;
+  ix.n_touched <- 0;
+  ix.n_prefix <- 0
 
-(* ML fanin edge of a reached vertex. *)
+(* [buf] at twice its length, its first [used] slots kept. *)
+let doubled buf used =
+  let b = Form_buf.create (Form_buf.dims buf) (2 * Form_buf.length buf) in
+  for i = 0 to used - 1 do
+    Form_buf.blit buf i b i
+  done;
+  b
+
+let grow_ints a = Array.append a (Array.make (Array.length a) 0)
+
+(* ML fanin edge of a vertex: one [Form_buf.tightness] of the fanin sum
+   [arrival(src) + delay], built in [sum], against the vertex's arrival
+   slot per reached fanin arc. *)
 let ml_edge ix v =
   let m = ix.ml.(v) in
   if m <> ml_unknown then m
   else begin
-    let g = ix.g in
+    let g = ix.g and ws = ix.arrival in
     let lo = g.Tgraph.fanin_lo.(v) and hi = g.Tgraph.fanin_hi.(v) in
     let m =
       if lo >= hi then ml_source
-      else
-        match arrival ix v with
-        | None -> ml_none
-        | Some a_v ->
-            let acc = ix.acc in
-            Form_buf.set acc 3 a_v;
-            let best = ref ml_none and best_tp = ref 0.0 in
-            for e = lo to hi - 1 do
-              match arrival ix g.Tgraph.src.(e) with
-              | None -> ()
-              | Some a_src ->
-                  Form_buf.set acc 2 a_src;
-                  Form_buf.add_into ~a:acc ~ia:2 ~b:ix.forms ~ib:e ~dst:acc
-                    ~idst:2;
-                  let tp = Form_buf.tightness acc 2 acc 3 in
-                  if !best = ml_none || not (!best_tp >= tp) then begin
-                    best := e;
-                    best_tp := tp
-                  end
-            done;
-            !best
+      else if not (Propagate.ws_reached ws v) then ml_none
+      else begin
+        let a = Propagate.ws_buf ws and sum = ix.sum in
+        let best = ref ml_none and best_tp = ref 0.0 in
+        for e = lo to hi - 1 do
+          let u = g.Tgraph.src.(e) in
+          if Propagate.ws_reached ws u then begin
+            Form_buf.add_into ~a ~ia:u ~b:ix.forms ~ib:e ~dst:sum ~idst:0;
+            let tp = Form_buf.tightness sum 0 a v in
+            if !best = ml_none || not (!best_tp >= tp) then begin
+              best := e;
+              best_tp := tp
+            end
+          end
+        done;
+        !best
+      end
     in
     ix.ml.(v) <- m;
+    ix.touched.(ix.n_touched) <- v;
+    ix.n_touched <- ix.n_touched + 1;
     m
   end
 
@@ -102,28 +138,82 @@ let rec traceable ix v =
   let m = ml_edge ix v in
   m = ml_source || (m <> ml_none && traceable ix ix.g.Tgraph.src.(m))
 
-(* [prefix.(v)] for a traceable [v] with an ML edge, filled source-ward
+let new_prefix_slot ix v =
+  if ix.n_prefix = Form_buf.length ix.prefix then
+    ix.prefix <- doubled ix.prefix ix.n_prefix;
+  let s = ix.n_prefix in
+  ix.n_prefix <- s + 1;
+  ix.slot.(v) <- s;
+  s
+
+(* The prefix slot of a traceable [v] with an ML edge, filled source-ward
    first so each slot is its predecessor's plus one edge form. *)
 let prefix ix v =
   let g = ix.g and stack = ix.stack in
   let depth = ref 0 and u = ref v in
-  while
-    ix.prefix.(!u) == no_prefix && ix.ml.(g.Tgraph.src.(ix.ml.(!u))) >= 0
-  do
+  while ix.slot.(!u) < 0 && ix.ml.(g.Tgraph.src.(ix.ml.(!u))) >= 0 do
     stack.(!depth) <- !u;
     incr depth;
     u := g.Tgraph.src.(ix.ml.(!u))
   done;
-  if ix.prefix.(!u) == no_prefix then
-    ix.prefix.(!u) <- Form_buf.get ix.forms ix.ml.(!u);
+  if ix.slot.(!u) < 0 then begin
+    let s = new_prefix_slot ix !u in
+    Form_buf.blit ix.forms ix.ml.(!u) ix.prefix s
+  end;
   for i = !depth - 1 downto 0 do
     let w = stack.(i) in
     let e = ix.ml.(w) in
-    Form_buf.set ix.acc 0 ix.prefix.(g.Tgraph.src.(e));
-    Form_buf.add_into ~a:ix.acc ~ia:0 ~b:ix.forms ~ib:e ~dst:ix.acc ~idst:0;
-    ix.prefix.(w) <- Form_buf.get ix.acc 0
+    let s = new_prefix_slot ix w in
+    Form_buf.add_into ~a:ix.prefix ~ia:ix.slot.(g.Tgraph.src.(e)) ~b:ix.forms
+      ~ib:e ~dst:ix.prefix ~idst:s
   done;
-  ix.prefix.(v)
+  ix.slot.(v)
+
+let new_candidate ix ~at ~via =
+  let c = ix.n_cand in
+  if c = Form_buf.length ix.cand then begin
+    ix.cand <- doubled ix.cand c;
+    ix.crit <- Array.append ix.crit (Array.make c 0.0);
+    ix.at <- grow_ints ix.at;
+    ix.via <- grow_ints ix.via
+  end;
+  ix.n_cand <- c + 1;
+  ix.at.(c) <- at;
+  ix.via.(c) <- via;
+  c
+
+(* Candidate 0: the ML path into [endpoint] into [path_v]/[path_e], its
+   delay and its criticality against the endpoint arrival.  False when
+   the endpoint is unreached or its chain dead-ends. *)
+let best ix ~endpoint =
+  let g = ix.g and ws = ix.arrival in
+  if not (Propagate.ws_reached ws endpoint && traceable ix endpoint) then false
+  else begin
+    let len = ref 0 and v = ref endpoint in
+    while ix.ml.(!v) <> ml_source do
+      incr len;
+      v := g.Tgraph.src.(ix.ml.(!v))
+    done;
+    let len = !len in
+    ix.path_v.(0) <- !v;
+    let v = ref endpoint in
+    for i = len downto 1 do
+      let e = ix.ml.(!v) in
+      ix.path_v.(i) <- !v;
+      ix.path_e.(i - 1) <- e;
+      v := g.Tgraph.src.(e)
+    done;
+    ix.len <- len;
+    ix.n_cand <- 0;
+    let c = new_candidate ix ~at:len ~via:(-1) in
+    if len = 0 then Form_buf.clear_slot ix.cand c
+    else begin
+      let s = prefix ix endpoint in
+      Form_buf.blit ix.prefix s ix.cand c
+    end;
+    ix.crit.(c) <- Form_buf.tightness ix.cand c (Propagate.ws_buf ws) endpoint;
+    true
+  end
 
 (* The ML chain into [v], prepended onto [vertices]/[edges]. *)
 let chain ix v ~vertices ~edges =
@@ -134,82 +224,65 @@ let chain ix v ~vertices ~edges =
   in
   walk v vertices edges
 
-let empty_delay ix = Form.zero (Form_buf.dims ix.forms)
+(* [a.(lo) ... a.(hi)] as a list. *)
+let sub_list a lo hi =
+  let rec go i acc = if i < lo then acc else go (i - 1) (a.(i) :: acc) in
+  go hi []
 
-let trace ix ~endpoint =
-  match arrival ix endpoint with
-  | None -> None
-  | Some a ->
-      if not (traceable ix endpoint) then None
-      else begin
-        let vertices, edges = chain ix endpoint ~vertices:[] ~edges:[] in
-        let delay =
-          if ix.ml.(endpoint) = ml_source then empty_delay ix
-          else prefix ix endpoint
-        in
-        Form_buf.set ix.acc 0 delay;
-        Form_buf.set ix.acc 1 a;
-        let criticality = Form_buf.tightness ix.acc 0 ix.acc 1 in
-        Some { vertices; edges; delay; criticality }
-      end
+let path_of ix c =
+  let len = ix.len and e = ix.via.(c) in
+  let vertices, edges =
+    if e < 0 then chain ix ix.path_v.(len) ~vertices:[] ~edges:[]
+    else
+      let i = ix.at.(c) in
+      chain ix ix.g.Tgraph.src.(e)
+        ~vertices:(ix.path_v.(i) :: sub_list ix.path_v (i + 1) len)
+        ~edges:(e :: sub_list ix.path_e i (len - 1))
+  in
+  { vertices; edges; delay = Form_buf.get ix.cand c; criticality = ix.crit.(c) }
 
-let rec drop n = function
-  | _ :: tl when n > 0 -> drop (n - 1) tl
-  | l -> l
+let trace ix ~endpoint = if best ix ~endpoint then Some (path_of ix 0) else None
 
 let top_paths ix ~endpoint ~k =
-  match trace ix ~endpoint with
-  | None -> []
-  | Some best ->
-      let g = ix.g and forms = ix.forms in
-      let acc = ix.acc in
-      (* [trace] left the endpoint arrival in slot 1; [prefix] and the
-         folds below write slot 0 only. *)
-      let acc_add e =
-        Form_buf.add_into ~a:acc ~ia:0 ~b:forms ~ib:e ~dst:acc ~idst:0
-      in
-      let candidates = ref [ best ] in
-      (* Branch: at each vertex of the best path, divert onto each
-         alternate fanin arc, complete the upstream side with the ML chain,
-         and keep the best path's suffix downstream.
-         varr.(i-1) -e(i-1)-> varr.(i).  In a DAG a path enters each
-         vertex once, so distinct (vertex, arc) branches are distinct
-         paths, and none of them is the best path. *)
-      let varr = Array.of_list best.vertices in
-      let earr = Array.of_list best.edges in
-      let n = Array.length earr in
-      let down_v = ref (drop 2 best.vertices) in
-      let down_e = ref (drop 1 best.edges) in
-      for i = 1 to n do
-        let v = varr.(i) in
-        let chosen = earr.(i - 1) in
-        for e = g.Tgraph.fanin_lo.(v) to g.Tgraph.fanin_hi.(v) - 1 do
-          let u = g.Tgraph.src.(e) in
-          if e <> chosen && Option.is_some (arrival ix u) && traceable ix u
-          then begin
-            if ix.ml.(u) = ml_source then Form_buf.blit forms e acc 0
-            else begin
-              Form_buf.set acc 0 (prefix ix u);
-              acc_add e
-            end;
-            for j = i to n - 1 do
-              acc_add earr.(j)
-            done;
-            let delay = Form_buf.get acc 0 in
-            let criticality = Form_buf.tightness acc 0 acc 1 in
-            let vertices, edges =
-              chain ix u ~vertices:(v :: !down_v) ~edges:(e :: !down_e)
-            in
-            candidates := { vertices; edges; delay; criticality } :: !candidates
-          end
-        done;
-        down_v := drop 1 !down_v;
-        down_e := drop 1 !down_e
-      done;
-      let sorted =
-        List.sort (fun a b -> compare b.criticality a.criticality) !candidates
-      in
-      List.filteri (fun i _ -> i < k) sorted
+  if not (best ix ~endpoint) then []
+  else begin
+    let g = ix.g and forms = ix.forms and len = ix.len in
+    let a = Propagate.ws_buf ix.arrival in
+    let ids = ref [ 0 ] in
+    (* Branch: at each vertex of the best path, divert onto each alternate
+       fanin arc, complete the upstream side with the ML chain, and keep
+       the best path's suffix downstream.
+       path_v.(i-1) -path_e.(i-1)-> path_v.(i).  In a DAG a path enters
+       each vertex once, so distinct (vertex, arc) branches are distinct
+       paths, and none of them is the best path.  Each delay is the left
+       fold of its edge forms from the input side. *)
+    for i = 1 to len do
+      let v = ix.path_v.(i) and chosen = ix.path_e.(i - 1) in
+      for e = g.Tgraph.fanin_lo.(v) to g.Tgraph.fanin_hi.(v) - 1 do
+        let u = g.Tgraph.src.(e) in
+        if e <> chosen && Propagate.ws_reached ix.arrival u && traceable ix u
+        then begin
+          let from = if ix.ml.(u) = ml_source then -1 else prefix ix u in
+          let c = new_candidate ix ~at:i ~via:e in
+          let cand = ix.cand in
+          if from < 0 then Form_buf.blit forms e cand c
+          else
+            Form_buf.add_into ~a:ix.prefix ~ia:from ~b:forms ~ib:e ~dst:cand
+              ~idst:c;
+          for j = i to len - 1 do
+            Form_buf.add_into ~a:cand ~ia:c ~b:forms ~ib:ix.path_e.(j) ~dst:cand
+              ~idst:c
+          done;
+          ix.crit.(c) <- Form_buf.tightness cand c a endpoint;
+          ids := c :: !ids
+        end
+      done
+    done;
+    let crit = ix.crit in
+    List.sort (fun x y -> compare crit.(y) crit.(x)) !ids
+    |> List.filteri (fun i _ -> i < k)
+    |> List.map (path_of ix)
+  end
 
 let report g ~forms ~k ppf =
   let ws = Propagate.create_workspace () in
@@ -217,7 +290,7 @@ let report g ~forms ~k ppf =
   match Propagate.ws_worst ws g.Tgraph.outputs with
   | None -> Format.fprintf ppf "no reachable output@."
   | Some endpoint ->
-      let ix = index g ~forms ~arrival:(Propagate.ws_form ws) in
+      let ix = index g ~forms ~arrival:ws in
       Format.fprintf ppf "worst endpoint %d: arrival %a@." endpoint Form.pp
         (Option.get (Propagate.ws_form ws endpoint));
       List.iteri

@@ -22,25 +22,34 @@ type path = {
 }
 
 type index
-(** Per-vertex memo over one arrival state, filled lazily: each visited
-    vertex's arrival (fetched once), its maximum-likelihood fanin edge
-    (one {!Form_buf.tightness} of [arrival(src) + delay] per fanin arc),
-    and the left-fold sum of the edge forms along its ML chain.  Building
-    one is O(V) words; the memo then makes a {!trace} O(depth) after its
-    first visit and a {!top_paths} O(depth) per candidate plus
-    O(depth * dims) flops for its delay.
+(** Per-vertex memo over one arrival state, filled lazily and held
+    entirely in scratch the index owns: each visited vertex's
+    maximum-likelihood fanin edge (one {!Form_buf.tightness} of
+    [arrival(src) + delay], summed in a scratch slot, against the
+    vertex's arrival slot, per fanin arc) and the left-fold sum of the
+    edge forms along its ML chain, kept in a slab of slots handed out on
+    first use.  Arrivals are read in place from the workspace's slots and
+    reach mask; nothing is boxed but the paths a query returns.  The memo
+    makes a {!trace} O(depth) after its first visit and a {!top_paths}
+    O(depth) per candidate plus O(depth * dims) flops for its delay.
 
-    Lifetime: an index reads [arrival] lazily, so the arrival state it
-    was built over (and [forms]) must not change while it is in use;
-    build a new one after any re-propagation.  One index serves every
-    endpoint of the same arrival state, and sharing it is what amortizes
-    the memo.  Not safe for concurrent use. *)
+    Lifetime: an index reads [arrival] and [forms] lazily, so they must
+    not change while its memo is in use; after a re-propagation or an
+    edit of [forms], {!reset} it (or build a new one).  One index serves
+    every endpoint of the same arrival state, and sharing it is what
+    amortizes the memo.  Not safe for concurrent use. *)
 
 val index :
-  Tgraph.t -> forms:Form_buf.t -> arrival:(int -> Form.t option) -> index
-(** [arrival v] is [v]'s arrival form, [None] where unreached; it is
-    called at most once per vertex, and only for vertices a query
-    visits. *)
+  Tgraph.t -> forms:Form_buf.t -> arrival:Propagate.workspace -> index
+(** An empty index over the arrival state [arrival] holds (a completed
+    {!Propagate.forward_into} of [g] over [forms], or one sweep that
+    reached nothing).  Sizes O(V) ints; the form slabs grow with the
+    vertices and candidates queries visit and are kept across {!reset}. *)
+
+val reset : index -> unit
+(** Forget the memo, keeping the scratch: the next query re-reads the
+    arrival state and [forms] as they are now.  O(vertices visited since
+    the last reset). *)
 
 val trace : index -> endpoint:int -> path option
 (** Maximum-likelihood critical path into [endpoint]: walking backward,
@@ -56,7 +65,9 @@ val top_paths : index -> endpoint:int -> k:int -> path list
     per alternate reached fanin arc completed upstream by that arc's ML
     chain.  This greedy set is exact for trees and a good heuristic on
     reconvergent logic.  Each delay is the left fold of its edge forms
-    from the input side, so the report is independent of the memo. *)
+    from the input side, so the report is independent of the memo.
+    Candidates are folded and ranked in the index's slabs; only the [k]
+    returned are boxed. *)
 
 val report :
   Tgraph.t -> forms:Form_buf.t -> k:int -> Format.formatter -> unit

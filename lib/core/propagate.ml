@@ -88,6 +88,16 @@ let seed ws sources =
    sequentially first, after which in-region prepares never regrow. *)
 let reserve ws ~dims ~n = prepare ws ~dims ~n
 
+let ws_load ws ~dims arrival =
+  prepare ws ~dims ~n:(Array.length arrival);
+  Array.iteri
+    (fun v -> function
+      | None -> ()
+      | Some f ->
+          Form_buf.set ws.buf v f;
+          mark ws v)
+    arrival
+
 (* Post-sweep op accounting, run only when observability is enabled so
    the kernel loops carry no per-edge instrumentation.  The edge list is
    topologically sorted (every fanin edge of a vertex precedes every

@@ -37,6 +37,12 @@ val ws_reached : workspace -> int -> bool
 val ws_form : workspace -> int -> Form.t option
 (** Allocating probe of one vertex (for result extraction and tests). *)
 
+val ws_load : workspace -> dims:Form.dims -> Form.t option array -> unit
+(** Make the workspace hold the given arrival state, as if a sweep had
+    left it: vertex [v]'s slot is [arrival.(v)] where it is [Some],
+    unreached where [None] - the inverse of {!ws_form} over every vertex,
+    for callers (tests) that hold a boxed arrival state. *)
+
 val ws_reach_into : workspace -> n:int -> into:Bytes.t -> unit
 (** Copy the first [n] bytes of the last sweep's reachability mask into a
     caller-owned buffer (non-zero byte = reached).  The criticality screen

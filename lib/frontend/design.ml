@@ -429,8 +429,10 @@ let report_checks ?(k = 3) ?period lowered ~build =
   (* For an endpoint with false -from ports, re-propagate from the
      surviving sources: vertices fed only through excluded inputs stay
      unreached, which excludes exactly the false paths' contribution.
-     Each distinct excluded set is swept once into its own workspace, and
-     each arrival state gets one path index shared by all its endpoints. *)
+     Each distinct excluded set is swept once into its own workspace (from
+     no sources at all when every input is excluded, which reaches
+     nothing), and each arrival state gets one path index shared by all
+     its endpoints. *)
   let analyses = Hashtbl.create 4 in
   let analysis_for port =
     let key = excluded_sources port in
@@ -446,15 +448,9 @@ let report_checks ?(k = 3) ?period lowered ~build =
                    (fun v -> not (List.mem v excluded))
                    (Array.to_list g.Tgraph.inputs))
         in
-        let arrival =
-          if sources = [||] then fun _ -> None
-          else begin
-            let ws = Propagate.create_workspace () in
-            Propagate.forward_into ws g ~forms ~sources;
-            Propagate.ws_form ws
-          end
-        in
-        let a = (arrival, lazy (Path_report.index g ~forms ~arrival)) in
+        let ws = Propagate.create_workspace () in
+        Propagate.forward_into ws g ~forms ~sources;
+        let a = (ws, lazy (Path_report.index g ~forms ~arrival:ws)) in
         Hashtbl.add analyses key a;
         a
   in
@@ -462,9 +458,9 @@ let report_checks ?(k = 3) ?period lowered ~build =
     List.mapi
       (fun i port ->
         let vertex = nl.N.outputs.(i) in
-        let arrival, paths_index = analysis_for port in
+        let ws, paths_index = analysis_for port in
         let required = period -. output_delay port in
-        match arrival vertex with
+        match Propagate.ws_form ws vertex with
         | None ->
             {
               port;

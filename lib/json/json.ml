@@ -180,14 +180,21 @@ let add_escaped b s =
     s;
   Buffer.add_char b '"'
 
+(* The C conversion [Printf.sprintf "%.17g"] ends in, without the
+   format interpreter in front of it: the same bytes at a fraction of the
+   cost, which dominates writing a response of a few hundred numbers. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let add_num b f =
   if not (Float.is_finite f) then Buffer.add_string b "null"
   else if
     Float.is_integer f && Float.abs f <= 1e15
     (* integral and exactly representable as an int: print without the
-       exponent noise %.17g would add *)
-  then Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.17g" f)
+       exponent noise %.17g would add, the digits "%.0f" would print *)
+  then
+    Buffer.add_string b
+      (if f = 0.0 && Float.sign_bit f then "-0" else string_of_int (truncate f))
+  else Buffer.add_string b (format_float "%.17g" f)
 
 let to_string v =
   let b = Buffer.create 128 in

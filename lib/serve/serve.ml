@@ -12,6 +12,7 @@ module Robust = Ssta_robust.Robust
 module Deadline = Ssta_robust.Deadline
 module Crash = Ssta_robust.Crash
 module Rng = Ssta_gauss.Rng
+module Normal = Ssta_gauss.Normal
 module Obs = Ssta_obs.Obs
 module FDesign = Ssta_frontend.Design
 module FSdc = Ssta_frontend.Sdc
@@ -56,6 +57,8 @@ type session = {
   build : Build.t;
   fbuf : Form_buf.t;  (** current edge forms (what-if edits applied) *)
   ws : Propagate.workspace;  (** holds the current completed arrival sweep *)
+  paths : Path_report.index;
+      (** over [fbuf] and [ws]; reset by every [paths] request *)
   dirty : Bytes.t;  (** per-vertex dirty mask scratch *)
   mutable base : Batch.base option;  (** lazy, over the pristine forms *)
   memo : (string, Batch.result) Hashtbl.t;
@@ -242,6 +245,7 @@ let load_origin ~replay t origin =
       build;
       fbuf;
       ws;
+      paths = Path_report.index g ~forms:fbuf ~arrival:ws;
       dirty = Bytes.create (Tgraph.n_vertices g);
       base = None;
       memo = Hashtbl.create 16;
@@ -485,27 +489,32 @@ let op_report t j =
         None
   in
   let g = s.build.Build.graph in
+  (* Moments straight from the sweep's slots; the clock is
+     [Yield.clock_for_yield]'s [Form.quantile] in its operand order. *)
+  let buf = Propagate.ws_buf s.ws and z = Normal.quantile yield in
   let outs =
     Array.to_list g.Tgraph.outputs
     |> List.map (fun o ->
            let base = [ ("vertex", Json.Num (float_of_int o)) ] in
-           match Propagate.ws_form s.ws o with
-           | None -> Json.Obj (base @ [ ("reachable", Json.Bool false) ])
-           | Some f ->
-               let q = Yield.clock_for_yield f ~yield in
-               let slack =
-                 match clock with
-                 | None -> []
-                 | Some c -> [ ("slack", Json.Num (c -. q)) ]
-               in
-               Json.Obj
-                 (base
-                 @ [
-                     ("mean", Json.Num f.Form.mean);
-                     ("sigma", Json.Num (Form.std f));
-                     ("clock", Json.Num q);
-                   ]
-                 @ slack))
+           if not (Propagate.ws_reached s.ws o) then
+             Json.Obj (base @ [ ("reachable", Json.Bool false) ])
+           else begin
+             let mean = Form_buf.mean buf o and sigma = Form_buf.std buf o in
+             let q = mean +. (sigma *. z) in
+             let slack =
+               match clock with
+               | None -> []
+               | Some c -> [ ("slack", Json.Num (c -. q)) ]
+             in
+             Json.Obj
+               (base
+               @ [
+                   ("mean", Json.Num mean);
+                   ("sigma", Json.Num sigma);
+                   ("clock", Json.Num q);
+                 ]
+               @ slack)
+           end)
   in
   let clock_field =
     match clock with None -> [] | Some c -> [ ("ref_clock", Json.Num c) ]
@@ -541,12 +550,10 @@ let op_paths t j =
         Robust.fail ~subsystem:"serve" ~operation
           "output must be a vertex number"
   in
-  (* The index boxes only the arrivals the trace visits. *)
-  let paths =
-    Path_report.top_paths
-      (Path_report.index g ~forms:s.fbuf ~arrival:(Propagate.ws_form s.ws))
-      ~endpoint ~k
-  in
+  (* The session's index reads the resident sweep in place; only the k
+     paths answered are boxed. *)
+  Path_report.reset s.paths;
+  let paths = Path_report.top_paths s.paths ~endpoint ~k in
   let path_json (p : Path_report.path) =
     Json.Obj
       [

@@ -42,12 +42,15 @@
       by each request, so repair counters stay per request.  [yield] and
       [clock] are computed per request from the memoized delay form.
     - [{"op":"report","clock":C?,"yield":Y?}] — per-output arrival mean,
-      sigma and yield-clock; with [clock], per-output slack against it.
+      sigma and yield-clock, read straight from the resident sweep's
+      slots; with [clock], per-output slack against it.
     - [{"op":"paths","output":V?,"k":K?}] — top-[K] statistically
       critical paths into output [V] (default: the worst output by mean
-      arrival).  Answered by a {!Hier_ssta.Path_report.index} built per
-      request over the resident arrival state, so only the vertices the
-      trace visits are unpacked from the sweep's slab.
+      arrival).  Answered by the session's {!Hier_ssta.Path_report.index}
+      over the resident arrival state, reset by each request: the trace
+      reads the sweep's slots in place, keeps its prefix sums and
+      candidate delays in the index's own slabs, and boxes only the [K]
+      paths it answers.
     - [{"op":"whatif","edits":E,"mode":M?,"commit":B?}] — ECO-style
       edge-delay edit.  [E] is an array of
       [{"edge":e,"scale":a|"add":d|"set":v}] objects; [M] is

@@ -159,6 +159,13 @@ let scalar_summaries arr =
    is compared against. *)
 let boxed ws g = Array.init (Tgraph.n_vertices g) (Propagate.ws_form ws)
 
+(* A workspace holding a boxed arrival state, for the consumers that read
+   arrivals in place from a sweep's workspace ([Path_report]). *)
+let workspace_of ~dims arrival =
+  let ws = Propagate.create_workspace () in
+  Propagate.ws_load ws ~dims arrival;
+  ws
+
 let kernel_forward g ~forms ~sources =
   let ws = Propagate.create_workspace () in
   Propagate.forward_into ws g ~forms:(pack_like forms) ~sources;

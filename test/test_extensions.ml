@@ -185,6 +185,13 @@ let test_corner_pessimism () =
 let dims = { Form.n_globals = 1; n_pcs = 1 }
 let det v = Form.constant dims v
 
+(* A path index over a forward sweep of [forms] from the graph's inputs. *)
+let swept_index g forms =
+  let forms = Sweep_oracle.pack_like forms in
+  let ws = H.Propagate.create_workspace () in
+  H.Propagate.forward_into ws g ~forms ~sources:g.Tgraph.inputs;
+  H.Path_report.index g ~forms ~arrival:ws
+
 let test_path_trace_chain () =
   let g =
     Tgraph.make ~n_vertices:3
@@ -192,11 +199,7 @@ let test_path_trace_chain () =
       ~inputs:[| 0 |] ~outputs:[| 2 |]
   in
   let forms = [| det 1.0; det 2.0 |] in
-  let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
-  match H.Path_report.trace
-      (H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
-         ~arrival:(Array.get arrival))
-      ~endpoint:2 with
+  match H.Path_report.trace (swept_index g forms) ~endpoint:2 with
   | None -> Alcotest.fail "no path"
   | Some p ->
       Alcotest.(check (list int)) "vertices" [ 0; 1; 2 ] p.H.Path_report.vertices;
@@ -216,11 +219,7 @@ let test_path_trace_picks_dominant () =
       ~inputs:[| 0 |] ~outputs:[| 3 |]
   in
   let forms = [| noisy 10.0; noisy 1.0; noisy 10.0; noisy 1.0 |] in
-  let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
-  match H.Path_report.trace
-      (H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
-         ~arrival:(Array.get arrival))
-      ~endpoint:3 with
+  match H.Path_report.trace (swept_index g forms) ~endpoint:3 with
   | None -> Alcotest.fail "no path"
   | Some p ->
       Alcotest.(check (list int)) "dominant path" [ 0; 1; 3 ]
@@ -233,12 +232,7 @@ let test_top_paths () =
       ~inputs:[| 0 |] ~outputs:[| 3 |]
   in
   let forms = [| noisy 10.0; noisy 9.0; noisy 10.0; noisy 9.0 |] in
-  let arrival = Sweep_oracle.kernel_forward g ~forms ~sources:g.Tgraph.inputs in
-  let paths = H.Path_report.top_paths
-      (H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
-         ~arrival:(Array.get arrival))
-      ~endpoint:3 ~k:3
-  in
+  let paths = H.Path_report.top_paths (swept_index g forms) ~endpoint:3 ~k:3 in
   Alcotest.(check int) "two distinct paths" 2 (List.length paths);
   (match paths with
   | p1 :: p2 :: _ ->
@@ -259,7 +253,7 @@ let test_top_paths () =
       match
         H.Path_report.top_paths
           (H.Path_report.index b.Build.graph ~forms:b.Build.forms
-             ~arrival:(H.Propagate.ws_form ws))
+             ~arrival:ws)
           ~endpoint ~k:5
       with
       | [] -> Alcotest.fail "no paths on c432"

@@ -2,7 +2,8 @@
    against the pre-index engine, kept here verbatim as the oracle (one
    maximum-likelihood re-trace and one re-summed, string-deduplicated
    path per branch), on random DAGs and on every output of four ISCAS
-   circuits; and the tracer's fanin probe, Form_buf.tightness of an
+   circuits, through a fresh index and through one index reset and
+   reused across queries and arrival states; and the tracer's fanin probe, Form_buf.tightness of an
    add_into sum, against the oracle's boxed tightness of the sum. *)
 
 module H = Hier_ssta
@@ -228,9 +229,10 @@ let random_case seed =
 
 let prop_random_dags seed =
   let g, forms, arrival = random_case seed in
+  let fbuf = Sweep_oracle.pack_like forms in
   let ix =
-    H.Path_report.index g ~forms:(Sweep_oracle.pack_like forms)
-      ~arrival:(Array.get arrival)
+    H.Path_report.index g ~forms:fbuf
+      ~arrival:(Sweep_oracle.workspace_of ~dims:(Form_buf.dims fbuf) arrival)
   in
   List.for_all
     (fun k ->
@@ -261,7 +263,10 @@ let test_iscas_outputs () =
       let forms = Sweep_oracle.unpack fbuf in
       let arrival = Sweep_oracle.forward_all g ~forms in
       (* One index shared by every output, as the callers use it. *)
-      let ix = H.Path_report.index g ~forms:fbuf ~arrival:(Array.get arrival) in
+      let ix =
+        H.Path_report.index g ~forms:fbuf
+          ~arrival:(Sweep_oracle.workspace_of ~dims:(Form_buf.dims fbuf) arrival)
+      in
       Array.iter
         (fun endpoint ->
           match agree ix g ~forms ~arrival ~endpoint ~k:5 with
@@ -269,6 +274,56 @@ let test_iscas_outputs () =
           | Error msg -> Alcotest.failf "%s %s" name msg)
         g.Tgraph.outputs)
     [ "c432"; "c1908"; "c6288"; "c7552" ]
+
+(* One index reused the way a serve session reuses its own: reset before
+   every query, its workspace re-loaded whenever the next query is over
+   the other of two arrival states (every input, or every other input),
+   the (endpoint, state) queries in a shuffled order.  An ML edge or a
+   prefix slot surviving a reset would answer for the wrong state. *)
+let test_reused_index () =
+  List.iter
+    (fun name ->
+      let b = Build.characterize (Ssta_circuit.Iscas.build name) in
+      let g = b.Build.graph and fbuf = b.Build.forms in
+      let forms = Sweep_oracle.unpack fbuf in
+      let inputs = g.Tgraph.inputs in
+      let states =
+        [|
+          Sweep_oracle.forward_all g ~forms;
+          Sweep_oracle.forward g ~forms
+            ~sources:
+              (Array.of_list
+                 (List.filteri (fun i _ -> i mod 2 = 0) (Array.to_list inputs)));
+        |]
+      in
+      let queries =
+        Array.concat
+          (List.map
+             (fun s -> Array.map (fun o -> (o, s)) g.Tgraph.outputs)
+             [ 0; 1 ])
+      in
+      let rng = Rng.create ~seed:20261020 in
+      for i = Array.length queries - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let q = queries.(i) in
+        queries.(i) <- queries.(j);
+        queries.(j) <- q
+      done;
+      let ws = H.Propagate.create_workspace () in
+      let ix = H.Path_report.index g ~forms:fbuf ~arrival:ws in
+      let loaded = ref (-1) in
+      Array.iter
+        (fun (endpoint, s) ->
+          if s <> !loaded then begin
+            H.Propagate.ws_load ws ~dims:(Form_buf.dims fbuf) states.(s);
+            loaded := s
+          end;
+          H.Path_report.reset ix;
+          match agree ix g ~forms ~arrival:states.(s) ~endpoint ~k:5 with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s state %d %s" name s msg)
+        queries)
+    [ "c432"; "c1908"; "c7552" ]
 
 (* ------------------------------------------------------------------ *)
 (* The tracer's fanin probe: Form_buf.tightness of an add_into sum      *)
@@ -330,6 +385,9 @@ let suites =
         qcheck_random_dags;
         Alcotest.test_case "index = oracle on c432/c1908/c6288/c7552 outputs"
           `Quick test_iscas_outputs;
+        Alcotest.test_case
+          "one reset index, shuffled endpoints over two states = oracle"
+          `Quick test_reused_index;
         qcheck_fanin_tightness;
       ] );
   ]

@@ -525,6 +525,59 @@ let test_quantile_allocation () =
     (Printf.sprintf "a re-sweep (%.0f minor words) exceeds the hit budget" sweep)
     true (sweep > hit_budget)
 
+(* Allocation pins for the two read-only reports on c1908, after
+   warm-up.  A paths k=5 request allocated 174 335 minor words when the
+   path index boxed every arrival it read, its prefix sums and every
+   candidate delay; a report request 12 245 when it boxed every output's
+   arrival.  Reading the sweep's slots in place and boxing only the five
+   answered paths, they measure 16 532 and 2 987 words; the budgets are
+   1.5x those. *)
+let test_report_paths_allocation () =
+  Par.with_domains 1 @@ fun () ->
+  let t = Serve.create () in
+  ignore
+    (check_ok "load"
+       (Serve.handle_line t (req [ ("op", Json.Str "load"); ("design", Json.Str "c1908") ])));
+  let per fields =
+    let l = req fields in
+    Test_kernels.minor_words_per (fun () -> Serve.handle_line t l)
+  in
+  let paths = per [ ("op", Json.Str "paths"); ("k", Json.Num 5.0) ] in
+  let report = per [ ("op", Json.Str "report") ] in
+  let paths_budget = 24_800.0 and report_budget = 4_480.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "paths k=5: %.0f minor words <= %.0f" paths paths_budget)
+    true (paths <= paths_budget);
+  Alcotest.(check bool)
+    (Printf.sprintf "report: %.0f minor words <= %.0f" report report_budget)
+    true (report <= report_budget)
+
+(* The JSON number writer calls the C float conversion and [string_of_int]
+   directly; its bytes must be the [Printf] formats it replaced. *)
+let qcheck_json_numbers =
+  let reference f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f <= 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.17g" f
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, float);
+          (2, map float_of_int (int_range (-1_000_000) 1_000_000));
+          (1, map (fun x -> Float.round (x *. 1e15)) (float_range (-1.0) 1.0));
+          ( 1,
+            oneofl
+              [ 0.0; -0.0; 1e15; -1e15; 1e15 +. 2.0; 4503599627370496.5; 5e-324;
+                -1e-310; nan; infinity; neg_infinity; 0.1; 1e300 ] );
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:5000 ~name:"JSON numbers = the Printf formats"
+       (QCheck.make ~print:(Printf.sprintf "%h") gen)
+       (fun f -> Json.to_string (Json.Num f) = reference f))
+
 let test_responses_identical_across_domains () =
   let at n = Par.with_domains n (fun () -> run_corpus grouping_corpus true) in
   Alcotest.(check (list string))
@@ -1141,6 +1194,9 @@ let suites =
           test_scenario_corpus_golden;
         Alcotest.test_case "quantile allocation pinned" `Quick
           test_quantile_allocation;
+        Alcotest.test_case "report and paths allocation pinned" `Quick
+          test_report_paths_allocation;
+        qcheck_json_numbers;
         Alcotest.test_case "batch op strict/repair" `Quick
           test_batch_op_policies;
       ] );
