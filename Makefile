@@ -65,10 +65,12 @@ fmt:
 fmt-check:
 	$(DUNE) build @fmt
 
-# The .ml/.mli line total of lib/ + bin/: the size every simplicity change
-# is measured by.
+# The .ml/.mli/.c line total of lib/ + bin/: the size every simplicity
+# change is measured by.  C stubs count too, so moving code into C never
+# reads as a size reduction.
 loc:
-	@find lib bin \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l
+	@find lib bin \( -name '*.ml' -o -name '*.mli' -o -name '*.c' \) \
+	  -exec cat {} + | wc -l
 
 clean:
 	$(DUNE) clean

@@ -384,108 +384,59 @@ let cov4_em = 1
 let cov4_am = 2
 let cov4_rm = 3
 let cov4_size = 4
+let cov4_lanes = 4
 
-let cov4_lanes = 2
+(* Four independent evals' covariances in one pass of the C kernel in
+   cov4_stubs.c, which explains the lane count and the compiler flags
+   that keep every lane bit-identical to [covariance].  Cov(A,M) is
+   gathered per visit because the cone walk changes source every edge
+   (fanin CSR groups edges by sink), so a source-keyed memo would never
+   hit; Cov(R,M) because its chain multiplies values the A,R and E,M
+   chains already load.  The kernel trusts its indices, so everything it
+   reads is checked here, once per call. *)
+external cov4_batch_raw :
+  data ->
+  data ->
+  data ->
+  data ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  int array ->
+  int array ->
+  int array ->
+  data ->
+  unit = "hssta_cov4_batch_byte" "hssta_cov4_batch"
+[@@noalloc]
 
-(* Two independent evals' covariances in one pass.  The kernel is
-   latency-bound, not flop-bound: bit-exactness pins each dot to one
-   serial accumulation chain, so a lone dot stalls on FP-add latency every
-   element, while interleaved chains hide that latency almost completely.
-   Hence four dots per lane and not fewer - splitting the eval into
-   several narrow passes re-pays the chain stall per pass and loses.
-   Cov(A,M) rides along unconditionally because the cone walk changes
-   source every edge (fanin CSR groups edges by sink), so a source-keyed
-   memo would never hit; Cov(R,M) rides along because its chain
-   multiplies two values the A,R and E,M chains already load - a
-   sink-keyed memo saved zero loads and re-paid the lone-dot stall on
-   every fanin-2 sink change.  And two lanes, not more: two lanes' eight
-   chains fill the latency slots while eight float accumulators (plus the
-   seven loaded values per element) still fit the register file; a
-   four-lane variant's sixteen accumulators spill, and the spill traffic
-   costs more than the extra latency hiding buys.  Each lane accumulates
-   segmented and serial in [k], exactly like [covariance], so lane [j]'s
-   results are bit-identical to the probes on ([srcs.(j)], [edges.(j)],
-   [dsts.(j)]) and the criticality screen's batching is invisible in the
-   results.  The lanes share the [m] slot ([im]). *)
-let cov4_batch2_into ~a ~e ~r ~m ~im ~srcs ~dsts ~edges ~into =
-  check_dims a r "cov4_batch2_into";
-  check_dims e m "cov4_batch2_into";
-  check_dims a e "cov4_batch2_into";
-  if Array.length into < cov4_lanes * cov4_size then
-    invalid_arg "Form_buf.cov4_batch2_into: scratch array shorter than 8";
-  let ng = a.dims.Form.n_globals and np = a.dims.Form.n_pcs in
-  let da = a.data and de = e.data and dr = r.data and dm = m.data in
-  let oa0 = Array.unsafe_get srcs 0 * a.stride
-  and oa1 = Array.unsafe_get srcs 1 * a.stride in
-  let oe0 = Array.unsafe_get edges 0 * e.stride
-  and oe1 = Array.unsafe_get edges 1 * e.stride in
-  let or0 = Array.unsafe_get dsts 0 * r.stride
-  and or1 = Array.unsafe_get dsts 1 * r.stride in
-  let om = im * m.stride in
-  let ar0 = ref 0.0 and em0 = ref 0.0 in
-  let am0 = ref 0.0 and rm0 = ref 0.0 in
-  let ar1 = ref 0.0 and em1 = ref 0.0 in
-  let am1 = ref 0.0 and rm1 = ref 0.0 in
-  for k = 1 to ng do
-    let vm = A1.unsafe_get dm (om + k) in
-    let va0 = A1.unsafe_get da (oa0 + k)
-    and ve0 = A1.unsafe_get de (oe0 + k)
-    and vr0 = A1.unsafe_get dr (or0 + k) in
-    ar0 := !ar0 +. (va0 *. vr0);
-    em0 := !em0 +. (ve0 *. vm);
-    am0 := !am0 +. (va0 *. vm);
-    rm0 := !rm0 +. (vr0 *. vm);
-    let va1 = A1.unsafe_get da (oa1 + k)
-    and ve1 = A1.unsafe_get de (oe1 + k)
-    and vr1 = A1.unsafe_get dr (or1 + k) in
-    ar1 := !ar1 +. (va1 *. vr1);
-    em1 := !em1 +. (ve1 *. vm);
-    am1 := !am1 +. (va1 *. vm);
-    rm1 := !rm1 +. (vr1 *. vm)
+let cov4_batch_into ~a ~e ~r ~m ~im ~srcs ~dsts ~edges ~into =
+  check_dims a r "cov4_batch_into";
+  check_dims e m "cov4_batch_into";
+  check_dims a e "cov4_batch_into";
+  if
+    Array.length srcs < cov4_lanes
+    || Array.length dsts < cov4_lanes
+    || Array.length edges < cov4_lanes
+  then invalid_arg "Form_buf.cov4_batch_into: lane arrays shorter than 4";
+  if A1.dim into < cov4_lanes * cov4_size then
+    invalid_arg "Form_buf.cov4_batch_into: scratch shorter than 16";
+  check_slot m im "cov4_batch_into";
+  for j = 0 to cov4_lanes - 1 do
+    check_slot a (Array.unsafe_get srcs j) "cov4_batch_into";
+    check_slot e (Array.unsafe_get edges j) "cov4_batch_into";
+    check_slot r (Array.unsafe_get dsts j) "cov4_batch_into"
   done;
-  let g_ar0 = !ar0 and g_em0 = !em0 and g_am0 = !am0 and g_rm0 = !rm0 in
-  let g_ar1 = !ar1 and g_em1 = !em1 and g_am1 = !am1 and g_rm1 = !rm1 in
-  ar0 := 0.0;
-  em0 := 0.0;
-  am0 := 0.0;
-  rm0 := 0.0;
-  ar1 := 0.0;
-  em1 := 0.0;
-  am1 := 0.0;
-  rm1 := 0.0;
-  for k = 1 + ng to ng + np do
-    let vm = A1.unsafe_get dm (om + k) in
-    let va0 = A1.unsafe_get da (oa0 + k)
-    and ve0 = A1.unsafe_get de (oe0 + k)
-    and vr0 = A1.unsafe_get dr (or0 + k) in
-    ar0 := !ar0 +. (va0 *. vr0);
-    em0 := !em0 +. (ve0 *. vm);
-    am0 := !am0 +. (va0 *. vm);
-    rm0 := !rm0 +. (vr0 *. vm);
-    let va1 = A1.unsafe_get da (oa1 + k)
-    and ve1 = A1.unsafe_get de (oe1 + k)
-    and vr1 = A1.unsafe_get dr (or1 + k) in
-    ar1 := !ar1 +. (va1 *. vr1);
-    em1 := !em1 +. (ve1 *. vm);
-    am1 := !am1 +. (va1 *. vm);
-    rm1 := !rm1 +. (vr1 *. vm)
-  done;
-  into.(cov4_ar) <- g_ar0 +. !ar0;
-  into.(cov4_em) <- g_em0 +. !em0;
-  into.(cov4_am) <- g_am0 +. !am0;
-  into.(cov4_rm) <- g_rm0 +. !rm0;
-  into.(cov4_size + cov4_ar) <- g_ar1 +. !ar1;
-  into.(cov4_size + cov4_em) <- g_em1 +. !em1;
-  into.(cov4_size + cov4_am) <- g_am1 +. !am1;
-  into.(cov4_size + cov4_rm) <- g_rm1 +. !rm1
+  cov4_batch_raw a.data e.data r.data m.data im a.stride a.dims.Form.n_globals
+    a.dims.Form.n_pcs srcs dsts edges into
 
 (* Edge-covariance tables: Cov(delay of edge e, vertex form at an endpoint
    of e), filled in bulk so the screen's inner loop reads one float where
    it used to run a strided dot product.  [cov_src_cone_into] fills the
    source-side table over an active cone list; [cov_dst_into] fills the
    sink-side table over all edges whose sink is marked reached.  Both index
-   [into] by edge, so compaction of the cone lists never has to move the
-   table entries. *)
+   [into] by edge, so a walk over any slice of a cone list reads them
+   directly. *)
 
 let cov_src_cone_into ~verts ~forms ~src ~cone ~len ~into =
   check_dims verts forms "cov_src_cone_into";

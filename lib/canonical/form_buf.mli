@@ -199,7 +199,7 @@ val add_then_max_into : acc:t -> iacc:int -> a:t -> ia:int -> b:t -> ib:int -> u
     (variances and random coefficients per vertex and edge, Cov(A,E) per
     input cone via {!cov_src_cone_into}, Cov(E,R) per output via
     {!cov_dst_into}), leaving Cov(A,R), Cov(E,M), Cov(A,M) and Cov(R,M)
-    per visit, gathered by {!cov4_batch2_into}.  Every value is
+    per visit, gathered by {!cov4_batch_into}.  Every value is
     bit-identical to the corresponding {!covariance} probe (same segmented
     accumulation); all kernels write into caller scratch and allocate
     nothing. *)
@@ -210,12 +210,12 @@ val cov4_am : int
 val cov4_rm : int
 
 val cov4_size : int
-(** Scratch floats per lane of {!cov4_batch2_into} (= 4). *)
+(** Scratch floats per lane of {!cov4_batch_into} (= 4). *)
 
 val cov4_lanes : int
-(** Lane count of {!cov4_batch2_into} (= 2). *)
+(** Lane count of {!cov4_batch_into} (= 4). *)
 
-val cov4_batch2_into :
+val cov4_batch_into :
   a:t ->
   e:t ->
   r:t ->
@@ -224,22 +224,27 @@ val cov4_batch2_into :
   srcs:int array ->
   dsts:int array ->
   edges:int array ->
-  into:float array ->
+  into:data ->
   unit
-(** The four per-visit covariances of two independent evaluations at
+(** The four per-visit covariances of four independent evaluations at
     once, sharing the [m] slot: lane [j] (indices [srcs.(j)], [edges.(j)],
-    [dsts.(j)], all arrays of length >= {!cov4_lanes}) writes
-    [into.(j * cov4_size + cov4_ar) = Cov(a.(srcs.(j)), r.(dsts.(j)))],
-    [into.(j * cov4_size + cov4_em) = Cov(e.(edges.(j)), m.(im))],
-    [into.(j * cov4_size + cov4_am) = Cov(a.(srcs.(j)), m.(im))] and
-    [into.(j * cov4_size + cov4_rm) = Cov(r.(dsts.(j)), m.(im))], each
-    value bit-identical to the {!covariance} probe.  A bit-exact dot is
-    one serial chain that stalls on FP-add latency every element; four
-    dots times two lanes keep eight chains in flight and still fit the
-    register file (the implementation explains both widths).  A single
-    pending evaluation runs with lane 1 a copy of lane 0.  All four
-    buffers must share one [dims]; [into] must be at least
-    [cov4_lanes * cov4_size] long. *)
+    [dsts.(j)]) writes
+    [into.{j * cov4_size + cov4_ar} = Cov(a.(srcs.(j)), r.(dsts.(j)))],
+    [into.{j * cov4_size + cov4_em} = Cov(e.(edges.(j)), m.(im))],
+    [into.{j * cov4_size + cov4_am} = Cov(a.(srcs.(j)), m.(im))] and
+    [into.{j * cov4_size + cov4_rm} = Cov(r.(dsts.(j)), m.(im))], each
+    value bit-identical to the {!covariance} probe.  The kernel is C
+    (lib/canonical/cov4_stubs.c), vectorised across the four lanes: each
+    dot stays one serial chain in [k], so sixteen chains are in flight,
+    and the file is compiled without FP contraction or fast-math so no
+    rounding differs from the OCaml probe.  Fewer pending evaluations run
+    with the spare lanes copying lane 0.
+
+    Raises [Invalid_argument] unless all four buffers share one [dims],
+    [srcs], [dsts] and [edges] hold at least {!cov4_lanes} entries, [into]
+    holds at least [cov4_lanes * cov4_size] floats, and [im] and the
+    first {!cov4_lanes} entries of each lane array are slots of their
+    buffers. *)
 
 val cov_src_cone_into :
   verts:t ->
@@ -253,7 +258,8 @@ val cov_src_cone_into :
     [into.{e} <- covariance verts src.(e) forms e] — the per-input
     Cov(arrival at source, edge delay) table, filled once per forward
     sweep over the input's active cone.  [into] is indexed by edge (length
-    >= the edge count), so later cone compactions never move entries. *)
+    >= the edge count), so a walk over any slice of the cone reads it by
+    edge. *)
 
 val cov_dst_into :
   forms:t -> verts:t -> dst:int array -> mask:Bytes.t -> into:data -> unit

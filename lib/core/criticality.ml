@@ -14,16 +14,15 @@ module A1 = Bigarray.Array1
 
    [screened_pairs] counts the pairs the scalar screen disposed of (bound
    test failed); pairs that went on to a full evaluation are counted by
-   [exact_evals] instead, and pairs on settled edges are never visited at
-   all.  The pre-cone implementation counted every reachable pair visit in
-   [screened_pairs], including the evaluated and settled ones - the two
-   countings are compared in EXPERIMENTS.md. *)
+   [exact_evals] instead, and pairs on settled edges are skipped and
+   counted nowhere.  The pre-cone implementation counted every reachable
+   pair visit in [screened_pairs], including the evaluated and settled
+   ones - the two countings are compared in EXPERIMENTS.md. *)
 let c_exact_evals = Obs.counter "criticality.exact_evals"
 let c_screened_pairs = Obs.counter "criticality.screened_pairs"
 let c_kept_edges = Obs.counter "criticality.kept_edges"
 let c_removed_edges = Obs.counter "criticality.removed_edges"
 let c_cone_edges = Obs.counter "criticality.cone_edges"
-let c_compacted_edges = Obs.counter "criticality.compacted_edges"
 let c_backward_tiles = Obs.counter "criticality.backward_tiles"
 
 (* Peak slab footprint of one screen: the tile slab (backward workspaces,
@@ -87,7 +86,15 @@ let auto_tile ?budget_mb ~n_vertices ~n_edges ~stride () =
   let per_output =
     max 1 ((n_vertices * ((8 * stride) + 34)) + (8 * n_edges))
   in
-  max 1 (mb * 1024 * 1024 / per_output)
+  (* Saturate rather than wrap: [mb * 1024 * 1024] overflows for budgets
+     near [max_int], which would read as the smallest tile. *)
+  let budget = if mb > max_int / (1024 * 1024) then max_int else mb lsl 20 in
+  max 1 (budget / per_output)
+
+(* Edges per block of the screen walk: about 256 KiB of edge forms, so a
+   block's edge rows and per-edge table entries stay cache-resident while
+   every (output, input) walk of a tile passes over them. *)
+let edge_block ~stride = max 1 (262_144 / (8 * stride))
 
 let resolve_tile tile ~nv ~m ~stride no =
   let t =
@@ -115,8 +122,8 @@ let resolve_tile tile ~nv ~m ~stride no =
    (threshold mode: kept; exact mode: identity-detected, cm_z already
    infinite).  A settled edge can never survive the bound test again nor
    improve cm_z, so skipping it without even loading its endpoints - and
-   compacting it out of the chunk's active cone lists - changes no result
-   bits, only the visit count.
+   leaving it out of the cone lists built for later tiles - changes no
+   result bits, only the visit count.
 
    In threshold mode the per-edge bar only ever takes two values - the
    initial z_delta and infinity, the latter exactly when the edge is
@@ -138,21 +145,25 @@ type chunk_state = {
   mutable s_exact : int;
   mutable s_screened : int;
   mutable s_cone : int;
-  mutable s_compacted : int;
 }
 
 (* Per-domain scratch drawn from a pool and reused across every tile's
    screen region: one forward workspace per input slot of a chunk, its
    four arrival scalar rows and Cov(arrival, edge) cone table - all carved
    from the worker's capacity-planned slab - plus the active cone list
-   and the survivor lanes of the eval batch.  The whole screen builds at
-   most [domains] of these. *)
+   with its edge-block cursors and the survivor lanes of the eval batch.
+   The whole screen builds at most [domains] of these. *)
 type scratch = {
   fwd : Propagate.workspace array;
   a_st : Form_buf.data array;
   cov_ae : Form_buf.data array;
   cone : int array array;
   cone_len : int array;
+  (* Per slot: where the current edge block starts in [cone] ([blk_lo])
+     and where it ends, which is where the next block starts
+     ([blk_hi]). *)
+  blk_lo : int array;
+  blk_hi : int array;
   (* Survivor lanes of the blocked eval batch: edge/source/sink indices
      and the bound-test mu_de of up to [Form_buf.cov4_lanes] pending
      evals, plus the batch kernel's lanes-by-four covariance output
@@ -161,7 +172,7 @@ type scratch = {
   b_d : int array;
   b_e : int array;
   b_mu : float array;
-  b_cov : float array;
+  b_cov : Form_buf.data;
   (* The current walk's pair-maximum mean and std, parked in scratch so
      the shared decision tail can read them without taking float
      arguments - a non-inlined call boxes every float argument, and the
@@ -248,12 +259,8 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
     Array.init tile_sz (fun _ -> Form_buf.slab_floats tile_slab tab_floats)
   in
   let omasks = Array.init tile_sz (fun _ -> Bytes.make (max nv 1) '\000') in
-  (* Settled-edge compaction cadence: rewrite the active cone lists after
-     any output whose scan settled this many edges since the last rewrite.
-     Any cadence is result-safe (compaction only drops edges the scan
-     would skip anyway); this one bounds the rewrite work by a fraction of
-     the settles that made it worthwhile. *)
-  let compact_min = max 64 (m asr 5) in
+  let eblock = edge_block ~stride in
+  let n_eblocks = Par.n_chunks ~chunk:eblock m in
   let screen_tile_chunk st scratch ~t_lo ~tn ~lo ~hi =
     let n_in = hi - lo in
     let keep = st.s_keep
@@ -283,11 +290,11 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
         end
       done;
       scratch.cone_len.(slot) <- !k;
+      scratch.blk_hi.(slot) <- 0;
       st.s_cone <- st.s_cone + !k;
       Form_buf.cov_src_cone_into ~verts:(Propagate.ws_buf ws) ~forms:fbuf ~src
         ~cone ~len:!k ~into:scratch.cov_ae.(slot)
     done;
-    let pending = ref 0 in
     (* Decision tail of lane [j] of the eval batch: reads the moments of
        de = a + d + r and of M from where the screen keeps them - the
        arrival and required-time stat rows at the source [s] and sink [d],
@@ -316,13 +323,13 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
         +. A1.unsafe_get rst (o_r + st_vr)
         +. 2.0
            *. (A1.unsafe_get cov_ae_row e
-              +. Array.unsafe_get b_cov (base + Form_buf.cov4_ar)
+              +. A1.unsafe_get b_cov (base + Form_buf.cov4_ar)
               +. A1.unsafe_get cov_er_row e)
       in
       let cov_dem =
-        Array.unsafe_get b_cov (base + Form_buf.cov4_am)
-        +. Array.unsafe_get b_cov (base + Form_buf.cov4_em)
-        +. Array.unsafe_get b_cov (base + Form_buf.cov4_rm)
+        A1.unsafe_get b_cov (base + Form_buf.cov4_am)
+        +. A1.unsafe_get b_cov (base + Form_buf.cov4_em)
+        +. A1.unsafe_get b_cov (base + Form_buf.cov4_rm)
       in
       let m_var = m_sig *. m_sig in
       let theta2 = var_de +. m_var -. (2.0 *. cov_dem) in
@@ -365,145 +372,153 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
       if z > cm_z.(e) then cm_z.(e) <- z;
       if exact then begin
         bar.(e) <- Float.max bar_e z;
-        if Array.unsafe_get bar e = infinity then begin
-          Bytes.unsafe_set settled e '\001';
-          incr pending
-        end
+        if Array.unsafe_get bar e = infinity then
+          Bytes.unsafe_set settled e '\001'
       end
-      else if Bytes.unsafe_get keep e <> '\000' then begin
+      else if Bytes.unsafe_get keep e <> '\000' then
         (* Threshold mode: a kept edge's bar is infinity by definition,
            so settle it without storing a float bar at all. *)
-        Bytes.unsafe_set settled e '\001';
-        incr pending
-      end
+        Bytes.unsafe_set settled e '\001'
     in
-    for jj = 0 to tn - 1 do
-      let out = outputs.(t_lo + jj) in
-      let rst = req_st.(jj) in
-      let cov_er_row = cov_er.(jj) in
-      let omask = omasks.(jj) in
-      let rbuf = Propagate.ws_buf tile_ws.(jj) in
-      for slot = 0 to n_in - 1 do
-        let ws = scratch.fwd.(slot) in
-        if Propagate.ws_reached ws out then begin
-          let abuf = Propagate.ws_buf ws in
-          let m_mu = Form_buf.mean abuf out in
-          let m_sig = Form_buf.std abuf out in
-          scratch.wk.(0) <- m_mu;
-          scratch.wk.(1) <- m_sig;
-          let ast = scratch.a_st.(slot) in
-          let cov_ae_row = scratch.cov_ae.(slot) in
-          let cone = scratch.cone.(slot) in
-          let clen = scratch.cone_len.(slot) in
-          (* Survivor batching: a walk's evals all touch
-             distinct edges (a cone lists each edge once), and the screen
-             state an eval writes - keep, cm_z, bar, settled, all
-             per-edge - is never read by another visit of the same walk,
-             so collecting survivors into lanes and gathering their
-             covariances with one multi-chain kernel commutes with the
-             walk: every value, update and counter lands bit-identically.
-             The point of the batch is FP-add latency, see
-             {!Form_buf.cov4_batch2_into}. *)
-          let bn = ref 0 in
-          let flush () =
-            let n = !bn in
-            (* A lone tail survivor runs as lane 1 = lane 0; only lane 0
-               is judged. *)
-            if n < Form_buf.cov4_lanes then begin
-              scratch.b_s.(1) <- scratch.b_s.(0);
-              scratch.b_d.(1) <- scratch.b_d.(0);
-              scratch.b_e.(1) <- scratch.b_e.(0)
-            end;
-            Form_buf.cov4_batch2_into ~a:abuf ~e:fbuf ~r:rbuf ~m:abuf ~im:out
-              ~srcs:scratch.b_s ~dsts:scratch.b_d ~edges:scratch.b_e
-              ~into:scratch.b_cov;
-            for j = 0 to n - 1 do
-              judge ~e:(Array.unsafe_get scratch.b_e j) ~j
-                ~s:(Array.unsafe_get scratch.b_s j)
-                ~d:(Array.unsafe_get scratch.b_d j)
-                ~out ~ast ~rst ~cov_ae_row ~cov_er_row
-            done;
-            bn := 0
-          in
-          for x = 0 to clen - 1 do
-            let e = Array.unsafe_get cone x in
-            (* Settled edges are skipped (and periodically compacted out of
-               [cone]) without being counted: they can neither flip [keep]
-               nor raise [cm_z], see [chunk_state]. *)
-            if Bytes.unsafe_get settled e = '\000' then begin
-              let d = Array.unsafe_get dst e in
-              (* One byte load answers "does this edge reach the output"
-                 where the pre-cone screen loaded a NaN-sentinel double. *)
-              if Bytes.unsafe_get omask d <> '\000' then begin
-                let s = Array.unsafe_get src e in
-                let o_a = dst4 * s
-                and o_e = dst4 * e
-                and o_r = dst4 * d in
-                let mu_de =
-                  A1.unsafe_get ast (o_a + st_mu)
-                  +. Array.unsafe_get d_st (o_e + st_mu)
-                  +. A1.unsafe_get rst (o_r + st_mu)
-                in
-                let theta_max =
-                  A1.unsafe_get ast (o_a + st_sg)
-                  +. Array.unsafe_get d_st (o_e + st_sg)
-                  +. A1.unsafe_get rst (o_r + st_sg)
-                  +. m_sig
-                in
-                (* The z-space bound test, phrased as a boolean join: an
-                   [if]/[else] producing a float would box it on every
-                   screened pair (no flambda), and this comparison runs
-                   tens of millions of times at c7552 scale.  The settled
-                   test above already rules out bar = infinity, so the
-                   mu_de >= m_mu branch always survives. *)
-                let bar_e =
-                  if exact then Array.unsafe_get bar e else bar0
-                in
-                let survivor =
-                  if mu_de >= m_mu then true
-                  else (mu_de -. m_mu) /. theta_max > bar_e
-                in
-                if survivor then begin
-                  (* Survivor: exact tightness z-score, allocation-free.
-                     With de = a + d + r (independent private randoms),
-                     Var de and Cov(de, M) decompose into pairwise
-                     covariances of the stored forms.  The visit-invariant
-                     ones come from the retained rows and tables; the four
-                     per-visit covariances are deferred to the lane
-                     batch. *)
-                  st.s_exact <- st.s_exact + 1;
-                  let j = !bn in
-                  Array.unsafe_set scratch.b_e j e;
-                  Array.unsafe_set scratch.b_s j s;
-                  Array.unsafe_set scratch.b_d j d;
-                  Array.unsafe_set scratch.b_mu j mu_de;
-                  bn := j + 1;
-                  if j + 1 = Form_buf.cov4_lanes then flush ()
-                end
-                else st.s_screened <- st.s_screened + 1
-              end
-            end
-          done;
-          if !bn > 0 then flush ()
-        end
+    (* Gathers and judges the first [n] lanes of the batch.  Spare lanes
+       of a short tail batch copy lane 0 and are not judged.  Built once
+       per call with the walk's values as arguments, not as a closure
+       per walk. *)
+    let flush ~n ~abuf ~rbuf ~out ~ast ~rst ~cov_ae_row ~cov_er_row =
+      for j = n to Form_buf.cov4_lanes - 1 do
+        scratch.b_s.(j) <- scratch.b_s.(0);
+        scratch.b_d.(j) <- scratch.b_d.(0);
+        scratch.b_e.(j) <- scratch.b_e.(0)
       done;
-      if !pending >= compact_min then begin
-        for slot = 0 to n_in - 1 do
-          let cone = scratch.cone.(slot) in
-          let clen = scratch.cone_len.(slot) in
-          let k = ref 0 in
-          for x = 0 to clen - 1 do
-            let e = Array.unsafe_get cone x in
-            if Bytes.unsafe_get settled e = '\000' then begin
-              Array.unsafe_set cone !k e;
-              incr k
-            end
-          done;
-          st.s_compacted <- st.s_compacted + (clen - !k);
-          scratch.cone_len.(slot) <- !k
+      Form_buf.cov4_batch_into ~a:abuf ~e:fbuf ~r:rbuf ~m:abuf ~im:out
+        ~srcs:scratch.b_s ~dsts:scratch.b_d ~edges:scratch.b_e
+        ~into:scratch.b_cov;
+      for j = 0 to n - 1 do
+        judge ~e:(Array.unsafe_get scratch.b_e j) ~j
+          ~s:(Array.unsafe_get scratch.b_s j)
+          ~d:(Array.unsafe_get scratch.b_d j)
+          ~out ~ast ~rst ~cov_ae_row ~cov_er_row
+      done
+    in
+    (* The tile is walked edge block by edge block: for each block, every
+       (output, input) walk of the tile visits the block's slice of the
+       input's cone, so the block's edge rows and table entries are
+       reused from cache by all [tn * n_in] walks instead of streaming
+       from memory once per walk.  Each edge still sees its visits in
+       (output, input) order - the only order the per-edge state keep,
+       bar, settled and cm_z depends on - so results and counters are
+       those of the unblocked (output, input, edge) walk bit for bit.
+       Settled edges stay in the cone and are skipped by their byte. *)
+    for b = 0 to n_eblocks - 1 do
+      let e_hi = min m ((b + 1) * eblock) in
+      for slot = 0 to n_in - 1 do
+        let cone = scratch.cone.(slot) and clen = scratch.cone_len.(slot) in
+        let x = ref scratch.blk_hi.(slot) in
+        scratch.blk_lo.(slot) <- !x;
+        while !x < clen && Array.unsafe_get cone !x < e_hi do
+          incr x
         done;
-        pending := 0
-      end
+        scratch.blk_hi.(slot) <- !x
+      done;
+      for jj = 0 to tn - 1 do
+        let out = outputs.(t_lo + jj) in
+        let rst = req_st.(jj) in
+        let cov_er_row = cov_er.(jj) in
+        let omask = omasks.(jj) in
+        let rbuf = Propagate.ws_buf tile_ws.(jj) in
+        for slot = 0 to n_in - 1 do
+          let x_lo = scratch.blk_lo.(slot) and x_hi = scratch.blk_hi.(slot) in
+          let ws = scratch.fwd.(slot) in
+          if x_lo < x_hi && Propagate.ws_reached ws out then begin
+            let abuf = Propagate.ws_buf ws in
+            let ast = scratch.a_st.(slot) in
+            (* M's moments from the arrival stat row: the same
+               [mean]/[sqrt variance] values [Form_buf.std] would
+               recompute. *)
+            let m_mu = A1.unsafe_get ast ((dst4 * out) + st_mu) in
+            let m_sig = A1.unsafe_get ast ((dst4 * out) + st_sg) in
+            scratch.wk.(0) <- m_mu;
+            scratch.wk.(1) <- m_sig;
+            let cov_ae_row = scratch.cov_ae.(slot) in
+            let cone = scratch.cone.(slot) in
+            (* Survivor batching: a walk's evals all touch distinct edges
+               (a cone lists each edge once), and the screen state an eval
+               writes - keep, cm_z, bar, settled, all per-edge - is never
+               read by another visit of the same walk, so collecting
+               survivors into lanes and gathering their covariances with
+               one multi-chain kernel commutes with the walk: every value,
+               update and counter lands bit-identically.  The point of the
+               batch is FP-add latency, see {!Form_buf.cov4_batch_into}. *)
+            let bn = ref 0 in
+            for x = x_lo to x_hi - 1 do
+              let e = Array.unsafe_get cone x in
+              (* Settled edges are skipped without being counted: they can
+                 neither flip [keep] nor raise [cm_z], see
+                 [chunk_state]. *)
+              if Bytes.unsafe_get settled e = '\000' then begin
+                let d = Array.unsafe_get dst e in
+                (* One byte load answers "does this edge reach the output"
+                   where the pre-cone screen loaded a NaN-sentinel
+                   double. *)
+                if Bytes.unsafe_get omask d <> '\000' then begin
+                  let s = Array.unsafe_get src e in
+                  let o_a = dst4 * s
+                  and o_e = dst4 * e
+                  and o_r = dst4 * d in
+                  let mu_de =
+                    A1.unsafe_get ast (o_a + st_mu)
+                    +. Array.unsafe_get d_st (o_e + st_mu)
+                    +. A1.unsafe_get rst (o_r + st_mu)
+                  in
+                  let theta_max =
+                    A1.unsafe_get ast (o_a + st_sg)
+                    +. Array.unsafe_get d_st (o_e + st_sg)
+                    +. A1.unsafe_get rst (o_r + st_sg)
+                    +. m_sig
+                  in
+                  (* The z-space bound test, phrased as a boolean join: an
+                     [if]/[else] producing a float would box it on every
+                     screened pair (no flambda), and this comparison runs
+                     tens of millions of times at c7552 scale.  The
+                     settled test above already rules out bar = infinity,
+                     so the mu_de >= m_mu branch always survives. *)
+                  let bar_e =
+                    if exact then Array.unsafe_get bar e else bar0
+                  in
+                  let survivor =
+                    if mu_de >= m_mu then true
+                    else (mu_de -. m_mu) /. theta_max > bar_e
+                  in
+                  if survivor then begin
+                    (* Survivor: exact tightness z-score, allocation-free.
+                       With de = a + d + r (independent private randoms),
+                       Var de and Cov(de, M) decompose into pairwise
+                       covariances of the stored forms.  The
+                       visit-invariant ones come from the retained rows
+                       and tables; the four per-visit covariances are
+                       deferred to the lane batch. *)
+                    st.s_exact <- st.s_exact + 1;
+                    let j = !bn in
+                    Array.unsafe_set scratch.b_e j e;
+                    Array.unsafe_set scratch.b_s j s;
+                    Array.unsafe_set scratch.b_d j d;
+                    Array.unsafe_set scratch.b_mu j mu_de;
+                    bn := j + 1;
+                    if j + 1 = Form_buf.cov4_lanes then begin
+                      flush ~n:(j + 1) ~abuf ~rbuf ~out ~ast ~rst ~cov_ae_row
+                        ~cov_er_row;
+                      bn := 0
+                    end
+                  end
+                  else st.s_screened <- st.s_screened + 1
+                end
+              end
+            done;
+            if !bn > 0 then
+              flush ~n:!bn ~abuf ~rbuf ~out ~ast ~rst ~cov_ae_row ~cov_er_row
+          end
+        done
+      done
     done
   in
   let states =
@@ -515,7 +530,6 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
           s_exact = 0;
           s_screened = 0;
           s_cone = 0;
-          s_compacted = 0;
         })
   in
   let pool =
@@ -540,11 +554,15 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
                 Form_buf.slab_floats slab tab_floats);
           cone = Array.init input_chunk (fun _ -> Array.make (max m 1) 0);
           cone_len = Array.make input_chunk 0;
+          blk_lo = Array.make input_chunk 0;
+          blk_hi = Array.make input_chunk 0;
           b_s = Array.make Form_buf.cov4_lanes 0;
           b_d = Array.make Form_buf.cov4_lanes 0;
           b_e = Array.make Form_buf.cov4_lanes 0;
           b_mu = Array.make Form_buf.cov4_lanes 0.0;
-          b_cov = Array.make (Form_buf.cov4_lanes * Form_buf.cov4_size) 0.0;
+          b_cov =
+            A1.init Bigarray.float64 Bigarray.c_layout
+              (Form_buf.cov4_lanes * Form_buf.cov4_size) (fun _ -> 0.0);
           wk = Array.make 2 0.0;
           cm_z = Array.make (max m 1) neg_infinity;
           source1 = [| 0 |];
@@ -552,13 +570,13 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
         })
   in
   (* Tiles are processed strictly in ascending output order, and inside a
-     tile every chunk visits (output, input, cone edge) in ascending
-     order, so a chunk's flattened visit sequence over the whole screen is
-     (j, i, e) regardless of the tile size: the per-edge bar/settled
-     trajectory - hence keep, cm_z and both pair counters - is
-     bit-identical at every tile size, and (by the per-chunk state) at
-     every domain count.  Only the cone/compaction counters and the RSS
-     depend on the tile size. *)
+     tile every chunk visits (edge block, output, input, cone edge) in
+     ascending order, so each edge's own visit sequence over the whole
+     screen is (j, i) regardless of the tile size or the block layout:
+     the per-edge bar/settled trajectory - hence keep, cm_z and both pair
+     counters - is bit-identical at every tile size, and (by the
+     per-chunk state) at every domain count.  Only the cone counter and
+     the RSS depend on the tile size. *)
   for t = 0 to n_tiles - 1 do
     (* Cooperative cancellation point: an armed serve-request deadline
        aborts the screen between output tiles - never inside a tile, so
@@ -604,7 +622,6 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
   let exact_evals = ref 0 in
   let screened = ref 0 in
   let cone_edges = ref 0 in
-  let compacted = ref 0 in
   Array.iter
     (fun st ->
       for e = 0 to m - 1 do
@@ -612,8 +629,7 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
       done;
       exact_evals := !exact_evals + st.s_exact;
       screened := !screened + st.s_screened;
-      cone_edges := !cone_edges + st.s_cone;
-      compacted := !compacted + st.s_compacted)
+      cone_edges := !cone_edges + st.s_cone)
     states;
   List.iter
     (fun w ->
@@ -637,7 +653,6 @@ let compute ?(exact = false) ?tile ~delta g ~forms:fbuf =
     Obs.add c_kept_edges kept;
     Obs.add c_removed_edges (m - kept);
     Obs.add c_cone_edges !cone_edges;
-    Obs.add c_compacted_edges !compacted;
     Obs.add c_backward_tiles n_tiles;
     let slab_bytes =
       List.fold_left

@@ -69,6 +69,12 @@ val auto_tile :
     random coefficient), the destination bitmask, and the per-output
     Cov(edge delay, required) table (one float per edge). *)
 
+val edge_block : stride:int -> int
+(** Edges per block of the screen walk for forms of [stride] floats:
+    about 256 KiB of edge forms, [max 1 (262144 / (8 * stride))].  A
+    derived constant, not a setting; exposed so tests can build graphs
+    that span several blocks. *)
+
 val compute :
   ?exact:bool ->
   ?tile:int ->
@@ -93,13 +99,17 @@ val compute :
     backward sweeps still run once per output).  Raises [Invalid_argument]
     if < 1.  When omitted, {!auto_tile} sizes it from the budget.
     [keep], [cm], [exact_evals] and [screened_pairs] are bit-identical at
-    every tile size: a chunk's flattened visit order over (output, input,
-    cone edge) does not depend on where the tile boundaries fall.
+    every tile size: each edge is visited in (output, input) order, which
+    does not depend on where the tile boundaries fall.
 
     The backward phase runs multi-output blocks
-    ({!Propagate.backward_block_into}) and survivors are evaluated from
-    the retained stat rows and covariance tables plus the per-visit
-    covariances of {!Ssta_canonical.Form_buf.cov4_batch2_into}, two lanes
+    ({!Propagate.backward_block_into}).  Each tile is walked edge block
+    by edge block ({!edge_block} edges each, in ascending order): every
+    (output, input) walk of the tile visits the block's slice of the
+    input's cone before the next block starts, so the block's edge forms
+    stay in cache across the walks.  Survivors are evaluated from the
+    retained stat rows and covariance tables plus the per-visit
+    covariances of {!Ssta_canonical.Form_buf.cov4_batch_into}, four lanes
     at a time.  The test suite checks every result field and counter bit
     for bit against a naive full-scan oracle built only on the boxed
     reference sweeps and [Form] moments. *)

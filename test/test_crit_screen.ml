@@ -1,6 +1,6 @@
 (* Equivalence suite for the cone-indexed criticality screen: on random
-   DAGs the production screen (edge cones, destination bitmasks, settled
-   compaction, output tiling, pooled scratch) must return bit-identical
+   DAGs the production screen (edge cones, destination bitmasks, the
+   edge-blocked walk, output tiling, pooled scratch) must return bit-identical
    keep / cm / exact_evals / screened_pairs versus a naive full-scan
    reference on the boxed oracle that shares only the chunk layout and
    the per-pair arithmetic - at 1/2/4 domains, several tile sizes, and in
@@ -15,6 +15,7 @@ module Form_buf = Ssta_canonical.Form_buf
 module Tgraph = Ssta_timing.Tgraph
 module Normal = Ssta_gauss.Normal
 module Build = Ssta_timing.Build
+module Rng = Ssta_gauss.Rng
 
 (* Naive full-scan reference for the screen, on boxed forms only: every
    arrival and required time comes from the per-operation boxed sweeps of
@@ -161,12 +162,72 @@ let dim_cases =
     { Form.n_globals = 2; n_pcs = 4 };
   ]
 
+(* A DAG the screen walks in several edge blocks: few ports, and enough
+   edges at a wide stride that [Criticality.edge_block] splits them into
+   at least four blocks (the [random_dag] graphs fit in one).  [n_in]
+   roots each feed an early vertex, a chain through the interior gives
+   every interior vertex a fanout, [n_out] sinks hang off the last
+   interior vertex, and every non-root takes one or two more fanins from
+   the preceding 40 interior vertices. *)
+let multi_block_dims = { Form.n_globals = 3; n_pcs = 125 }
+
+let multi_block_dag seed =
+  let dims = multi_block_dims in
+  let rng = Rng.create ~seed in
+  let n_in = 2 + Rng.int rng 3 and n_out = 2 + Rng.int rng 3 in
+  let n = 550 + Rng.int rng 100 in
+  let first_out = n - n_out in
+  let edges = ref [] in
+  for v = n_in to n - 1 do
+    let seen = Hashtbl.create 4 and fanins = ref [] in
+    let add s =
+      if not (Hashtbl.mem seen s) then begin
+        Hashtbl.replace seen s ();
+        fanins := s :: !fanins
+      end
+    in
+    add (if v < first_out then v - 1 else first_out - 1);
+    if v < 2 * n_in then add (v - n_in);
+    let hi = min v first_out in
+    let lo = max 0 (hi - 40) in
+    for _ = 1 to 1 + Rng.int rng 2 do
+      add (lo + Rng.int rng (hi - lo))
+    done;
+    List.iter (fun s -> edges := (s, v) :: !edges) (List.rev !fanins)
+  done;
+  let g =
+    Tgraph.make ~n_vertices:n
+      ~edges:(Array.of_list (List.rev !edges))
+      ~inputs:(Array.init n_in Fun.id)
+      ~outputs:(Array.init n_out (fun k -> first_out + k))
+  in
+  let forms =
+    Array.init (Tgraph.n_edges g) (fun _ -> Test_kernels.random_form rng dims)
+  in
+  let stride = dims.Form.n_globals + dims.Form.n_pcs + 2 in
+  let blocks =
+    Ssta_par.Par.n_chunks
+      ~chunk:(H.Criticality.edge_block ~stride)
+      (Tgraph.n_edges g)
+  in
+  if blocks < 4 then
+    Alcotest.failf "multi-block DAG (seed %d): %d edge blocks, want >= 4" seed
+      blocks;
+  (g, forms)
+
 (* The central property: production screen == naive reference, bit for
-   bit, in every (mode, domain count, tile size) combination. *)
+   bit, in every (mode, domain count, tile size) combination, on the
+   small random DAGs of each [dim_cases] layout and on one multi-block
+   DAG. *)
 let prop_screen_equivalence seed =
-  List.iteri
-    (fun k dims ->
-      let g, forms = Test_kernels.random_dag (seed + (10_000 * k)) dims in
+  let cases =
+    List.mapi
+      (fun k dims -> (dims, Test_kernels.random_dag (seed + (10_000 * k)) dims))
+      dim_cases
+    @ [ (multi_block_dims, multi_block_dag seed) ]
+  in
+  List.iter
+    (fun (dims, (g, forms)) ->
       List.iter
         (fun exact ->
           let want = reference ~exact ~delta:0.05 g ~forms in
@@ -181,8 +242,9 @@ let prop_screen_equivalence seed =
                   in
                   let label =
                     Printf.sprintf
-                      "seed=%d dims=(%d,%d) exact=%b domains=%d tile=%s" seed
-                      dims.Form.n_globals dims.Form.n_pcs exact domains
+                      "seed=%d dims=(%d,%d) m=%d exact=%b domains=%d tile=%s"
+                      seed dims.Form.n_globals dims.Form.n_pcs
+                      (Tgraph.n_edges g) exact domains
                       (match tile with
                       | None -> "all"
                       | Some t -> string_of_int t)
@@ -208,7 +270,7 @@ let prop_screen_equivalence seed =
                 [ None; Some 1; Some 3 ])
             [ 1; 2; 4 ])
         [ false; true ])
-    dim_cases;
+    cases;
   true
 
 (* The tile argument must be validated, not clamped silently. *)
@@ -254,7 +316,20 @@ let test_tile_parsers () =
     tile;
   Alcotest.(check int) "auto_tile floors at 1" 1
     (H.Criticality.auto_tile ~budget_mb:1 ~n_vertices:10_000_000
-       ~n_edges:20_000_000 ~stride:100 ())
+       ~n_edges:20_000_000 ~stride:100 ());
+  (* A budget too large to count in bytes saturates instead of wrapping
+     round to a tiny tile: c7552's size (3 707 vertices, 7 094 edges,
+     stride 113) fits any number of outputs. *)
+  let c7552 budget_mb =
+    H.Criticality.auto_tile ~budget_mb ~n_vertices:3_707 ~n_edges:7_094
+      ~stride:113 ()
+  in
+  Alcotest.(check int) "auto_tile saturates at max_int MB"
+    (max_int / ((3_707 * ((8 * 113) + 34)) + (8 * 7_094)))
+    (c7552 max_int);
+  Alcotest.(check bool) "auto_tile grows with the budget" true
+    (c7552 (max_int / 1024) <= c7552 max_int
+    && c7552 1024 < c7552 (max_int / (1024 * 1024)))
 
 (* Tile precedence, observed through the criticality.backward_tiles
    counter: an explicit ?tile beats the budget-sized auto tile, whose

@@ -108,47 +108,126 @@ let prop_add_then_max_into seed =
         (Form_buf.get buf 2));
   true
 
-(* The per-visit covariance gather of the blocked screen: both lanes of
-   the batch must agree with the Form.covariance probes bit for bit - the
-   batch is pure instruction scheduling, never a different accumulation -
-   including the screen's lone-survivor tail, where lane 1 repeats
-   lane 0. *)
+(* The per-visit covariance gather of the blocked screen: every lane of
+   the four-lane C kernel must agree with the Form.covariance probes bit
+   for bit - vectorising across lanes is pure instruction scheduling,
+   never a different accumulation.  [lanes] lists (ia, ie, ir) per lane;
+   the m slot is shared. *)
+let check_cov4 ~name forms buf ~im lanes =
+  let n = Form_buf.cov4_lanes in
+  (* Spare lanes copy lane 0, as in the screen's short tail batches. *)
+  let lane j = List.nth lanes (if j < List.length lanes then j else 0) in
+  let pick f = Array.init n (fun j -> f (lane j)) in
+  let into =
+    Bigarray.Array1.init Bigarray.float64 Bigarray.c_layout
+      (n * Form_buf.cov4_size) (fun _ -> nan)
+  in
+  Form_buf.cov4_batch_into ~a:buf ~e:buf ~r:buf ~m:buf ~im
+    ~srcs:(pick (fun (ia, _, _) -> ia))
+    ~edges:(pick (fun (_, ie, _) -> ie))
+    ~dsts:(pick (fun (_, _, ir) -> ir))
+    ~into;
+  List.iteri
+    (fun j (ia, ie, ir) ->
+      let c what k x y =
+        let got = into.{(j * Form_buf.cov4_size) + k} in
+        let want = Form.covariance forms.(x) forms.(y) in
+        if Int64.bits_of_float got <> Int64.bits_of_float want then
+          Alcotest.failf "cov4 %s lane %d %s: %h <> %h (probe)" name j what
+            got want
+      in
+      c "ar" Form_buf.cov4_ar ia ir;
+      c "em" Form_buf.cov4_em ie im;
+      c "am" Form_buf.cov4_am ia im;
+      c "rm" Form_buf.cov4_rm ir im)
+    lanes
+
+(* Four distinct lanes, then the screen's short tail batches: one to
+   three pending evaluations with the spare lanes copying lane 0. *)
+let cov4_lane_cases forms buf ~name =
+  let im = 12 in
+  let lane j = (3 * j, (3 * j) + 1, (3 * j) + 2) in
+  check_cov4 ~name:(name ^ ", four lanes") forms buf ~im
+    (List.init 4 lane);
+  for n = 1 to 3 do
+    check_cov4
+      ~name:(Printf.sprintf "%s, tail of %d" name n)
+      forms buf ~im
+      (List.init n (fun j -> lane (3 - j)))
+  done
+
 let prop_cov4 seed =
   List.iter
     (fun dims ->
       let rng = Rng.create ~seed in
       for _ = 1 to 25 do
-        let forms = Array.init 7 (fun _ -> random_form rng dims) in
-        let buf = Sweep_oracle.pack dims forms in
-        let check ~ia ~ie ~ir ~im (got : float array) base =
-          let c name x y =
-            if x <> y then
-              Alcotest.failf "cov4 %s: %h <> %h (probe)" name x y
-          in
-          c "ar" got.(base + Form_buf.cov4_ar)
-            (Form.covariance forms.(ia) forms.(ir));
-          c "em" got.(base + Form_buf.cov4_em)
-            (Form.covariance forms.(ie) forms.(im));
-          c "am" got.(base + Form_buf.cov4_am)
-            (Form.covariance forms.(ia) forms.(im));
-          c "rm" got.(base + Form_buf.cov4_rm)
-            (Form.covariance forms.(ir) forms.(im))
-        in
-        let batched =
-          Array.make (Form_buf.cov4_lanes * Form_buf.cov4_size) nan
-        in
-        (* Two independent lanes sharing the m slot, exactly as the screen
-           batches survivors of one walk. *)
-        Form_buf.cov4_batch2_into ~a:buf ~e:buf ~r:buf ~m:buf ~im:6
-          ~srcs:[| 0; 3 |] ~dsts:[| 2; 5 |] ~edges:[| 1; 4 |] ~into:batched;
-        check ~ia:0 ~ie:1 ~ir:2 ~im:6 batched 0;
-        check ~ia:3 ~ie:4 ~ir:5 ~im:6 batched Form_buf.cov4_size;
-        Form_buf.cov4_batch2_into ~a:buf ~e:buf ~r:buf ~m:buf ~im:6
-          ~srcs:[| 3; 3 |] ~dsts:[| 5; 5 |] ~edges:[| 4; 4 |] ~into:batched;
-        check ~ia:3 ~ie:4 ~ir:5 ~im:6 batched 0
+        let forms = Array.init 13 (fun _ -> random_form rng dims) in
+        cov4_lane_cases forms (Sweep_oracle.pack dims forms) ~name:"random"
       done)
     dim_cases;
   true
+
+(* The same with the operands that catch a kernel rounding differently
+   from the OCaml dot: signed zeros, subnormals (flush-to-zero would
+   change them), magnitudes whose products overflow or underflow, and
+   values whose products a fused multiply-add would keep more bits of. *)
+let extreme_coeff rng =
+  match Rng.int rng 9 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> 4.9e-324 *. float_of_int (1 + Rng.int rng 1000)
+  | 3 -> -2.2250738585072014e-308 *. Rng.uniform rng
+  | 4 -> 1e300 *. Rng.gaussian rng
+  | 5 -> 1e-160 *. Rng.gaussian rng
+  | 6 -> 1.0 +. (Rng.uniform rng *. epsilon_float)
+  | _ -> Rng.gaussian rng
+
+let prop_cov4_extreme seed =
+  List.iter
+    (fun dims ->
+      let rng = Rng.create ~seed in
+      for _ = 1 to 25 do
+        let forms =
+          Array.init 13 (fun _ ->
+              Form.make ~mean:(extreme_coeff rng)
+                ~globals:
+                  (Array.init dims.Form.n_globals (fun _ -> extreme_coeff rng))
+                ~pcs:(Array.init dims.Form.n_pcs (fun _ -> extreme_coeff rng))
+                ~rand:(abs_float (extreme_coeff rng)))
+        in
+        cov4_lane_cases forms (Sweep_oracle.pack dims forms) ~name:"extreme"
+      done)
+    dim_cases;
+  true
+
+(* The lane arrays are checked, not trusted: the kernel reads four lanes
+   and the slots they name. *)
+let test_cov4_contract () =
+  let dims = { Form.n_globals = 2; n_pcs = 3 } in
+  let buf = Form_buf.create dims 4 in
+  let into n =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+  in
+  let call ?(srcs = [| 0; 1; 2; 3 |]) ?(im = 0) ?(n = 16) () =
+    Form_buf.cov4_batch_into ~a:buf ~e:buf ~r:buf ~m:buf ~im ~srcs
+      ~dsts:[| 0; 1; 2; 3 |] ~edges:[| 3; 2; 1; 0 |] ~into:(into n)
+  in
+  call ();
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "cov4 contract: %s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "two-lane arrays" (fun () -> call ~srcs:[| 0; 1 |] ());
+  raises "short scratch" (fun () -> call ~n:8 ());
+  raises "slot out of range" (fun () -> call ~srcs:[| 0; 1; 2; 4 |] ());
+  raises "negative slot" (fun () -> call ~srcs:[| -1; 1; 2; 3 |] ());
+  raises "m slot out of range" (fun () -> call ~im:4 ());
+  raises "dims mismatch" (fun () ->
+      Form_buf.cov4_batch_into ~a:buf
+        ~e:(Form_buf.create { dims with Form.n_pcs = 4 } 4)
+        ~r:buf ~m:buf ~im:0 ~srcs:[| 0; 1; 2; 3 |] ~dsts:[| 0; 1; 2; 3 |]
+        ~edges:[| 0; 1; 2; 3 |] ~into:(into 16))
 
 (* The scratch-array Clark must be bit-identical to the record-returning
    original, including the constant-difference degenerate branch. *)
@@ -535,7 +614,11 @@ let suites =
           "fused add_then_max agrees with max2 o add (bit-exact)";
         test prop_scalar_probes "scalar probes agree with Form";
         test prop_cov4
-          "cov4 gather and two-lane batch agree with probes (bit-exact)";
+          "cov4 gather: four lanes and tails agree with probes (bit-exact)";
+        test prop_cov4_extreme
+          "cov4 gather: zeros, subnormals, extremes agree (bit-exact)";
+        Alcotest.test_case "cov4 gather checks its lanes" `Quick
+          test_cov4_contract;
         test prop_clark_into "clark_max_into agrees with clark_max";
         test prop_slab_carving
           "slab-carved buffers match fresh buffers (bit-exact)";

@@ -114,7 +114,7 @@ let test_criticality_counters_domain_invariant () =
   Obs.enable ();
   let b = Lazy.force module_build in
   (* The result counters are pinned invariant across BOTH the domain count
-     and the tile size; the cone/compaction/tile bookkeeping counters are
+     and the tile size; the cone/tile bookkeeping counters are
      only domain-invariant (tiling legitimately rebuilds the cone lists
      once per tile). *)
   let result_counters =
@@ -128,7 +128,6 @@ let test_criticality_counters_domain_invariant () =
   let bookkeeping_counters =
     [
       "criticality.cone_edges";
-      "criticality.compacted_edges";
       "criticality.backward_tiles";
     ]
   in
@@ -182,8 +181,7 @@ let test_criticality_counters_domain_invariant () =
    the auto tile, pinned at 1 and 4 domains.  They only change when the
    screen's arithmetic or visit order changes: [screened_pairs] counts
    scalar-screen disposals, [cone_edges] the active cone entries built,
-   [compacted_edges] the settled entries dropped by compaction, and the
-   backward sweeps (one per output) are amortized into fixed blocks of at
+   and the backward sweeps (one per output) are amortized into fixed blocks of at
    most ceil(25 / 8) = 4 outputs.  A fixed tile of 8 must reproduce the
    untiled results bit for bit. *)
 let test_c1908_screen_counters () =
@@ -196,7 +194,6 @@ let test_c1908_screen_counters () =
       ("criticality.screened_pairs", 24_684);
       ("criticality.exact_evals", 750_766);
       ("criticality.cone_edges", 50_412);
-      ("criticality.compacted_edges", 10_418);
       ("criticality.backward_tiles", 1);
       ("propagate.backward_sweeps", 25);
       ("propagate.backward_blocks", 7);
